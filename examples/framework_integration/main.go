@@ -64,7 +64,7 @@ func main() {
 		}
 	}
 	fmt.Println("\nfusion pass preserved results bit-for-bit")
-	fmt.Print(fused.rep.Compile)
+	fmt.Print(fused.rep.Select)
 	fmt.Printf("eager    %v\n", base.rep.Duration())
 	fmt.Printf("compiled %v (%.1f%% faster)\n",
 		fused.rep.Duration(),

@@ -66,7 +66,7 @@ func main() {
 
 	// Compiled run: the fusion pass rewrites all three pairs.
 	compiled := sys.RunGraph(g, fusedcc.Compiled)
-	fmt.Print(compiled.Compile)
+	fmt.Print(compiled.Select)
 
 	for name, want := range snapshot {
 		got := map[string][]float32{

@@ -2,18 +2,18 @@
 //
 // Part 1 — a 3-layer transformer decoder (attention stand-in + tensor-
 // parallel FFN per layer) built as a single computation graph and run
-// Eager (bulk-synchronous), Pipelined (the partition pass splits each
-// GEMV → AllReduce pair into chunk chains whose collectives overlap
-// later chunks' compute on per-GPU streams), Compiled (the fusion pass
-// substitutes the fused persistent kernels), and Auto (the select pass
-// prices the forms per pair with the analytic cost model and picks the
-// predicted fastest) — the fusion-vs-pipelining comparison at the heart
-// of the paper's related work, plus the CoCoNet/GC3-style automation of
-// the choice.
+// Eager (bulk-synchronous), Pipelined (each GEMV → AllReduce pair
+// becomes chunk chains whose collectives overlap later chunks' compute
+// on per-GPU streams), Compiled (every pair becomes the fused
+// persistent kernel), Auto (the cost model prices the forms per pair
+// and picks the predicted fastest), and Wavefront — each mode a policy
+// over one plan, reported the same way. That is the fusion-vs-
+// pipelining comparison at the heart of the paper's related work, plus
+// the CoCoNet/GC3-style automation of the choice.
 //
 // Part 2 — a 4-layer MoE stack in Pipelined vs Wavefront: the MoE
 // layers are token-banded end to end (gate, dispatch, and expert FFN
-// are declared rowwise), so the wavefront partition replaces every
+// are declared rowwise), so the wavefront lowering replaces every
 // layer-boundary join with chunk-granular edges — layer l+1's chunk c
 // waits only for layer l's chunk c — and the per-stream occupancy
 // report shows the drains disappearing. The decoder, by contrast,
@@ -60,17 +60,11 @@ func main() {
 		sys.Run(func(p *fusedcc.Proc) { rep = x.Execute(p, dec.Graph(), mode) })
 		fmt.Println()
 		report(rep)
-		switch mode {
-		case fusedcc.Pipelined:
-			fmt.Printf("    %s", rep.Partition)
-		case fusedcc.Compiled:
-			fmt.Printf("    %s", rep.Compile)
-		case fusedcc.Auto:
+		// Every non-eager mode lowers one plan and reports it the same
+		// way. The decoder cannot wavefront: GEMV reads its whole input,
+		// so Wavefront proves no join aligns and reports zero.
+		if rep.Select != nil {
 			fmt.Printf("    %s", rep.Select)
-		case fusedcc.Wavefront:
-			// The decoder cannot wavefront: GEMV reads its whole input,
-			// so the pass proves no join aligns and reports zero.
-			fmt.Printf("    %s", rep.Partition)
 		}
 	}
 
@@ -93,7 +87,7 @@ func main() {
 		sys.Run(func(p *fusedcc.Proc) { rep = mx.Execute(p, moe.Graph(), mode) })
 		report(rep)
 		if mode == fusedcc.Wavefront {
-			fmt.Printf("    %s", rep.Partition)
+			fmt.Printf("    %s", rep.Select)
 			fmt.Println("    per-stream occupancy with the layer drains rewired:")
 			for _, s := range rep.Streams {
 				fmt.Printf("      gpu%d: compute busy %v, comm busy %v, overlap %v\n",

@@ -24,11 +24,11 @@ func TestGraphCompileViaFacade(t *testing.T) {
 	want := append([]float32(nil), out.Symm().On(0).Data()...)
 
 	compiled := sys.RunGraph(g, Compiled)
-	if compiled.Compile == nil || len(compiled.Compile.Rewrites) != 1 {
-		t.Fatalf("compile report = %+v", compiled.Compile)
+	if compiled.Select == nil || len(compiled.Select.Decisions) != 1 {
+		t.Fatalf("compile report = %+v", compiled.Select)
 	}
-	if compiled.Compile.Rewrites[0].Pattern != PatternGEMVAllReduce {
-		t.Errorf("pattern = %v", compiled.Compile.Rewrites[0].Pattern)
+	if d := compiled.Select.Decisions[0]; d.Pattern != PatternGEMVAllReduce || d.Choice != Compiled {
+		t.Errorf("decision = %+v", d)
 	}
 	got := out.Symm().On(0).Data()
 	for i := range want {
@@ -96,11 +96,11 @@ func TestGraphPipelinedViaFacade(t *testing.T) {
 	)
 	x.Chunks = 2
 	sys.Run(func(p *Proc) { rep = x.Execute(p, g, Pipelined) })
-	if rep.Partition == nil || len(rep.Partition.Splits) != 1 {
-		t.Fatalf("partition report = %+v", rep.Partition)
+	if rep.Select == nil || len(rep.Select.Decisions) != 1 {
+		t.Fatalf("partition report = %+v", rep.Select)
 	}
-	if rep.Partition.Splits[0].Pattern != PatternGEMVAllReduce || rep.Partition.Splits[0].Chunks != 2 {
-		t.Errorf("split = %+v", rep.Partition.Splits[0])
+	if d := rep.Select.Decisions[0]; d.Pattern != PatternGEMVAllReduce || d.Choice != Pipelined || d.Chunks != 2 {
+		t.Errorf("decision = %+v", d)
 	}
 	got := out.Symm().On(0).Data()
 	for i := range want {
@@ -117,8 +117,8 @@ func TestGraphPipelinedViaFacade(t *testing.T) {
 
 	// The standalone Partition pass is exported too.
 	pg, prep := Partition(g, 2)
-	if len(prep.Splits) != 1 || len(pg.Nodes()) != 4 {
-		t.Errorf("Partition: %d splits, %d nodes", len(prep.Splits), len(pg.Nodes()))
+	if len(prep.Decisions) != 1 || prep.Decisions[0].Choice != Pipelined || len(pg.Nodes()) != 4 {
+		t.Errorf("Partition: %+v, %d nodes", prep.Decisions, len(pg.Nodes()))
 	}
 }
 

@@ -94,9 +94,9 @@ func TestForwardGraphShape(t *testing.T) {
 	if len(g.Nodes()) != 4 {
 		t.Fatalf("forward graph has %d nodes, want 4", len(g.Nodes()))
 	}
-	cg, rep := graph.Compile(g, graph.CompileOptions{})
-	if len(rep.Rewrites) != 1 || rep.Rewrites[0].Pattern != graph.PatternEmbeddingAllToAll {
-		t.Fatalf("rewrites = %+v", rep.Rewrites)
+	cg, rep := graph.Compile(g)
+	if len(rep.Decisions) != 1 || rep.Decisions[0].Pattern != graph.PatternEmbeddingAllToAll || rep.Decisions[0].Choice != graph.Compiled {
+		t.Fatalf("decisions = %+v", rep.Decisions)
 	}
 	if len(cg.Nodes()) != 3 {
 		t.Fatalf("compiled forward graph has %d nodes, want 3", len(cg.Nodes()))
@@ -116,12 +116,12 @@ func TestTrainGraphCompilesBothExchanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, rep := graph.Compile(m.TrainGraph(), graph.CompileOptions{})
-	if len(rep.Rewrites) != 2 {
-		t.Fatalf("rewrites = %+v", rep.Rewrites)
+	cg, rep := graph.Compile(m.TrainGraph())
+	if len(rep.Decisions) != 2 {
+		t.Fatalf("decisions = %+v", rep.Decisions)
 	}
-	if rep.Unfused != 1 {
-		t.Errorf("MLP gradient AllReduce must stay eager: %d unfused", rep.Unfused)
+	if rep.Unmatched != 1 {
+		t.Errorf("MLP gradient AllReduce must stay eager: %d unmatched", rep.Unmatched)
 	}
 	if n := cg.Node("emb_grad_exchange"); n == nil || n.Op().OpName() != "fused::embedding_grad_exchange" {
 		t.Error("gradient exchange not rewritten to the fused op")

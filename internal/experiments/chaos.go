@@ -124,7 +124,7 @@ func (b *chaosBackend) StepErr(p *sim.Proc, batch []*serve.Request) error {
 		}
 	}
 	rep := b.r.StepReport(p, b.mode)
-	if rep.Select != nil {
+	if rep.Mode == graph.Auto {
 		c := summarizeDecisions(rep.Select)
 		if b.choices != "" && c != b.choices {
 			b.reselects++

@@ -184,10 +184,10 @@ func runStack(sc stackCase, nodes, gpus, layers, chunks int, mode graph.Mode, op
 	pl.E.Run()
 	out := stackRun{dur: rep.Duration(), overlap: rep.OverlapEfficiency()}
 	out.comp, out.comm = rep.StreamOccupancy()
-	if rep.Partition != nil {
-		out.joins = len(rep.Partition.Joins)
-	}
 	if rep.Select != nil {
+		out.joins = len(rep.Select.Joins)
+	}
+	if rep.Mode == graph.Auto {
 		out.decisions = summarizeDecisions(rep.Select)
 		out.predicted = rep.Select.PredictedTotal()
 		out.wfChains = len(rep.Select.Wavefronts)

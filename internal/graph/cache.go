@@ -8,36 +8,36 @@ import (
 	"fusedcc/internal/core"
 )
 
-// PassCache shares rewrite-pass analysis plans across executors and
-// engines. A sweep runs the same workload at many points — the same
-// (stack, platform shape) pair re-instantiated per chunk-count point,
-// per mode, per experiment — and every point re-prices identical cost
-// surfaces from scratch. The cache keys each select or partition
-// analysis on a structural fingerprint of the graph and its platform
-// (shapes, configs, and sampled cost surfaces — never pointers), so a
+// PassCache shares Auto's priced plans across executors and engines. A
+// sweep runs the same workload at many points — the same (stack,
+// platform shape) pair re-instantiated per chunk-count point, per mode,
+// per experiment — and every Auto point would re-price identical cost
+// surfaces from scratch. The cache keys each priced plan on a
+// structural fingerprint of the graph and its platform (shapes,
+// configs, and sampled cost surfaces — never pointers), so a
 // structurally identical graph built on a different engine replays the
 // stored plan instead of re-running the estimator sweeps and wavefront
-// recurrences. Emission is never cached: plans are id-addressed and
+// recurrences. Lowering is never cached: plans are id-addressed and
 // replayed against each graph's own nodes and backing operators.
+//
+// Only priced plans are cached. The forced Compiled, Pipelined, and
+// Wavefront plans are one cheap walk over the match set, far cheaper
+// than the fingerprint a lookup would compute.
 //
 // The cache is safe for concurrent use by parallel sweep workers.
 // Plans are immutable after publication; two workers racing on the
 // same key at worst analyze the same graph twice and keep the first
 // published plan.
 type PassCache struct {
-	mu         sync.Mutex
-	selects    map[string]*selectPlan
-	partitions map[string]*partitionPlan
-	hits       int64
-	misses     int64
+	mu     sync.Mutex
+	plans  map[string]*plan
+	hits   int64
+	misses int64
 }
 
 // NewPassCache returns an empty cache.
 func NewPassCache() *PassCache {
-	return &PassCache{
-		selects:    map[string]*selectPlan{},
-		partitions: map[string]*partitionPlan{},
-	}
+	return &PassCache{plans: map[string]*plan{}}
 }
 
 // Stats reports the cumulative hit and miss counts.
@@ -48,13 +48,17 @@ func (c *PassCache) Stats() (hits, misses int64) {
 }
 
 // selectPlanFor returns the cached select plan of g's fingerprint
-// under the given load, analyzing g on a miss. The load joins the key:
-// the same graph priced under different contention can legitimately
-// choose different forms, so plans never alias across load contexts.
-func (c *PassCache) selectPlanFor(g *Graph, load LoadContext) *selectPlan {
-	key := "select|" + load.key() + "|" + fingerprint(g)
+// under the given load, analyzing g on a miss; a nil cache analyzes
+// every time. The load joins the key: the same graph priced under
+// different contention can legitimately choose different forms, so
+// plans never alias across load contexts.
+func (c *PassCache) selectPlanFor(g *Graph, load LoadContext) *plan {
+	if c == nil {
+		return selectAnalyze(g, load)
+	}
+	key := load.key() + "|" + fingerprint(g)
 	c.mu.Lock()
-	if p, ok := c.selects[key]; ok {
+	if p, ok := c.plans[key]; ok {
 		c.hits++
 		c.mu.Unlock()
 		return p
@@ -65,33 +69,10 @@ func (c *PassCache) selectPlanFor(g *Graph, load LoadContext) *selectPlan {
 	// concurrent worker on the same key computes an identical plan.
 	p := selectAnalyze(g, load)
 	c.mu.Lock()
-	if prev, ok := c.selects[key]; ok {
+	if prev, ok := c.plans[key]; ok {
 		p = prev
 	} else {
-		c.selects[key] = p
-	}
-	c.mu.Unlock()
-	return p
-}
-
-// partitionPlanFor returns the cached partition plan of g's fingerprint
-// at the requested depth, analyzing g on a miss.
-func (c *PassCache) partitionPlanFor(g *Graph, chunks int, wavefront bool) *partitionPlan {
-	key := fmt.Sprintf("partition|k=%d|wf=%t|%s", chunks, wavefront, fingerprint(g))
-	c.mu.Lock()
-	if p, ok := c.partitions[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return p
-	}
-	c.misses++
-	c.mu.Unlock()
-	p := partitionAnalyze(g, chunks)
-	c.mu.Lock()
-	if prev, ok := c.partitions[key]; ok {
-		p = prev
-	} else {
-		c.partitions[key] = p
+		c.plans[key] = p
 	}
 	c.mu.Unlock()
 	return p
@@ -99,13 +80,12 @@ func (c *PassCache) partitionPlanFor(g *Graph, chunks int, wavefront bool) *part
 
 // probeKs are the chunk depths at which cost surfaces are sampled into
 // fingerprints (each clamped to the operator's granularity). The probes
-// bracket the range the passes actually search (2..maxCandidateChunks)
+// bracket the range pricing actually searches (2..maxCandidateChunks)
 // closely enough that two workloads with different surfaces cannot
 // collide, while costing a small fraction of one decide() sweep.
 var probeKs = [...]int{1, 2, 3, 4, 5, 8, 16, maxCandidateChunks}
 
-// fingerprint renders everything a select or partition analysis can
-// observe about g into a deterministic string: the platform and
+// fingerprint renders everything pricing can observe about g into a deterministic string: the platform and
 // operator configurations (value types — the one pointer field,
 // Timeline, is reduced to presence), the node structure (names, op
 // names, kinds, input ids), the pair operators' chunk-range metadata,

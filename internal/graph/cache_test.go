@@ -70,41 +70,32 @@ func TestPassCacheSharesSelectPlans(t *testing.T) {
 	}
 }
 
-func TestPassCacheSharesPartitionPlans(t *testing.T) {
+// TestPassCacheSkipsForcedPlans pins that only Auto's priced plans go
+// through the cache: the forced Compiled, Pipelined, and Wavefront plans
+// are cheaper to rebuild than a fingerprint is to compute, so runs in
+// those modes with Cache set neither hit nor miss, and still reproduce
+// an uncached run exactly.
+func TestPassCacheSkipsForcedPlans(t *testing.T) {
 	cache := NewPassCache()
-	for _, mode := range []Mode{Pipelined, Wavefront} {
-		var durs []sim.Duration
-		for i := 0; i < 2; i++ {
-			pl, g := cacheTestGraph(t)
-			x := Executor{Cache: cache, Chunks: 4}
-			var rep *Report
-			drive(pl, func(p *sim.Proc) { rep = x.Execute(p, g, mode) })
-			durs = append(durs, rep.Duration())
-			if got := len(rep.Partition.Splits); got == 0 {
-				t.Fatalf("%v run split nothing", mode)
+	for _, mode := range []Mode{Compiled, Pipelined, Wavefront} {
+		for _, k := range []int{2, 4} {
+			pl1, g1 := cacheTestGraph(t)
+			pl2, g2 := cacheTestGraph(t)
+			cached := Executor{Cache: cache, Chunks: k}
+			fresh := Executor{Chunks: k}
+			var rep1, rep2 *Report
+			drive(pl1, func(p *sim.Proc) { rep1 = cached.Execute(p, g1, mode) })
+			drive(pl2, func(p *sim.Proc) { rep2 = fresh.Execute(p, g2, mode) })
+			if len(rep1.Select.Decisions) != 3 {
+				t.Fatalf("%v@%d planned %d pairs, want 3", mode, k, len(rep1.Select.Decisions))
+			}
+			if !reflect.DeepEqual(rep1.Select, rep2.Select) || rep1.Duration() != rep2.Duration() {
+				t.Errorf("%v@%d: cache-set run differs from uncached run", mode, k)
 			}
 		}
-		if durs[0] != durs[1] {
-			t.Errorf("%v: cached-plan duration %v != fresh %v", mode, durs[1], durs[0])
-		}
 	}
-	hits, misses := cache.Stats()
-	// One miss + one hit per mode (pipelined and wavefront key separately).
-	if misses != 2 || hits != 2 {
-		t.Errorf("stats = %d hits, %d misses; want 2 hits, 2 misses", hits, misses)
-	}
-}
-
-func TestPassCacheDistinguishesChunkCounts(t *testing.T) {
-	cache := NewPassCache()
-	for _, k := range []int{2, 4} {
-		pl, g := cacheTestGraph(t)
-		x := Executor{Cache: cache, Chunks: k}
-		drive(pl, func(p *sim.Proc) { x.Execute(p, g, Pipelined) })
-	}
-	hits, misses := cache.Stats()
-	if hits != 0 || misses != 2 {
-		t.Errorf("different chunk counts shared a plan: %d hits, %d misses", hits, misses)
+	if hits, misses := cache.Stats(); hits != 0 || misses != 0 {
+		t.Errorf("stats = %d hits, %d misses; forced plans must bypass the cache", hits, misses)
 	}
 }
 

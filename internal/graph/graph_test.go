@@ -104,9 +104,9 @@ func TestCompileRewritesGEMVAllReduce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cg, rep := Compile(g, CompileOptions{})
-	if len(rep.Rewrites) != 1 || rep.Rewrites[0].Pattern != PatternGEMVAllReduce {
-		t.Fatalf("rewrites = %+v", rep.Rewrites)
+	cg, rep := Compile(g)
+	if len(rep.Decisions) != 1 || rep.Decisions[0].Pattern != PatternGEMVAllReduce || rep.Decisions[0].Choice != Compiled {
+		t.Fatalf("decisions = %+v", rep.Decisions)
 	}
 	if len(cg.Nodes()) != 1 {
 		t.Fatalf("compiled graph has %d nodes, want 1", len(cg.Nodes()))
@@ -129,9 +129,9 @@ func TestCompileRewritesEmbeddingAllToAll(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cg, rep := Compile(g, CompileOptions{})
-	if len(rep.Rewrites) != 1 || rep.Rewrites[0].Pattern != PatternEmbeddingAllToAll {
-		t.Fatalf("rewrites = %+v", rep.Rewrites)
+	cg, rep := Compile(g)
+	if len(rep.Decisions) != 1 || rep.Decisions[0].Pattern != PatternEmbeddingAllToAll || rep.Decisions[0].Choice != Compiled {
+		t.Fatalf("decisions = %+v", rep.Decisions)
 	}
 	if got := cg.Nodes()[0].Op().OpName(); got != "fused::embedding_all2all" {
 		t.Errorf("fused op %q", got)
@@ -147,9 +147,9 @@ func TestCompileRewritesGEMMAllToAll(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cg, rep := Compile(g, CompileOptions{})
-	if len(rep.Rewrites) != 1 || rep.Rewrites[0].Pattern != PatternGEMMAllToAll {
-		t.Fatalf("rewrites = %+v", rep.Rewrites)
+	cg, rep := Compile(g)
+	if len(rep.Decisions) != 1 || rep.Decisions[0].Pattern != PatternGEMMAllToAll || rep.Decisions[0].Choice != Compiled {
+		t.Fatalf("decisions = %+v", rep.Decisions)
 	}
 	if got := cg.Nodes()[0].Op().OpName(); got != "fused::gemm_all2all" {
 		t.Errorf("fused op %q", got)
@@ -168,15 +168,15 @@ func TestCompileLeavesMultiConsumerPairAlone(t *testing.T) {
 	// hide the intermediate it depends on.
 	g.PerRank("probe", func(p *sim.Proc, rank, pe int) {}, v)
 
-	cg, rep := Compile(g, CompileOptions{})
-	if len(rep.Rewrites) != 0 {
-		t.Fatalf("multi-consumer pair must not fuse: %+v", rep.Rewrites)
+	cg, rep := Compile(g)
+	if len(rep.Decisions) != 0 {
+		t.Fatalf("multi-consumer pair must not fuse: %+v", rep.Decisions)
 	}
 	if len(cg.Nodes()) != 3 {
 		t.Fatalf("compiled graph has %d nodes, want 3", len(cg.Nodes()))
 	}
-	if rep.Unfused != 1 {
-		t.Errorf("unfused collectives = %d, want 1", rep.Unfused)
+	if rep.Unmatched != 1 {
+		t.Errorf("unmatched collectives = %d, want 1", rep.Unmatched)
 	}
 }
 
@@ -186,27 +186,12 @@ func TestCompileLeavesGenericCollectivesAlone(t *testing.T) {
 	grads := w.Malloc(256)
 	g.AllReduceSymm("grads", grads, 0, 256)
 
-	cg, rep := Compile(g, CompileOptions{})
-	if len(rep.Rewrites) != 0 || rep.Unfused != 1 {
+	cg, rep := Compile(g)
+	if len(rep.Decisions) != 0 || rep.Unmatched != 1 {
 		t.Fatalf("generic collective must stay eager: %+v", rep)
 	}
 	if got := cg.Nodes()[0].Op().Kind(); got != KindCollective {
 		t.Errorf("kind %v", got)
-	}
-}
-
-func TestCompileHonorsDisabledPatterns(t *testing.T) {
-	pl, w := testWorld(t, 1, 4)
-	g := New(w, allPEs(pl), core.DefaultConfig())
-	sp, _, _ := testSpecs(4)
-	v := mustValue(t)(g.GEMVFromSpec("mv", sp))
-	if _, err := g.AllReduce("ar", v); err != nil {
-		t.Fatal(err)
-	}
-
-	_, rep := Compile(g, CompileOptions{Disable: []Pattern{PatternGEMVAllReduce}})
-	if len(rep.Rewrites) != 0 {
-		t.Fatalf("disabled pattern still fused: %+v", rep.Rewrites)
 	}
 }
 
@@ -222,9 +207,9 @@ func TestCompileRewritesGradExchange(t *testing.T) {
 	gx := core.NewEmbeddingGradExchange(v.payload.(*core.EmbeddingAllToAll))
 	g.GradExchange("grad", gx, out)
 
-	cg, rep := Compile(g, CompileOptions{})
-	if len(rep.Rewrites) != 2 {
-		t.Fatalf("rewrites = %+v", rep.Rewrites)
+	cg, rep := Compile(g)
+	if len(rep.Decisions) != 2 || rep.Decisions[1].Pattern != PatternGradExchange || rep.Decisions[1].Choice != Compiled {
+		t.Fatalf("decisions = %+v", rep.Decisions)
 	}
 	last := cg.Nodes()[len(cg.Nodes())-1]
 	if last.Op().OpName() != "fused::embedding_grad_exchange" {
@@ -246,30 +231,6 @@ func TestCrossGraphValueRejected(t *testing.T) {
 		}
 	}()
 	g2.PerRank("b", func(p *sim.Proc, rank, pe int) {}, v)
-}
-
-func TestExecutorRecompilesWhenOptionsChange(t *testing.T) {
-	pl, w := testWorld(t, 1, 4)
-	g := New(w, allPEs(pl), core.DefaultConfig())
-	sp, _, _ := testSpecs(4)
-	v := mustValue(t)(g.GEMVFromSpec("mv", sp))
-	if _, err := g.AllReduce("ar", v); err != nil {
-		t.Fatal(err)
-	}
-	var x Executor
-	drive(pl, func(p *sim.Proc) {
-		if rep := x.Execute(p, g, Compiled); len(rep.Compile.Rewrites) != 1 {
-			t.Errorf("first run: %+v", rep.Compile)
-		}
-		x.Options.Disable = []Pattern{PatternGEMVAllReduce}
-		if rep := x.Execute(p, g, Compiled); len(rep.Compile.Rewrites) != 0 {
-			t.Errorf("stale cache served after options changed: %+v", rep.Compile)
-		}
-		x.Options.Disable = nil
-		if rep := x.Execute(p, g, Compiled); len(rep.Compile.Rewrites) != 1 {
-			t.Errorf("third run: %+v", rep.Compile)
-		}
-	})
 }
 
 func TestCollectiveBuildersRejectWrongPayloads(t *testing.T) {
@@ -334,8 +295,13 @@ func TestCompiledBitExact(t *testing.T) {
 				}
 				compiled = Run(p, g, Compiled)
 			})
-			if len(compiled.Compile.Rewrites) != 3 {
-				t.Fatalf("compiled %d fusions, want 3: %+v", len(compiled.Compile.Rewrites), compiled.Compile.Rewrites)
+			if len(compiled.Select.Decisions) != 3 {
+				t.Fatalf("compiled %d pairs, want 3: %+v", len(compiled.Select.Decisions), compiled.Select.Decisions)
+			}
+			for _, d := range compiled.Select.Decisions {
+				if d.Choice != Compiled {
+					t.Errorf("decision %+v not fused", d)
+				}
 			}
 			for _, nv := range vals {
 				name, v := nv.name, nv.v

@@ -234,19 +234,18 @@ func (o *symmA2ARowsChunkOp) Run(p *sim.Proc) core.Report {
 	return o.op.runRows(p, o.c, lo, hi)
 }
 
-// ---- chunked ops (substituted by the partition pass) ----
+// ---- chunked ops (substituted for pipelined and wavefront forms) ----
 //
 // A chunk op runs chunk c of n of one phase of a pair operator through
-// the operator's chunked phase entry points, so a partitioned graph
+// the operator's chunked phase entry points, so a chunked graph
 // performs exactly the eager graph's work — split into K pieces whose
 // collectives overlap later pieces' compute on the device streams.
 //
-// Every chunk op implements loweredOp, so the lowering passes can
-// detect an already-lowered graph and refuse to re-chunk chunk nodes.
+// Every chunk op implements loweredOp, so the plan builders can detect
+// an already-lowered graph and refuse to re-chunk chunk nodes.
 
-// loweredOp marks chunk sub-nodes produced by a lowering pass
-// (Partition, PartitionWavefront, or Select's pipelined/wavefront
-// rewrites).
+// loweredOp marks chunk sub-nodes produced by lowering a pipelined or
+// wavefront form (under any mode's plan).
 type loweredOp interface{ chunkOf() (c, n int) }
 
 type gemvChunkOp struct {

@@ -19,8 +19,8 @@ func TestPartitionSplitsPairIntoChunkChains(t *testing.T) {
 	}
 
 	pg, rep := Partition(g, 4)
-	if len(rep.Splits) != 1 || rep.Splits[0].Chunks != 4 {
-		t.Fatalf("splits = %+v", rep.Splits)
+	if len(rep.Decisions) != 1 || rep.Decisions[0].Choice != Pipelined || rep.Decisions[0].Chunks != 4 {
+		t.Fatalf("decisions = %+v", rep.Decisions)
 	}
 	if len(pg.Nodes()) != 8 {
 		t.Fatalf("partitioned graph has %d nodes, want 8 (4 chunk pairs)", len(pg.Nodes()))
@@ -50,7 +50,7 @@ func TestPartitionSplitsPairIntoChunkChains(t *testing.T) {
 	if g.Node("mv#0") != nil || len(g.Nodes()) != 2 {
 		t.Error("input graph was mutated")
 	}
-	if !strings.Contains(rep.String(), "chunk chains") {
+	if !strings.Contains(rep.String(), "pipelined@4") {
 		t.Errorf("report rendering: %q", rep.String())
 	}
 }
@@ -64,8 +64,8 @@ func TestPartitionClampsToOperatorGranularity(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, rep := Partition(g, 16)
-	if len(rep.Splits) != 1 || rep.Splits[0].Chunks != 2 {
-		t.Fatalf("splits = %+v, want clamp to 2 tables", rep.Splits)
+	if len(rep.Decisions) != 1 || rep.Decisions[0].Choice != Pipelined || rep.Decisions[0].Chunks != 2 {
+		t.Fatalf("decisions = %+v, want clamp to 2 tables", rep.Decisions)
 	}
 }
 
@@ -81,11 +81,11 @@ func TestPartitionLeavesUnchunkablePairsWhole(t *testing.T) {
 	g.AllReduceSymm("grads", grads, 0, 64)
 
 	pg, rep := Partition(g, 4)
-	if len(rep.Splits) != 0 {
-		t.Fatalf("single-tile pair must not split: %+v", rep.Splits)
+	if len(rep.Decisions) != 1 || rep.Decisions[0].Choice != Eager || rep.Decisions[0].Chunks != 1 {
+		t.Fatalf("single-tile pair must stay eager: %+v", rep.Decisions)
 	}
-	if rep.Unsplit != 2 {
-		t.Errorf("unsplit collectives = %d, want 2", rep.Unsplit)
+	if rep.Unmatched != 1 {
+		t.Errorf("unmatched collectives = %d, want 1 (the generic all-reduce)", rep.Unmatched)
 	}
 	if len(pg.Nodes()) != 3 {
 		t.Errorf("partitioned graph has %d nodes, want 3 unchanged", len(pg.Nodes()))
@@ -130,8 +130,13 @@ func TestPipelinedBitExact(t *testing.T) {
 				x := Executor{Chunks: 2}
 				pipelined = x.Execute(p, g, Pipelined)
 			})
-			if len(pipelined.Partition.Splits) != 3 {
-				t.Fatalf("partitioned %d pairs, want 3: %+v", len(pipelined.Partition.Splits), pipelined.Partition.Splits)
+			if len(pipelined.Select.Decisions) != 3 {
+				t.Fatalf("partitioned %d pairs, want 3: %+v", len(pipelined.Select.Decisions), pipelined.Select.Decisions)
+			}
+			for _, d := range pipelined.Select.Decisions {
+				if d.Choice != Pipelined || d.Chunks != 2 {
+					t.Errorf("decision %+v, want pipelined@2", d)
+				}
 			}
 			for _, nv := range vals {
 				name, v := nv.name, nv.v
@@ -210,14 +215,14 @@ func TestExecutorCacheInvalidatedBySameCountEdit(t *testing.T) {
 
 	var x Executor
 	drive(pl, func(p *sim.Proc) {
-		if rep := x.Execute(p, g, Compiled); len(rep.Compile.Rewrites) != 1 {
-			t.Errorf("first run: %+v", rep.Compile)
+		if rep := x.Execute(p, g, Compiled); len(rep.Select.Decisions) != 1 {
+			t.Errorf("first run: %+v", rep.Select)
 		}
 		// Same node count, different graph: the probe now reads the GEMV
 		// partial outputs, so the pair must no longer fuse.
 		g.AddDep(probe.Producer(), v)
-		if rep := x.Execute(p, g, Compiled); len(rep.Compile.Rewrites) != 0 {
-			t.Errorf("stale cache served after same-count dependency edit: %+v", rep.Compile)
+		if rep := x.Execute(p, g, Compiled); len(rep.Select.Decisions) != 0 {
+			t.Errorf("stale cache served after same-count dependency edit: %+v", rep.Select)
 		}
 	})
 }
@@ -234,12 +239,12 @@ func TestExecutorPartitionCacheKeysOnChunksAndGen(t *testing.T) {
 	drive(pl, func(p *sim.Proc) {
 		x.Chunks = 2
 		first := x.Execute(p, g, Pipelined)
-		if got := first.Partition.Splits[0].Chunks; got != 2 {
+		if got := first.Select.Decisions[0].Chunks; got != 2 {
 			t.Errorf("first run chunks = %d", got)
 		}
 		x.Chunks = 4
 		second := x.Execute(p, g, Pipelined)
-		if got := second.Partition.Splits[0].Chunks; got != 4 {
+		if got := second.Select.Decisions[0].Chunks; got != 4 {
 			t.Errorf("stale partition served after Chunks changed: %d", got)
 		}
 		// A graph edit invalidates too.
@@ -372,7 +377,7 @@ func TestReportAccessors(t *testing.T) {
 
 // TestExecutorDisconnectedComponents verifies graphs whose nodes form
 // several independent components run every component and report every
-// node, in all three modes.
+// node, in all five modes.
 func TestExecutorDisconnectedComponents(t *testing.T) {
 	pl, w := testWorld(t, 1, 4)
 	g := New(w, allPEs(pl), core.DefaultConfig())
@@ -389,7 +394,7 @@ func TestExecutorDisconnectedComponents(t *testing.T) {
 	grads := w.Malloc(128)
 	g.AllReduceSymm("grads", grads, 0, 128)
 
-	for _, mode := range []Mode{Eager, Compiled, Pipelined} {
+	for _, mode := range []Mode{Eager, Compiled, Pipelined, Wavefront, Auto} {
 		var rep *Report
 		drive(pl, func(p *sim.Proc) { rep = Run(p, g, mode) })
 		for _, nr := range rep.Nodes {

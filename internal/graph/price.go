@@ -2,32 +2,31 @@ package graph
 
 import (
 	"fmt"
-	"strings"
 
 	"fusedcc/internal/collectives"
 	"fusedcc/internal/core"
 	"fusedcc/internal/sim"
 )
 
-// The select pass is the quasi-static scheduler of the Auto execution
-// mode: where Compile fuses every matched pair and Partition chunks
-// every matched pair at one global depth, Select prices each pair's
-// execution forms with the analytic cost model (the operators'
-// Estimate* methods over the device and link models) and rewrites each
-// pair to whichever form is predicted fastest — fused persistent
-// kernel, pipeline at a per-pair saturation-clamped chunk depth, or the
-// eager bulk-synchronous pair — all coexisting in one mixed-mode graph.
-// This is the CoCoNet/GC3-style automation step: the user stops picking
-// the mode and chunk count by hand.
+// Pricing is the Auto execution mode's plan builder, the quasi-static
+// scheduler: where the forced builders set every matched pair to one
+// form, selectAnalyze prices each pair's execution forms with the
+// analytic cost model (the operators' Estimate* methods over the device
+// and link models) and plans each pair in whichever form is predicted
+// fastest — fused persistent kernel, pipeline at a per-pair
+// saturation-clamped chunk depth, or the eager bulk-synchronous pair —
+// all coexisting in one mixed-mode graph. This is the CoCoNet/GC3-style
+// automation step: the user stops picking the mode and chunk count by
+// hand.
 //
-// On top of the per-pair forms, Select discovers chains of adjacent
+// On top of the per-pair forms, pricing discovers chains of adjacent
 // chunkable segments whose ranges align (pairs with chunk-range
 // metadata, rowwise per-rank nodes with cost estimates, row-structured
 // exchanges) and prices the cross-pair wavefront schedule@K against the
 // sum of the segments' standalone bests — the wavefront pipeline
 // recurrence. A chain the model predicts faster as a wavefront is
-// rewritten whole: chunk chains with chunk-granular join edges, exactly
-// what PartitionWavefront builds, at the model's chosen K.
+// planned whole: chunk chains with chunk-granular join edges, exactly
+// what the forced Wavefront plan builds, at the model's chosen K.
 
 // pairEstimator is the per-operator cost surface Select consults. All
 // three core pair operators implement it.
@@ -135,126 +134,6 @@ func (lc LoadContext) key() string {
 // executions).
 func (lc LoadContext) loadedCost(lat, demand sim.Duration) float64 {
 	return float64(lat) + lc.QueueDepth*float64(demand)
-}
-
-// Decision records one pair's mode choice and the predicted costs of
-// every eligible execution form — the per-pair line of a SelectReport.
-type Decision struct {
-	Pattern             Pattern
-	Compute, Collective string
-	// Choice is the selected execution form (Eager, Pipelined,
-	// Compiled, or Wavefront for pairs scheduled inside a wavefront
-	// chain); Chunks is the chosen pipeline depth (1 unless Pipelined
-	// or Wavefront).
-	Choice Mode
-	Chunks int
-	// EagerCost, FusedCost, and PipelineCost are the predicted
-	// durations of the three standalone forms (PipelineCost at the best
-	// candidate K; zero when the pair cannot pipeline at all).
-	EagerCost, FusedCost, PipelineCost sim.Duration
-	// Demand is the chosen form's bottleneck-stream demand: the busier
-	// stream's total work, the per-execution service interval a loaded
-	// machine sustains. A fused kernel's demand is its whole duration
-	// (compute stream carries the communication too); eager and
-	// pipelined forms split work across the two streams.
-	Demand sim.Duration
-}
-
-// ChoiceString renders the chosen form, with the chunk depth for
-// pipelined and wavefront decisions ("pipelined@4", "wavefront@4").
-func (d Decision) ChoiceString() string {
-	switch d.Choice {
-	case Pipelined:
-		return fmt.Sprintf("pipelined@%d", d.Chunks)
-	case Wavefront:
-		return fmt.Sprintf("wavefront@%d", d.Chunks)
-	}
-	return d.Choice.String()
-}
-
-// Predicted returns the predicted duration of the chosen form. A
-// wavefront member reports zero here: its cost is carried by the
-// chain's WavefrontDecision, not divisible per pair.
-func (d Decision) Predicted() sim.Duration {
-	switch d.Choice {
-	case Compiled:
-		return d.FusedCost
-	case Pipelined:
-		return d.PipelineCost
-	case Wavefront:
-		return 0
-	}
-	return d.EagerCost
-}
-
-// WavefrontDecision records one chain the select pass scheduled as a
-// cross-pair wavefront.
-type WavefrontDecision struct {
-	// Segments names the chain's segment head nodes in dataflow order.
-	Segments []string
-	// Chunks is the chain's chosen depth K.
-	Chunks int
-	// Predicted is the wavefront recurrence's cost at Chunks;
-	// SplitPredicted is the sum of the segments' standalone bests the
-	// wavefront beat.
-	Predicted, SplitPredicted sim.Duration
-}
-
-// SelectReport summarizes a select pass: the per-pair decisions with
-// predicted costs, the wavefront chains, plus the collectives no
-// decision applied to.
-type SelectReport struct {
-	Decisions []Decision
-	// Load is the contention context the pass priced under (zero: idle
-	// machine).
-	Load LoadContext
-	// Wavefronts lists the chains scheduled as cross-pair wavefronts.
-	Wavefronts []WavefrontDecision
-	// Unmatched counts collective nodes with no selectable pair
-	// (generic collectives, gradient exchanges): they stay eager.
-	Unmatched int
-	// Lowered marks a deterministic no-op: the input graph already
-	// contained chunk sub-nodes from a previous lowering pass, so it
-	// was returned unchanged.
-	Lowered bool
-}
-
-func (r *SelectReport) String() string {
-	if r.Lowered {
-		return "select: input graph already lowered (chunk nodes present); no-op\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "select: %d pair decision(s), %d wavefront chain(s), %d collective(s) left eager\n",
-		len(r.Decisions), len(r.Wavefronts), r.Unmatched)
-	if r.Load.Loaded() {
-		fmt.Fprintf(&b, "  load: queue depth %.2f, arrival rate %.1f/s\n", r.Load.QueueDepth, r.Load.ArrivalRate)
-	}
-	if r.Load.Degrade.Degraded() {
-		fmt.Fprintf(&b, "  degrade: compute x%.2f, comm x%.2f\n", r.Load.Degrade.comp(), r.Load.Degrade.comm())
-	}
-	for _, d := range r.Decisions {
-		fmt.Fprintf(&b, "  %s: (%s, %s) -> %s  [eager %v, fused %v, pipelined %v]\n",
-			d.Pattern, d.Compute, d.Collective, d.ChoiceString(), d.EagerCost, d.FusedCost, d.PipelineCost)
-	}
-	for _, w := range r.Wavefronts {
-		fmt.Fprintf(&b, "  wavefront@%d over [%s]: predicted %v vs split %v\n",
-			w.Chunks, strings.Join(w.Segments, " -> "), w.Predicted, w.SplitPredicted)
-	}
-	return b.String()
-}
-
-// PredictedTotal sums the predicted durations of the chosen forms —
-// standalone pairs plus wavefront chains — a lower bound on their
-// contribution to the makespan (forms may overlap each other).
-func (r *SelectReport) PredictedTotal() sim.Duration {
-	var t sim.Duration
-	for _, d := range r.Decisions {
-		t += d.Predicted()
-	}
-	for _, w := range r.Wavefronts {
-		t += w.Predicted
-	}
-	return t
 }
 
 // maxCandidateChunks bounds the per-pair K search; granularities beyond
@@ -727,43 +606,18 @@ func wfChains(g *Graph, segs map[*Node]*wfSeg) [][]*wfSeg {
 	return chains
 }
 
-// selectPlan is the analysis half of a select pass: every priced
-// decision and scheduled wavefront chain, addressed by node id
-// (insertion order) rather than node pointer, so a PassCache can replay
-// the plan on a structurally identical graph — another sweep point's
-// instance of the same workload — without re-pricing a single form.
-type selectPlan struct {
-	lowered bool
-	// load is the contention context the plan was priced under; replayed
-	// into the report so cached plans stay attributable.
-	load LoadContext
-	// decisions maps collective node ids to their chosen form
-	// (wavefront members carry the post-override Choice).
-	decisions map[int]Decision
-	// wavefronts lists the scheduled chains in discovery order: member
-	// tail node ids in chain order, the chain depth, and the report line.
-	wavefronts []wfPlanRec
-}
-
-// wfPlanRec is one wavefront chain of a selectPlan.
-type wfPlanRec struct {
-	tails []int
-	k     int
-	dec   WavefrontDecision
-}
-
-// selectAnalyze prices every fusible pair and alignable chain of g
-// under the given load — the expensive half of the select pass
-// (estimator sweeps over candidate chunk depths plus the wavefront
-// recurrence per chain) — and returns the resulting plan without
-// touching the graph.
-func selectAnalyze(g *Graph, load LoadContext) *selectPlan {
-	plan := &selectPlan{load: load, decisions: map[int]Decision{}}
+// selectAnalyze is Auto's plan builder: it prices every fusible pair
+// and alignable chain of g under the given load — estimator sweeps over
+// candidate chunk depths plus the wavefront recurrence per chain — and
+// returns the resulting plan without touching the graph. It is the one
+// builder expensive enough to be worth a PassCache.
+func selectAnalyze(g *Graph, load LoadContext) *plan {
+	p := newPlan(load)
 	if lowered(g) {
-		plan.lowered = true
-		return plan
+		p.lowered = true
+		return p
 	}
-	match := pairMatches(g, func(Pattern) bool { return true })
+	match := pairMatches(g)
 	decisions := map[*Node]Decision{}
 	for coll, producer := range match {
 		est, ok := pairOf(coll.op).(pairEstimator)
@@ -808,125 +662,23 @@ func selectAnalyze(g *Graph, load LoadContext) *selectPlan {
 		if bestK == 0 || load.loadedCost(bestCost, bestDemand) >= (1-wavefrontMargin)*load.loadedCost(split, splitDemand) {
 			continue // the chain's segments run better on their own
 		}
-		rec := wfPlanRec{k: bestK}
 		names := make([]string, len(chain))
 		for i, s := range chain {
 			names[i] = s.head.name
-			rec.tails = append(rec.tails, s.tail.id)
 			if s.pair != nil {
 				d := decisions[s.tail]
 				d.Choice, d.Chunks = Wavefront, bestK
 				decisions[s.tail] = d
+			} else {
+				p.rows[s.tail.id] = bestK
 			}
 		}
-		rec.dec = WavefrontDecision{
+		p.wavefronts = append(p.wavefronts, WavefrontDecision{
 			Segments: names, Chunks: bestK, Predicted: bestCost, SplitPredicted: split,
-		}
-		plan.wavefronts = append(plan.wavefronts, rec)
+		})
 	}
 	for n, d := range decisions {
-		plan.decisions[n.id] = d
+		p.decisions[n.id] = d
 	}
-	return plan
-}
-
-// selectApply emits the mixed-mode graph a plan prescribes. The plan
-// may come from analyzing g itself or from a PassCache hit on a
-// structurally identical graph (same fingerprint, hence same node ids,
-// names, and match set); emission always uses g's own nodes and backing
-// operators, so the output graph is bound to g's world. The report is
-// reconstructed in full — decisions in node order, wavefronts in
-// discovery order — identical to what a fresh analysis would produce.
-func selectApply(g *Graph, plan *selectPlan) (*Graph, *SelectReport) {
-	rep := &SelectReport{Load: plan.load}
-	if plan.lowered {
-		rep.Lowered = true
-		return g, rep
-	}
-	em := newEmitter(g)
-	em.segs = map[*Node]*segChain{}
-
-	match := pairMatches(g, func(Pattern) bool { return true })
-	computeMatched := map[*Node]bool{}
-	for coll, producer := range match {
-		d, priced := plan.decisions[coll.id]
-		if !priced {
-			delete(match, coll) // no cost surface: leave the pair eager
-			continue
-		}
-		if d.Choice != Eager {
-			computeMatched[producer] = true
-		}
-	}
-	wfK := map[int]int{} // member tail node id -> chain depth
-	for _, rec := range plan.wavefronts {
-		rep.Wavefronts = append(rep.Wavefronts, rec.dec)
-		for _, id := range rec.tails {
-			wfK[id] = rec.k
-		}
-	}
-
-	for _, n := range g.nodes {
-		if computeMatched[n] {
-			continue // compute half: emitted at its collective's position
-		}
-		if k, member := wfK[n.id]; member {
-			// Wavefront chain member: chunk at the chain's K and register
-			// the chain so downstream members pick up chunk-granular
-			// join edges. k never exceeds any member's granularity,
-			// so the rowwise clamp inside rowSegment is a no-op here.
-			if seg, ok := em.rowSegment(n, k); ok {
-				em.segs[n] = seg
-			} else { // pair collective
-				producer := match[n]
-				em.segs[n] = em.chunkChain(producer, n, k)
-				rep.Decisions = append(rep.Decisions, plan.decisions[n.id])
-			}
-			continue
-		}
-		if producer, matched := match[n]; matched {
-			d := plan.decisions[n.id]
-			switch d.Choice {
-			case Compiled:
-				em.fusePair(producer, n)
-			case Pipelined:
-				em.chunkChain(producer, n, d.Chunks)
-			default:
-				em.copyNode(n) // producer was copied at its own position
-			}
-			rep.Decisions = append(rep.Decisions, d)
-			continue
-		}
-		em.copyNode(n)
-		if n.op.Kind() == KindCollective {
-			rep.Unmatched++
-		}
-	}
-	return em.out, rep
-}
-
-// Select runs the cost-model-driven rewrite: every fusible
-// compute→collective pair (the same single-consumer adjacency Compile
-// and Partition match) is replaced by its predicted-fastest execution
-// form — fused node, chunk chains at the pair's own K, or the eager
-// pair unchanged — and every alignable segment chain whose wavefront
-// recurrence beats the sum of its segments' standalone bests is
-// rewritten whole as a cross-pair wavefront at the model's K. Unmatched
-// nodes are copied unchanged (gradient exchanges stay eager: the
-// estimator surface covers the three pair operators). The input graph
-// is not modified; both graphs share the same backing operators and
-// buffers, so mixed-mode execution stays bit-exact with eager. An
-// already-lowered input is returned unchanged with Lowered set.
-func Select(g *Graph) (*Graph, *SelectReport) {
-	return SelectLoaded(g, LoadContext{})
-}
-
-// SelectLoaded runs the same rewrite priced under an observed serving
-// load: each form's cost gains QueueDepth times its bottleneck-stream
-// demand, so forms that concentrate work on one stream (the fused
-// persistent kernel above all) lose ground to forms that split it as
-// the queue deepens. SelectLoaded with the zero LoadContext is exactly
-// Select.
-func SelectLoaded(g *Graph, load LoadContext) (*Graph, *SelectReport) {
-	return selectApply(g, selectAnalyze(g, load))
+	return p
 }

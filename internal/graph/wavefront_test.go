@@ -31,8 +31,13 @@ func TestPartitionWavefrontRewiresAdjacentPairs(t *testing.T) {
 	twoPairChain(t, g, 8, 16, 8, 4) // 2 row bands per block: K=2
 
 	pg, rep := PartitionWavefront(g, 2)
-	if !rep.Wavefront || len(rep.Splits) != 2 {
+	if len(rep.Decisions) != 2 {
 		t.Fatalf("report = %+v", rep)
+	}
+	for _, d := range rep.Decisions {
+		if d.Choice != Wavefront || d.Chunks != 2 {
+			t.Errorf("decision %+v, want wavefront@2", d)
+		}
 	}
 	if len(rep.Joins) != 1 || rep.Joins[0].Producer != "a2aA" || rep.Joins[0].Consumer != "mmB" {
 		t.Fatalf("joins = %+v, want a2aA -> mmB", rep.Joins)
@@ -92,8 +97,8 @@ func TestWavefrontBitExactOnAdjacentPairs(t *testing.T) {
 			}
 		}
 	}
-	if len(rep.Partition.Joins) != 1 {
-		t.Fatalf("joins = %+v", rep.Partition.Joins)
+	if len(rep.Select.Joins) != 1 {
+		t.Fatalf("joins = %+v", rep.Select.Joins)
 	}
 	mmB0, drain := rep.Node("mmB#0"), rep.Node("a2aA#3")
 	if mmB0 == nil || drain == nil {
@@ -120,11 +125,11 @@ func TestLoweringPassesRefuseLoweredGraphs(t *testing.T) {
 	}
 
 	pg, first := Partition(g, 2)
-	if first.Lowered || len(first.Splits) != 1 {
+	if first.Lowered || len(first.Decisions) != 1 {
 		t.Fatalf("first partition = %+v", first)
 	}
-	if rg, rep := Partition(pg, 4); !rep.Lowered || rg != pg || len(rep.Splits) != 0 {
-		t.Errorf("re-partition: lowered=%v same=%v splits=%d", rep.Lowered, rg == pg, len(rep.Splits))
+	if rg, rep := Partition(pg, 4); !rep.Lowered || rg != pg || len(rep.Decisions) != 0 {
+		t.Errorf("re-partition: lowered=%v same=%v decisions=%d", rep.Lowered, rg == pg, len(rep.Decisions))
 	}
 	if rg, rep := PartitionWavefront(pg, 4); !rep.Lowered || rg != pg {
 		t.Errorf("wavefront re-partition: lowered=%v same=%v", rep.Lowered, rg == pg)
@@ -132,21 +137,21 @@ func TestLoweringPassesRefuseLoweredGraphs(t *testing.T) {
 	if rg, rep := Select(pg); !rep.Lowered || rg != pg || len(rep.Decisions) != 0 {
 		t.Errorf("select on lowered: lowered=%v same=%v decisions=%d", rep.Lowered, rg == pg, len(rep.Decisions))
 	}
-	if rg, rep := Compile(pg, CompileOptions{}); !rep.Lowered || rg != pg || len(rep.Rewrites) != 0 {
-		t.Errorf("compile on lowered: lowered=%v same=%v rewrites=%d", rep.Lowered, rg == pg, len(rep.Rewrites))
+	if rg, rep := Compile(pg); !rep.Lowered || rg != pg || len(rep.Decisions) != 0 {
+		t.Errorf("compile on lowered: lowered=%v same=%v decisions=%d", rep.Lowered, rg == pg, len(rep.Decisions))
 	}
 	// The reports say so explicitly.
 	if s := first.String(); s == "" {
 		t.Error("empty partition report")
 	}
 	_, rep := Partition(pg, 4)
-	if s := rep.String(); s != "partition: input graph already lowered (chunk nodes present); no-op\n" {
+	if s := rep.String(); s != "plan: input graph already lowered (chunk nodes present); no-op\n" {
 		t.Errorf("lowered report rendering: %q", s)
 	}
 	// A fused-only graph (no chunk nodes) still passes through the
 	// passes as a plain no-op copy, not a refusal.
-	cg, crep := Compile(g, CompileOptions{})
-	if crep.Lowered || len(crep.Rewrites) != 1 {
+	cg, crep := Compile(g)
+	if crep.Lowered || len(crep.Decisions) != 1 {
 		t.Fatalf("compile = %+v", crep)
 	}
 	if _, rep := Partition(cg, 2); rep.Lowered {
@@ -163,7 +168,7 @@ func TestWavefrontEstimateAccuracy(t *testing.T) {
 	g := New(w, allPEs(pl), core.DefaultConfig())
 	twoPairChain(t, g, 64, 256, 128, 8) // 8 row bands per block
 
-	match := pairMatches(g, func(Pattern) bool { return true })
+	match := pairMatches(g)
 	chains := wfChains(g, wfSegments(g, match, DegradeContext{}))
 	if len(chains) != 1 || len(chains[0]) != 2 {
 		t.Fatalf("chains = %d (want one two-segment chain)", len(chains))
@@ -179,8 +184,8 @@ func TestWavefrontEstimateAccuracy(t *testing.T) {
 		x := Executor{Chunks: k}
 		rep = x.Execute(p, g, Wavefront)
 	})
-	if len(rep.Partition.Joins) != 1 {
-		t.Fatalf("joins = %+v", rep.Partition.Joins)
+	if len(rep.Select.Joins) != 1 {
+		t.Fatalf("joins = %+v", rep.Select.Joins)
 	}
 	ratio := float64(pred) / float64(rep.Duration())
 	if ratio < 1/1.2 || ratio > 1.2 {

@@ -87,12 +87,12 @@ func TestCompilerFusesOnlyTheCombine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, rep := graph.Compile(l.Graph(), graph.CompileOptions{})
-	if len(rep.Rewrites) != 1 || rep.Rewrites[0].Pattern != graph.PatternGEMMAllToAll {
-		t.Fatalf("rewrites = %+v", rep.Rewrites)
+	cg, rep := graph.Compile(l.Graph())
+	if len(rep.Decisions) != 1 || rep.Decisions[0].Pattern != graph.PatternGEMMAllToAll || rep.Decisions[0].Choice != graph.Compiled {
+		t.Fatalf("decisions = %+v", rep.Decisions)
 	}
-	if rep.Unfused != 1 {
-		t.Errorf("dispatch must stay eager: %d unfused collectives", rep.Unfused)
+	if rep.Unmatched != 1 {
+		t.Errorf("dispatch must stay eager: %d unmatched collectives", rep.Unmatched)
 	}
 	if n := cg.Node("dispatch"); n == nil || n.Op().Kind() != graph.KindCollective {
 		t.Error("dispatch node missing or no longer a collective")

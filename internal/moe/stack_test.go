@@ -72,12 +72,17 @@ func TestStackPipelinedSplitsEveryLayer(t *testing.T) {
 	var rep *graph.Report
 	e.Go("step", func(p *sim.Proc) { rep = st.StepReport(p, graph.Pipelined) })
 	e.Run()
-	if len(rep.Partition.Splits) != 3 {
-		t.Fatalf("splits = %+v, want the pair of every layer", rep.Partition.Splits)
+	if len(rep.Select.Decisions) != 3 {
+		t.Fatalf("decisions = %+v, want the pair of every layer", rep.Select.Decisions)
+	}
+	for _, d := range rep.Select.Decisions {
+		if d.Choice != graph.Pipelined || d.Chunks != 2 {
+			t.Errorf("decision %+v, want pipelined@2", d)
+		}
 	}
 	// Dispatch All-to-Alls are generic collectives: left whole.
-	if rep.Partition.Unsplit != 3 {
-		t.Errorf("unsplit = %d, want the 3 dispatch collectives", rep.Partition.Unsplit)
+	if rep.Select.Unmatched != 3 {
+		t.Errorf("unmatched = %d, want the 3 dispatch collectives", rep.Select.Unmatched)
 	}
 }
 
@@ -98,26 +103,31 @@ func TestStackWavefrontChainsLayers(t *testing.T) {
 	var rep *graph.Report
 	e.Go("step", func(p *sim.Proc) { rep = st.StepReport(p, graph.Wavefront) })
 	e.Run()
-	if !rep.Partition.Wavefront || len(rep.Partition.Splits) != 2 {
-		t.Fatalf("partition = %+v", rep.Partition)
+	if len(rep.Select.Decisions) != 2 {
+		t.Fatalf("plan = %+v", rep.Select)
+	}
+	for _, d := range rep.Select.Decisions {
+		if d.Choice != graph.Wavefront || d.Chunks != 2 {
+			t.Errorf("decision %+v, want wavefront@2", d)
+		}
 	}
 	// Per layer: gate, dispatch, and ffn1 split rowwise.
-	if rep.Partition.RowSplits != 6 {
-		t.Errorf("row splits = %d, want 6", rep.Partition.RowSplits)
+	if rep.Select.RowSplits != 6 {
+		t.Errorf("row splits = %d, want 6", rep.Select.RowSplits)
 	}
 	// Joins: within each layer gate->dispatch->ffn1->pair, plus the
 	// layer-boundary combine->gate join.
-	if len(rep.Partition.Joins) < 7 {
-		t.Errorf("joins = %d (%+v), want >= 7", len(rep.Partition.Joins), rep.Partition.Joins)
+	if len(rep.Select.Joins) < 7 {
+		t.Errorf("joins = %d (%+v), want >= 7", len(rep.Select.Joins), rep.Select.Joins)
 	}
 	boundary := false
-	for _, j := range rep.Partition.Joins {
+	for _, j := range rep.Select.Joins {
 		if j.Producer == "l0.combine" && j.Consumer == "l1.gate" {
 			boundary = true
 		}
 	}
 	if !boundary {
-		t.Errorf("no layer-boundary join recorded: %+v", rep.Partition.Joins)
+		t.Errorf("no layer-boundary join recorded: %+v", rep.Select.Joins)
 	}
 	g1 := rep.Node("l1.gate#0")
 	drain := rep.Node("l0.combine#1")

@@ -73,9 +73,9 @@ func TestCompilerProducesFusedNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, rep := graph.Compile(f.Graph(), graph.CompileOptions{})
-	if len(rep.Rewrites) != 1 || rep.Rewrites[0].Pattern != graph.PatternGEMVAllReduce {
-		t.Fatalf("rewrites = %+v", rep.Rewrites)
+	cg, rep := graph.Compile(f.Graph())
+	if len(rep.Decisions) != 1 || rep.Decisions[0].Pattern != graph.PatternGEMVAllReduce || rep.Decisions[0].Choice != graph.Compiled {
+		t.Fatalf("decisions = %+v", rep.Decisions)
 	}
 	for _, n := range cg.Nodes() {
 		if n.Op().OpName() == "gemv" || n.Op().OpName() == "all_reduce" {

@@ -1,6 +1,7 @@
 package transformer
 
 import (
+	"reflect"
 	"testing"
 
 	"fusedcc/internal/core"
@@ -85,8 +86,13 @@ func TestDecoderPipelinedReportsStreams(t *testing.T) {
 	var rep *graph.Report
 	e.Go("step", func(p *sim.Proc) { rep = d.StepReport(p, graph.Pipelined) })
 	e.Run()
-	if len(rep.Partition.Splits) != 2 {
-		t.Fatalf("splits = %+v, want one per layer", rep.Partition.Splits)
+	if len(rep.Select.Decisions) != 2 {
+		t.Fatalf("decisions = %+v, want one per layer", rep.Select.Decisions)
+	}
+	for _, d := range rep.Select.Decisions {
+		if d.Choice != graph.Pipelined || d.Chunks != 2 {
+			t.Errorf("decision %+v, want pipelined@2", d)
+		}
 	}
 	if rep.Node("l0.ffn2#0") == nil || rep.Node("l1.allreduce#1") == nil {
 		t.Fatal("chunked pair nodes missing from report")
@@ -115,12 +121,73 @@ func TestDecoderWavefrontFallsBackToPerPair(t *testing.T) {
 	var rep *graph.Report
 	e.Go("step", func(p *sim.Proc) { rep = d.StepReport(p, graph.Wavefront) })
 	e.Run()
-	if !rep.Partition.Wavefront || len(rep.Partition.Splits) != 2 {
-		t.Fatalf("partition = %+v", rep.Partition)
+	if len(rep.Select.Decisions) != 2 {
+		t.Fatalf("plan = %+v", rep.Select)
 	}
-	if len(rep.Partition.Joins) != 0 || rep.Partition.RowSplits != 0 {
+	for _, d := range rep.Select.Decisions {
+		if d.Choice != graph.Wavefront || d.Chunks != 2 {
+			t.Errorf("decision %+v, want wavefront@2", d)
+		}
+	}
+	if len(rep.Select.Joins) != 0 || rep.Select.RowSplits != 0 {
 		t.Errorf("decoder must not wavefront (GEMV reads its full input): joins %+v, row splits %d",
-			rep.Partition.Joins, rep.Partition.RowSplits)
+			rep.Select.Joins, rep.Select.RowSplits)
+	}
+}
+
+// TestDecoderExecutorMemoAcrossModes pins the executor's single
+// lowering memo: one Executor runs one decoder graph in all five modes,
+// interleaved, over two rounds with Chunks raised from 2 to 4 between
+// them. Every report must equal a fresh executor's run of the same mode
+// and K, so no mode ever replays another mode's or another K's plan. A
+// repeat run within a round must hit the memo, and across rounds only
+// the modes whose plan depends on K may re-plan.
+func TestDecoderExecutorMemoAcrossModes(t *testing.T) {
+	e := sim.NewEngine()
+	pl, w := testWorld(e, false)
+	d, err := NewDecoder(w, pes(pl), smallDecoderCfg(2), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(x *graph.Executor, mode graph.Mode) (rep *graph.Report) {
+		e.Go("step", func(p *sim.Proc) { rep = x.Execute(p, d.Graph(), mode) })
+		e.Run()
+		return rep
+	}
+	x := d.Executor()
+	x.Streams = true
+	modes := []graph.Mode{graph.Eager, graph.Compiled, graph.Pipelined, graph.Wavefront, graph.Auto}
+	first := map[graph.Mode]*graph.SelectReport{}
+	for _, k := range []int{2, 4} {
+		x.Chunks = k
+		for _, mode := range modes {
+			got := run(x, mode)
+			want := run(&graph.Executor{Chunks: k, Streams: true}, mode)
+			if !reflect.DeepEqual(got.Select, want.Select) {
+				t.Errorf("%v@%d: memoized plan %+v != fresh plan %+v", mode, k, got.Select, want.Select)
+			}
+			if got.Duration() != want.Duration() {
+				t.Errorf("%v@%d: memoized run %v != fresh run %v", mode, k, got.Duration(), want.Duration())
+			}
+			if mode == graph.Eager {
+				if got.Select != nil {
+					t.Errorf("eager run reported a plan: %+v", got.Select)
+				}
+				continue
+			}
+			if again := run(x, mode); again.Select != got.Select {
+				t.Errorf("%v@%d: repeat run re-planned instead of hitting the memo", mode, k)
+			}
+			kDependent := mode == graph.Pipelined || mode == graph.Wavefront
+			if k == 2 {
+				first[mode] = got.Select
+			} else if replanned := got.Select != first[mode]; replanned != kDependent {
+				t.Errorf("%v: re-planned=%v after Chunks 2 -> 4, want %v", mode, replanned, kDependent)
+			}
+			if kDependent && got.Select.Decisions[0].Chunks != k {
+				t.Errorf("%v@%d: planned depth %d", mode, k, got.Select.Decisions[0].Chunks)
+			}
+		}
 	}
 }
 
