@@ -13,7 +13,7 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	var reduction float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunExperiment(id, true)
+		res, err := RunExperimentOpt(id, SweepOptions{Quick: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func BenchmarkTable1SetupConstruction(b *testing.B) {
 // BenchmarkFig15DLRMScaleOut, which profiles every kernel).
 func BenchmarkTable2ScaleOutCalibration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunExperiment("table2", true); err != nil {
+		if _, err := RunExperimentOpt("table2", SweepOptions{Quick: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func BenchmarkFig10GEMMAllToAll(b *testing.B) { benchExperiment(b, "fig10") }
 // BenchmarkFig11WGTimeline profiles the persistent-WG timeline capture.
 func BenchmarkFig11WGTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunExperiment("fig11", true); err != nil {
+		if _, err := RunExperimentOpt("fig11", SweepOptions{Quick: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,7 +66,7 @@ func BenchmarkFig12EmbeddingAllToAllInterNode(b *testing.B) { benchExperiment(b,
 // BenchmarkFig13OccupancySweep — paper: -46% from 25->75%, +25% at 87.5%.
 func BenchmarkFig13OccupancySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunExperiment("fig13", true); err != nil {
+		if _, err := RunExperimentOpt("fig13", SweepOptions{Quick: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func BenchmarkFig13OccupancySweep(b *testing.B) {
 // BenchmarkFig14SchedulingSkew — paper: ~1% skew aware vs ~7% oblivious.
 func BenchmarkFig14SchedulingSkew(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunExperiment("fig14", true); err != nil {
+		if _, err := RunExperimentOpt("fig14", SweepOptions{Quick: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func BenchmarkAblationZeroCopy(b *testing.B) { benchExperiment(b, "ablation:zero
 // BenchmarkAblationSliceSize sweeps the communication granularity.
 func BenchmarkAblationSliceSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunExperiment("ablation:slicesize", true); err != nil {
+		if _, err := RunExperimentOpt("ablation:slicesize", SweepOptions{Quick: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func BenchmarkAblationSliceSize(b *testing.B) {
 // register-pressure cost.
 func BenchmarkAblationOccupancyPenalty(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunExperiment("ablation:occupancy", true); err != nil {
+		if _, err := RunExperimentOpt("ablation:occupancy", SweepOptions{Quick: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

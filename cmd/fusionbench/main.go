@@ -195,7 +195,9 @@ func parseBaseline(data []byte) ([]jsonResult, error) {
 // collected results against a committed baseline JSON (the same schema
 // writeJSON emits). A row whose measured makespan (fused_ns, the
 // mode-under-test column) exceeds the baseline by more than tol
-// regresses and fails the run. Rows are matched by (experiment id,
+// regresses and fails the run. So does a row that measured 0 ns where
+// the baseline measured time: an arm that served nothing reads 0 ns,
+// and must not pass as a 100% win. Rows are matched by (experiment id,
 // label); rows absent from the baseline are new and ignored, so adding
 // configurations never breaks the gate.
 func compareBaseline(path string, tol float64, results []*fusedcc.ExperimentResult) error {
@@ -226,7 +228,10 @@ func compareBaseline(path string, tol float64, results []*fusedcc.ExperimentResu
 			}
 			matched[key] = true
 			checked++
-			if float64(r.Fused) > float64(b.FusedNs)*(1+tol) {
+			if r.Fused == 0 && b.FusedNs != 0 {
+				regressions = append(regressions, fmt.Sprintf(
+					"  %s | %s: 0 ns vs baseline %d ns (nothing measured)", res.ID, r.Label, b.FusedNs))
+			} else if float64(r.Fused) > float64(b.FusedNs)*(1+tol) {
 				regressions = append(regressions, fmt.Sprintf(
 					"  %s | %s: %d ns vs baseline %d ns (%+.1f%%)",
 					res.ID, r.Label, int64(r.Fused), b.FusedNs,
@@ -518,7 +523,7 @@ func main() {
 	}
 
 	// The id lists derive from the facade's experiment registry, so the
-	// CLI cannot drift from RunExperiment's dispatch table.
+	// CLI cannot drift from RunExperimentOpt's dispatch table.
 	var ablationIDs []string
 	for _, id := range fusedcc.Experiments() {
 		if strings.HasPrefix(id, "ablation:") {

@@ -67,8 +67,9 @@ func TestParseBaselineLegacyArray(t *testing.T) {
 }
 
 // TestCompareBaselineGate checks the perf gate on both schemas: equal
-// results pass, a >tolerance slowdown fails, and a result set matching
-// no baseline rows fails closed.
+// results pass, a >tolerance slowdown fails, a row that measured 0 ns
+// against a timed baseline row fails, and a result set matching no
+// baseline rows fails closed.
 func TestCompareBaselineGate(t *testing.T) {
 	dir := t.TempDir()
 	v2 := filepath.Join(dir, "v2.json")
@@ -87,6 +88,11 @@ func TestCompareBaselineGate(t *testing.T) {
 		err := compareBaseline(path, 0.10, benchResults(150, 200))
 		if err == nil || !strings.Contains(err.Error(), "regression") {
 			t.Errorf("50%% slowdown passed the gate vs %s (err %v)", path, err)
+		}
+		// An arm that served nothing reads 0 ns: not a 100% win.
+		err = compareBaseline(path, 0.10, benchResults(100, 0))
+		if err == nil || !strings.Contains(err.Error(), "rowB: 0 ns") {
+			t.Errorf("zero-time row passed the gate vs %s (err %v)", path, err)
 		}
 	}
 	// Fail closed when labels drift and nothing matches.

@@ -24,7 +24,7 @@ func main() {
 	cfg.SliceRows = 32
 	cfg.RowsPerWG = 32 // lane-coarsened simulation; timing-equivalent
 
-	run := func(fused bool) fusedcc.Report {
+	run := func(mode fusedcc.ExecMode) *fusedcc.GraphReport {
 		sys, err := fusedcc.NewScaleOut(2, fusedcc.Options{})
 		if err != nil {
 			log.Fatal(err)
@@ -33,17 +33,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var rep fusedcc.Report
-		sys.Run(func(p *fusedcc.Proc) { rep = model.Forward(p, fused) })
+		var rep *fusedcc.GraphReport
+		sys.Run(func(p *fusedcc.Proc) { rep = model.StepReport(p, mode) })
 		return rep
 	}
 
-	base := run(false)
-	fused := run(true)
+	base := run(fusedcc.Eager)
+	fused := run(fusedcc.Compiled)
 	fmt.Printf("DLRM forward, 2 nodes, %d tables/GPU, global batch %d:\n", cfg.TablesPerGPU, cfg.GlobalBatch)
 	fmt.Printf("  baseline (per-table kernels + RCCL All-to-All + shuffle): %v\n", base.Duration())
 	fmt.Printf("  fused (persistent kernel, slice-granular RDMA puts):      %v\n", fused.Duration())
 	fmt.Printf("  end-to-end reduction: %.1f%%\n", 100*(1-float64(fused.Duration())/float64(base.Duration())))
 	fmt.Printf("  fused kernel issued %d slice puts (%.1f MB) while computing\n",
-		fused.RemotePuts, fused.RemoteBytes/1e6)
+		fused.RemotePuts(), fused.RemoteBytes()/1e6)
 }

@@ -24,7 +24,7 @@ func main() {
 	cfg.AvgPooling = 48
 	cfg.RowsPerWG = 32
 
-	run := func(fused bool) fusedcc.Report {
+	run := func(mode fusedcc.ExecMode) *fusedcc.GraphReport {
 		sys, err := fusedcc.NewScaleOut(2, fusedcc.Options{})
 		if err != nil {
 			log.Fatal(err)
@@ -33,13 +33,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var rep fusedcc.Report
-		sys.Run(func(p *fusedcc.Proc) { rep = model.TrainStep(p, fused) })
+		var rep *fusedcc.GraphReport
+		sys.Run(func(p *fusedcc.Proc) { rep = model.TrainStep(p, mode) })
 		return rep
 	}
 
-	base := run(false)
-	fused := run(true)
+	base := run(fusedcc.Eager)
+	fused := run(fusedcc.Compiled)
 	fmt.Printf("DLRM training iteration, 2 nodes, %d tables/GPU, batch %d:\n", cfg.TablesPerGPU, cfg.GlobalBatch)
 	fmt.Printf("  baseline (bulk-synchronous fwd+bwd): %v\n", base.Duration())
 	fmt.Printf("  fused (both All-to-Alls overlapped): %v\n", fused.Duration())

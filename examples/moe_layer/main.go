@@ -22,7 +22,7 @@ func main() {
 	cfg.TileM = 32
 	cfg.TileN = 128
 
-	run := func(fused bool) fusedcc.Report {
+	run := func(mode fusedcc.ExecMode) *fusedcc.GraphReport {
 		sys, err := fusedcc.NewScaleUp(4, fusedcc.Options{})
 		if err != nil {
 			log.Fatal(err)
@@ -31,13 +31,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var rep fusedcc.Report
-		sys.Run(func(p *fusedcc.Proc) { rep = layer.Forward(p, fused) })
+		var rep *fusedcc.GraphReport
+		sys.Run(func(p *fusedcc.Proc) { rep = layer.StepReport(p, mode) })
 		return rep
 	}
 
-	base := run(false)
-	fused := run(true)
+	base := run(fusedcc.Eager)
+	fused := run(fusedcc.Compiled)
 	fmt.Printf("MoE layer (4 experts, top-%d, %d tokens/GPU, dmodel %d, dffn %d):\n",
 		cfg.TopK, cfg.TokensPerGPU, cfg.ModelDim, cfg.FFNDim)
 	fmt.Printf("  baseline (GEMM kernel then combine All-to-All): %v\n", base.Duration())

@@ -20,7 +20,7 @@ func main() {
 	cfg := fusedcc.TransformerConfig() // hidden 4096, FFN 16384, TP=4
 	const steps = 8
 
-	run := func(fused bool) fusedcc.Duration {
+	run := func(mode fusedcc.ExecMode) fusedcc.Duration {
 		sys, err := fusedcc.NewScaleUp(4, fusedcc.Options{})
 		if err != nil {
 			log.Fatal(err)
@@ -31,13 +31,13 @@ func main() {
 		}
 		return sys.Run(func(p *fusedcc.Proc) {
 			for i := 0; i < steps; i++ {
-				ffn.DecodeStep(p, fused)
+				ffn.StepReport(p, mode)
 			}
 		})
 	}
 
-	base := run(false)
-	fused := run(true)
+	base := run(fusedcc.Eager)
+	fused := run(fusedcc.Compiled)
 	fmt.Printf("transformer FFN block (hidden %d, FFN %d, TP=4), %d decode steps:\n", cfg.Hidden, cfg.FFN, steps)
 	fmt.Printf("  baseline: %v total, %v per token\n", base, base/steps)
 	fmt.Printf("  fused:    %v total, %v per token\n", fused, fused/steps)

@@ -449,7 +449,7 @@ func NewEmbeddingGradExchange(fwd *EmbeddingAllToAll) *EmbeddingGradExchange {
 }
 
 // experiment is one registry row: a primary id, optional aliases, and
-// the runner. RunExperiment and Experiments both derive from the table,
+// the runner. RunExperimentOpt and Experiments both derive from the table,
 // so the dispatch and the catalogue cannot drift.
 type experiment struct {
 	id      string
@@ -513,18 +513,12 @@ type EngineStats = sim.Stats
 // source of the BENCH_speed.json engine block.
 func GlobalEngineStats() EngineStats { return sim.GlobalStats() }
 
-// RunExperiment regenerates one paper artifact by id: "fig8" .. "fig15",
+// RunExperimentOpt regenerates one artifact by id — "fig8" .. "fig15",
 // "table1", "table2", an ablation ("ablation:zerocopy",
 // "ablation:slicesize", "ablation:occupancy", "ablation:kernelsplit"),
-// or the beyond-the-paper hybrid-cluster sweep ("fig16" / "hybrid").
-// quick shrinks sweeps for fast runs. Sweep points run on the host
-// default worker pool (GOMAXPROCS); use RunExperimentOpt to pin the
-// worker count.
-func RunExperiment(id string, quick bool) (*ExperimentResult, error) {
-	return RunExperimentOpt(id, SweepOptions{Quick: quick})
-}
-
-// RunExperimentOpt is RunExperiment with explicit sweep options.
+// the beyond-the-paper hybrid-cluster sweep ("fig16" / "hybrid"), or
+// any other id Experiments lists — under the given sweep options
+// (opt.Quick shrinks sweeps for fast runs).
 func RunExperimentOpt(id string, opt SweepOptions) (*ExperimentResult, error) {
 	iopt := opt.internal()
 	for _, ex := range experimentTable {
@@ -541,7 +535,7 @@ func RunExperimentOpt(id string, opt SweepOptions) (*ExperimentResult, error) {
 }
 
 // Experiments lists the regenerable artifact ids in paper order,
-// derived from the same registry RunExperiment dispatches on.
+// derived from the same registry RunExperimentOpt dispatches on.
 func Experiments() []string {
 	ids := make([]string, len(experimentTable))
 	for i, ex := range experimentTable {
@@ -557,16 +551,11 @@ func RunHybridShape(nodes, gpusPerNode int, quick bool) (*ExperimentResult, erro
 	return experiments.HybridShape(nodes, gpusPerNode, experiments.Options{Quick: quick})
 }
 
-// RunPipelineConfig runs one {shape, layers, chunks} configuration of
-// the execution-mode comparison on all three case-study stacks — the
+// RunPipelineConfigOpt runs one {shape, layers, chunks} configuration
+// of the execution-mode comparison on all three case-study stacks — the
 // engine behind fusionbench's -mode/-chunks/-layers flags. Rows pair
 // the eager baseline against the requested mode; notes carry all three
 // makespans and per-stream occupancy.
-func RunPipelineConfig(nodes, gpusPerNode, layers, chunks int, mode ExecMode, quick bool) (*ExperimentResult, error) {
-	return RunPipelineConfigOpt(nodes, gpusPerNode, layers, chunks, mode, SweepOptions{Quick: quick})
-}
-
-// RunPipelineConfigOpt is RunPipelineConfig with explicit sweep options.
 func RunPipelineConfigOpt(nodes, gpusPerNode, layers, chunks int, mode ExecMode, opt SweepOptions) (*ExperimentResult, error) {
 	return experiments.PipelinePoint(nodes, gpusPerNode, layers, chunks, mode, opt.internal())
 }

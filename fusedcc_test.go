@@ -106,7 +106,7 @@ func TestModelConstructors(t *testing.T) {
 
 func TestRunExperimentDispatch(t *testing.T) {
 	for _, id := range []string{"table1", "table2"} {
-		res, err := RunExperiment(id, true)
+		res, err := RunExperimentOpt(id, SweepOptions{Quick: true})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -114,7 +114,7 @@ func TestRunExperimentDispatch(t *testing.T) {
 			t.Errorf("%s: empty result", id)
 		}
 	}
-	if _, err := RunExperiment("fig99", true); err == nil {
+	if _, err := RunExperimentOpt("fig99", SweepOptions{Quick: true}); err == nil {
 		t.Error("unknown experiment must error")
 	}
 	if len(Experiments()) < 10 {

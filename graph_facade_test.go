@@ -256,19 +256,19 @@ func TestWavefrontBitExactMatrix(t *testing.T) {
 			}
 			mo.Executor().Chunks = 2
 			stacks := []stack{
-				{"decoder", func(p *Proc, m ExecMode) { dec.Step(p, m) }, func() (o [][]float32) {
+				{"decoder", func(p *Proc, m ExecMode) { dec.StepReport(p, m) }, func() (o [][]float32) {
 					for _, b := range dec.Blocks {
 						o = append(o, append([]float32(nil), b.Out.On(0).Data()...))
 					}
 					return
 				}},
-				{"dlrm", func(p *Proc, m ExecMode) { dl.Step(p, m) }, func() (o [][]float32) {
+				{"dlrm", func(p *Proc, m ExecMode) { dl.StepReport(p, m) }, func() (o [][]float32) {
 					for _, op := range dl.Ops {
 						o = append(o, append([]float32(nil), op.Out.On(0).Data()...))
 					}
 					return
 				}},
-				{"moe", func(p *Proc, m ExecMode) { mo.Step(p, m) }, func() (o [][]float32) {
+				{"moe", func(p *Proc, m ExecMode) { mo.StepReport(p, m) }, func() (o [][]float32) {
 					for _, l := range mo.Layers {
 						o = append(o, append([]float32(nil), l.Op.Recv.On(0).Data()...))
 					}

@@ -26,7 +26,7 @@ func TestGEMVChunkedPhasesBitExact(t *testing.T) {
 		runOp(e, func(p *sim.Proc) Report {
 			for c := 0; c < chunks; c++ {
 				op.RunComputeChunk(p, c, chunks)
-				op.RunAllReduceChunk(p, c, chunks)
+				op.RunCollectiveChunk(p, c, chunks)
 			}
 			return Report{}
 		})
@@ -97,8 +97,8 @@ func TestEmbeddingChunkedPhasesBitExact(t *testing.T) {
 		op, pes := build(e)
 		runOp(e, func(p *sim.Proc) Report {
 			for c := 0; c < chunks; c++ {
-				op.RunPoolingChunk(p, c, chunks)
-				op.RunExchangeChunk(p, c, chunks)
+				op.RunComputeChunk(p, c, chunks)
+				op.RunCollectiveChunk(p, c, chunks)
 			}
 			return Report{}
 		})
@@ -138,7 +138,7 @@ func TestGEMMChunkedPhasesBitExact(t *testing.T) {
 		runOp(e, func(p *sim.Proc) Report {
 			for c := 0; c < chunks; c++ {
 				op.RunComputeChunk(p, c, chunks)
-				op.RunExchangeChunk(p, c, chunks)
+				op.RunCollectiveChunk(p, c, chunks)
 			}
 			return Report{}
 		})
@@ -205,7 +205,7 @@ func TestGEMMRaggedTailChunkedBitExact(t *testing.T) {
 		runOp(e, func(p *sim.Proc) Report {
 			for c := 0; c < chunks; c++ {
 				op.RunComputeChunk(p, c, chunks)
-				op.RunExchangeChunk(p, c, chunks)
+				op.RunCollectiveChunk(p, c, chunks)
 			}
 			return Report{}
 		})
@@ -293,7 +293,7 @@ func TestMaxChunksFloorsAtOne(t *testing.T) {
 	}
 	runOp(e, func(p *sim.Proc) Report {
 		op.RunComputeChunk(p, 0, 1)
-		op.RunExchangeChunk(p, 0, 1)
+		op.RunCollectiveChunk(p, 0, 1)
 		return Report{}
 	})
 }

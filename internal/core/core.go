@@ -28,6 +28,7 @@ import (
 	"fusedcc/internal/collectives"
 	"fusedcc/internal/gpu"
 	"fusedcc/internal/platform"
+	"fusedcc/internal/shmem"
 	"fusedcc/internal/sim"
 	"fusedcc/internal/trace"
 )
@@ -180,6 +181,56 @@ func (r Report) Skew() float64 {
 		}
 	}
 	return float64(hi-lo) / float64(r.End.Sub(r.Start))
+}
+
+// Pair is the one surface every fused computation-collective operator
+// presents to the graph compiler and the framework registry: the two
+// bulk-synchronous phases, split into chunks for pipelining, the fused
+// persistent kernel, the analytic cost model that prices each form, and
+// the chunk-range metadata that proves cross-pair dataflow. The
+// compiler prices, chunks, and fuses through this interface alone, so
+// a new operator joins every execution mode by implementing it.
+type Pair interface {
+	ChunkRanger
+	// RunComputeChunk runs chunk c of n of the compute phase: the
+	// conventional kernels staging their output where the collective
+	// reads it. Chunk 0 of 1 is the whole phase, and the n chunks
+	// together do exactly its work, so chunked runs stay bit-exact.
+	RunComputeChunk(p *sim.Proc, c, n int) Report
+	// RunCollectiveChunk runs chunk c of n of the collective phase: the
+	// library collective over exactly what RunComputeChunk(c, n)
+	// staged. Non-head chunks ride the chunk chain (ChunkDispatchOverhead
+	// instead of a fresh launch and rendezvous).
+	RunCollectiveChunk(p *sim.Proc, c, n int) Report
+	// RunFused runs the fused persistent kernel on every rank.
+	RunFused(p *sim.Proc) Report
+	// RunBaseline runs the bulk-synchronous comparator: the whole
+	// compute phase, then the whole collective phase.
+	RunBaseline(p *sim.Proc) Report
+	// MaxChunks is the finest chunk granularity, never less than 1.
+	MaxChunks() int
+	// SaturationChunks is the deepest pipeline whose chunks still fill
+	// the device's resident WG slots, in [1, MaxChunks].
+	SaturationChunks() int
+	// EstimateComputeChunk, EstimateCollectiveChunk, and EstimateFused
+	// predict the durations of the matching Run methods.
+	EstimateComputeChunk(c, n int) sim.Duration
+	EstimateCollectiveChunk(c, n int) sim.Duration
+	EstimateFused() sim.Duration
+	// Output is the symmetric buffer holding the operator's result once
+	// its collective (or fused) phase has run.
+	Output() *shmem.Symm
+}
+
+// runBaseline is the one bulk-synchronous body every pair's
+// RunBaseline shares: the whole compute phase, then the whole
+// collective phase, each rank credited its collective-phase end.
+func runBaseline(p *sim.Proc, op Pair) Report {
+	rep := op.RunComputeChunk(p, 0, 1)
+	ex := op.RunCollectiveChunk(p, 0, 1)
+	rep.End = ex.End
+	copy(rep.PEEnd, ex.PEEnd)
+	return rep
 }
 
 func min(a, b int) int {

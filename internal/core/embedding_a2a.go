@@ -443,20 +443,12 @@ func (op *EmbeddingAllToAll) chunkTables(c, n int) (t0, t1 int) {
 	return chunkRange(c, n, op.T)
 }
 
-// RunPooling executes only the compute half of the bulk-synchronous
-// path: per-table embedding kernels on every rank concurrently, writing
-// the bucketized send buffer. This is the eager-mode body of a graph
-// EmbeddingBag node.
-func (op *EmbeddingAllToAll) RunPooling(p *sim.Proc) Report {
-	return op.RunPoolingChunk(p, 0, 1)
-}
-
-// RunPoolingChunk executes chunk c of n of the compute half: the pooling
-// kernels of this chunk's table range only. The n chunks together pool
-// every table exactly once into the same bucketized staging, so chunked
-// execution stays bit-exact with eager. This is the body of a
-// partitioned (pipelined) graph EmbeddingBag sub-node.
-func (op *EmbeddingAllToAll) RunPoolingChunk(p *sim.Proc, c, n int) Report {
+// RunComputeChunk executes chunk c of n of the compute half: per-table
+// embedding kernels on every rank concurrently, for this chunk's table
+// range only, writing the bucketized send buffer. The n chunks together
+// pool every table exactly once into the same staging, so chunked
+// execution stays bit-exact with eager.
+func (op *EmbeddingAllToAll) RunComputeChunk(p *sim.Proc, c, n int) Report {
 	pl := op.World.Platform()
 	e := pl.E
 	t0, t1 := op.chunkTables(c, n)
@@ -504,23 +496,15 @@ func (op *EmbeddingAllToAll) RunPoolingChunk(p *sim.Proc, c, n int) Report {
 	return rep
 }
 
-// RunExchange executes only the communication half of the bulk-
-// synchronous path: the RCCL-style All-to-All over the bucketized send
-// buffer plus the shuffle kernels that interleave the received
-// [src][T][L][D] blocks into the {L, k*T*D} output layout (the
-// rearrangement the fused operator's point-to-point layout avoids).
-// This is the eager-mode body of a graph AllToAll node.
-func (op *EmbeddingAllToAll) RunExchange(p *sim.Proc) Report {
-	return op.RunExchangeChunk(p, 0, 1)
-}
-
-// RunExchangeChunk executes chunk c of n of the communication half: the
-// sub-block All-to-All moving only this chunk's table range of every
-// destination block, plus the shuffle kernels for those tables. Chunk
-// table ranges are disjoint and cover all tables, so the n chunked
-// exchanges move and interleave exactly what the single full exchange
-// would.
-func (op *EmbeddingAllToAll) RunExchangeChunk(p *sim.Proc, c, n int) Report {
+// RunCollectiveChunk executes chunk c of n of the communication half:
+// the RCCL-style sub-block All-to-All moving only this chunk's table
+// range of every destination block, plus the shuffle kernels that
+// interleave the received [src][T][L][D] blocks of those tables into
+// the {L, k*T*D} output layout (the rearrangement the fused operator's
+// point-to-point layout avoids). Chunk table ranges are disjoint and
+// cover all tables, so the n chunked exchanges move and interleave
+// exactly what the single full exchange would.
+func (op *EmbeddingAllToAll) RunCollectiveChunk(p *sim.Proc, c, n int) Report {
 	pl := op.World.Platform()
 	e := pl.E
 	t0, t1 := op.chunkTables(c, n)
@@ -569,10 +553,7 @@ func (op *EmbeddingAllToAll) RunExchangeChunk(p *sim.Proc, c, n int) Report {
 // embedding kernels writing a bucketized send buffer, an RCCL-style
 // All-to-All, and a shuffle kernel that interleaves the received blocks
 // into the {L, k*T*D} layout (§IV-A baseline).
-func (op *EmbeddingAllToAll) RunBaseline(p *sim.Proc) Report {
-	rep := op.RunPooling(p)
-	ex := op.RunExchange(p)
-	rep.End = ex.End
-	copy(rep.PEEnd, ex.PEEnd)
-	return rep
-}
+func (op *EmbeddingAllToAll) RunBaseline(p *sim.Proc) Report { return runBaseline(p, op) }
+
+// Output returns the operator output, {L, k*T*D} row-major per PE.
+func (op *EmbeddingAllToAll) Output() *shmem.Symm { return op.Out }

@@ -163,9 +163,6 @@ func (op *GEMVAllReduce) maxK() int {
 	return k
 }
 
-// EstimateCompute predicts the full compute phase (RunCompute).
-func (op *GEMVAllReduce) EstimateCompute() sim.Duration { return op.EstimateComputeChunk(0, 1) }
-
 // EstimateComputeChunk predicts RunComputeChunk(c, n): the conventional
 // GEMV kernels over the chunk's tile range.
 func (op *GEMVAllReduce) EstimateComputeChunk(c, n int) sim.Duration {
@@ -186,10 +183,7 @@ func (op *GEMVAllReduce) EstimateComputeChunk(c, n int) sim.Duration {
 	return cfg.KernelLaunchOverhead + kc.time(cfg)
 }
 
-// EstimateCollective predicts the full collective phase (RunAllReduce).
-func (op *GEMVAllReduce) EstimateCollective() sim.Duration { return op.EstimateCollectiveChunk(0, 1) }
-
-// EstimateCollectiveChunk predicts RunAllReduceChunk(c, n): the library
+// EstimateCollectiveChunk predicts RunCollectiveChunk(c, n): the library
 // AllReduce over the chunk's element range, priced at the chain
 // dispatch cost for non-head chunks.
 func (op *GEMVAllReduce) EstimateCollectiveChunk(c, n int) sim.Duration {
@@ -287,10 +281,7 @@ func (op *EmbeddingAllToAll) rowsPerWGEst() int {
 	return op.RowsPerWG
 }
 
-// EstimateCompute predicts the full pooling phase (RunPooling).
-func (op *EmbeddingAllToAll) EstimateCompute() sim.Duration { return op.EstimateComputeChunk(0, 1) }
-
-// EstimateComputeChunk predicts RunPoolingChunk(c, n): one pooling
+// EstimateComputeChunk predicts RunComputeChunk(c, n): one pooling
 // kernel per table in the chunk's range, each paying its own launch.
 func (op *EmbeddingAllToAll) EstimateComputeChunk(c, n int) sim.Duration {
 	t0, t1 := op.chunkTables(c, n)
@@ -310,12 +301,7 @@ func (op *EmbeddingAllToAll) EstimateComputeChunk(c, n int) sim.Duration {
 	return sim.Duration(t1-t0) * perTable
 }
 
-// EstimateCollective predicts the full exchange phase (RunExchange).
-func (op *EmbeddingAllToAll) EstimateCollective() sim.Duration {
-	return op.EstimateCollectiveChunk(0, 1)
-}
-
-// EstimateCollectiveChunk predicts RunExchangeChunk(c, n): the sub-block
+// EstimateCollectiveChunk predicts RunCollectiveChunk(c, n): the sub-block
 // All-to-All over the chunk's tables plus the shuffle kernels that
 // interleave the received blocks.
 func (op *EmbeddingAllToAll) EstimateCollectiveChunk(c, n int) sim.Duration {
@@ -405,9 +391,6 @@ func (op *GEMMAllToAll) chunkTileStats(c, n int) (tiles int, read, flops, write 
 	return
 }
 
-// EstimateCompute predicts the full compute phase (RunCompute).
-func (op *GEMMAllToAll) EstimateCompute() sim.Duration { return op.EstimateComputeChunk(0, 1) }
-
 // EstimateComputeChunk predicts RunComputeChunk(c, n): the stock tiled
 // GEMM over the chunk's row bands of every destination block.
 func (op *GEMMAllToAll) EstimateComputeChunk(c, n int) sim.Duration {
@@ -425,10 +408,7 @@ func (op *GEMMAllToAll) EstimateComputeChunk(c, n int) sim.Duration {
 	return cfg.KernelLaunchOverhead + kc.time(cfg)
 }
 
-// EstimateCollective predicts the full combine phase (RunExchange).
-func (op *GEMMAllToAll) EstimateCollective() sim.Duration { return op.EstimateCollectiveChunk(0, 1) }
-
-// EstimateCollectiveChunk predicts RunExchangeChunk(c, n): the sub-block
+// EstimateCollectiveChunk predicts RunCollectiveChunk(c, n): the sub-block
 // combine All-to-All over the chunk's row band.
 func (op *GEMMAllToAll) EstimateCollectiveChunk(c, n int) sim.Duration {
 	r0, r1 := op.chunkRows(c, n)

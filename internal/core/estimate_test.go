@@ -19,7 +19,7 @@ func TestGEMVEstimatesStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := op.EstimateCompute()
+	full := op.EstimateComputeChunk(0, 1)
 	if full <= 0 {
 		t.Fatal("zero compute estimate")
 	}
@@ -84,12 +84,12 @@ func TestEmbeddingAndGEMMEstimatesPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if emb.EstimateCompute() <= 0 || emb.EstimateCollective() <= 0 || emb.EstimateFused() <= 0 {
+	if emb.EstimateComputeChunk(0, 1) <= 0 || emb.EstimateCollectiveChunk(0, 1) <= 0 || emb.EstimateFused() <= 0 {
 		t.Error("embedding estimates must be positive")
 	}
 	// Chunking tables splits the launches too: two half-chunks price
 	// like the full phase.
-	if got, want := emb.EstimateComputeChunk(0, 2)+emb.EstimateComputeChunk(1, 2), emb.EstimateCompute(); got != want {
+	if got, want := emb.EstimateComputeChunk(0, 2)+emb.EstimateComputeChunk(1, 2), emb.EstimateComputeChunk(0, 1); got != want {
 		t.Errorf("per-table chunk estimates %v != full %v", got, want)
 	}
 	if s := emb.SaturationChunks(); s != emb.MaxChunks() {
@@ -102,7 +102,7 @@ func TestEmbeddingAndGEMMEstimatesPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gm.EstimateCompute() <= 0 || gm.EstimateCollective() <= 0 || gm.EstimateFused() <= 0 {
+	if gm.EstimateComputeChunk(0, 1) <= 0 || gm.EstimateCollectiveChunk(0, 1) <= 0 || gm.EstimateFused() <= 0 {
 		t.Error("GEMM estimates must be positive")
 	}
 	// Ragged chunks still price every tile exactly once.

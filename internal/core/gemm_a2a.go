@@ -247,20 +247,11 @@ func (op *GEMMAllToAll) chunkRows(c, n int) (r0, r1 int) {
 	return
 }
 
-// RunCompute executes only the compute half of the bulk-synchronous
-// path: the stock tiled GEMM kernel per rank, writing the full local
-// output into the send staging buffer. This is the eager-mode body of a
-// graph MatMul node.
-func (op *GEMMAllToAll) RunCompute(p *sim.Proc) Report {
-	return op.RunComputeChunk(p, 0, 1)
-}
-
-// RunComputeChunk executes chunk c of n of the compute half: the GEMM
-// tiles whose output rows fall in this chunk's row band of every
-// destination block. The n chunks together compute every tile exactly
-// once into the same staging, so chunked execution stays bit-exact with
-// eager. This is the body of a partitioned (pipelined) graph MatMul
-// sub-node.
+// RunComputeChunk executes chunk c of n of the compute half: the stock
+// tiled GEMM kernel per rank over the tiles whose output rows fall in
+// this chunk's row band of every destination block, writing into the
+// send staging buffer. The n chunks together compute every tile exactly
+// once, so chunked execution stays bit-exact with eager.
 func (op *GEMMAllToAll) RunComputeChunk(p *sim.Proc, c, n int) Report {
 	pl := op.World.Platform()
 	e := pl.E
@@ -302,20 +293,12 @@ func (op *GEMMAllToAll) RunComputeChunk(p *sim.Proc, c, n int) Report {
 	return rep
 }
 
-// RunExchange executes only the collective half of the bulk-synchronous
-// path: the RCCL-style combine All-to-All over the contiguous row
-// blocks staged by RunCompute. This is the eager-mode body of a graph
-// AllToAll node.
-func (op *GEMMAllToAll) RunExchange(p *sim.Proc) Report {
-	return op.RunExchangeChunk(p, 0, 1)
-}
-
-// RunExchangeChunk executes chunk c of n of the collective half: the
-// sub-block All-to-All moving exactly the row band RunComputeChunk(c, n)
-// staged, out of every destination block. Disjoint bands cover the
-// blocks, so the n chunked exchanges move precisely what the single
-// full combine would.
-func (op *GEMMAllToAll) RunExchangeChunk(p *sim.Proc, c, n int) Report {
+// RunCollectiveChunk executes chunk c of n of the collective half: the
+// RCCL-style sub-block combine All-to-All moving exactly the row band
+// RunComputeChunk(c, n) staged, out of every destination block.
+// Disjoint bands cover the blocks, so the n chunked exchanges move
+// precisely what the single full combine would.
+func (op *GEMMAllToAll) RunCollectiveChunk(p *sim.Proc, c, n int) Report {
 	pl := op.World.Platform()
 	e := pl.E
 	r0, r1 := op.chunkRows(c, n)
@@ -336,12 +319,7 @@ func (op *GEMMAllToAll) RunExchangeChunk(p *sim.Proc, c, n int) Report {
 // RunBaseline executes the bulk-synchronous comparator: the stock tiled
 // GEMM kernel per rank (writing C locally), then an RCCL-style
 // All-to-All over the contiguous row blocks.
-func (op *GEMMAllToAll) RunBaseline(p *sim.Proc) Report {
-	rep := op.RunCompute(p)
-	ex := op.RunExchange(p)
-	rep.End = ex.End
-	for s := range rep.PEEnd {
-		rep.PEEnd[s] = ex.End
-	}
-	return rep
-}
+func (op *GEMMAllToAll) RunBaseline(p *sim.Proc) Report { return runBaseline(p, op) }
+
+// Output returns the combine output, k*TokensPerRank*N elements per PE.
+func (op *GEMMAllToAll) Output() *shmem.Symm { return op.Recv }

@@ -250,19 +250,12 @@ func (op *GEMVAllReduce) chunkElems(c, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// RunCompute executes only the compute half of the bulk-synchronous
-// path: a conventional GEMV kernel per rank writing its partial output
-// into Out (each rank's Out instance holds that rank's un-reduced y).
-// This is the eager-mode body of a graph GEMV node.
-func (op *GEMVAllReduce) RunCompute(p *sim.Proc) Report {
-	return op.RunComputeChunk(p, 0, 1)
-}
-
-// RunComputeChunk executes chunk c of n of the compute half: the GEMV
-// kernels restricted to this chunk's contiguous output-tile range. The n
-// chunks together perform exactly RunCompute's work, so chunked
-// execution stays bit-exact with eager. This is the body of a
-// partitioned (pipelined) graph GEMV sub-node.
+// RunComputeChunk executes chunk c of n of the compute half: a
+// conventional GEMV kernel per rank over this chunk's contiguous
+// output-tile range, writing its partial output into Out (each rank's
+// Out instance holds that rank's un-reduced y). The n chunks together
+// compute every tile exactly once, so chunked execution stays bit-exact
+// with eager.
 func (op *GEMVAllReduce) RunComputeChunk(p *sim.Proc, c, n int) Report {
 	pl := op.World.Platform()
 	e := pl.E
@@ -294,18 +287,11 @@ func (op *GEMVAllReduce) RunComputeChunk(p *sim.Proc, c, n int) Report {
 	return rep
 }
 
-// RunAllReduce executes only the collective half of the bulk-synchronous
-// path: the RCCL-style AllReduce over the partial outputs staged in Out.
-// This is the eager-mode body of a graph AllReduce node.
-func (op *GEMVAllReduce) RunAllReduce(p *sim.Proc) Report {
-	return op.RunAllReduceChunk(p, 0, 1)
-}
-
-// RunAllReduceChunk executes chunk c of n of the collective half: the
+// RunCollectiveChunk executes chunk c of n of the collective half: the
 // library AllReduce over exactly the output rows RunComputeChunk(c, n)
 // staged. Disjoint chunk ranges cover the output, so the n chunked
 // collectives reduce precisely what the single full AllReduce would.
-func (op *GEMVAllReduce) RunAllReduceChunk(p *sim.Proc, c, n int) Report {
+func (op *GEMVAllReduce) RunCollectiveChunk(p *sim.Proc, c, n int) Report {
 	pl := op.World.Platform()
 	e := pl.E
 	lo, hi := op.chunkElems(c, n)
@@ -325,12 +311,7 @@ func (op *GEMVAllReduce) RunAllReduceChunk(p *sim.Proc, c, n int) Report {
 // RunBaseline executes the bulk-synchronous comparator: a conventional
 // GEMV kernel per rank writing the partial output, then an RCCL-style
 // two-phase direct AllReduce.
-func (op *GEMVAllReduce) RunBaseline(p *sim.Proc) Report {
-	rep := op.RunCompute(p)
-	ar := op.RunAllReduce(p)
-	rep.End = ar.End
-	for s := range rep.PEEnd {
-		rep.PEEnd[s] = ar.End
-	}
-	return rep
-}
+func (op *GEMVAllReduce) RunBaseline(p *sim.Proc) Report { return runBaseline(p, op) }
+
+// Output returns the reduced output vector, M elements on every PE.
+func (op *GEMVAllReduce) Output() *shmem.Symm { return op.Out }

@@ -258,35 +258,15 @@ func (m *Model) LocalBatch() int { return m.Cfg.GlobalBatch / len(m.PEs) }
 // vector plus every embedding table's pooled vector.
 func (m *Model) Features() int { return len(m.PEs)*m.Cfg.TablesPerGPU + 1 }
 
-// execute runs g eagerly or compiled and condenses the report.
-func (m *Model) execute(p *sim.Proc, g *graph.Graph, fused bool) core.Report {
-	mode := graph.Eager
-	if fused {
-		mode = graph.Compiled
-	}
-	return m.exec.Execute(p, g, mode).Summary(len(m.PEs))
-}
-
-// Forward runs one inference pass through the graph executor: the
-// bottom MLP concurrent with the embedding + All-to-All (fused when
-// compiled), then the interaction operator and top MLP on the local
-// batch shard.
-func (m *Model) Forward(p *sim.Proc, fused bool) core.Report {
-	return m.execute(p, m.fwd, fused)
-}
-
-// Step runs one inference pass in any execution mode (Eager, Compiled,
-// or Pipelined).
-func (m *Model) Step(p *sim.Proc, mode graph.Mode) core.Report {
-	return m.exec.Execute(p, m.fwd, mode).Summary(len(m.PEs))
-}
-
 // Executor returns the model's executor, for tuning pipeline depth
 // (Chunks) or forcing stream-aware scheduling.
 func (m *Model) Executor() *graph.Executor { return &m.exec }
 
-// StepReport runs one inference pass and returns the full per-node
-// graph report (per-stream occupancy included in stream-aware modes).
+// StepReport runs one inference pass through the graph executor — the
+// bottom MLP concurrent with the embedding + All-to-All (fused when
+// compiled), then the interaction operator and top MLP on the local
+// batch shard — and returns the per-node graph report (per-stream
+// occupancy included in stream-aware modes).
 func (m *Model) StepReport(p *sim.Proc, mode graph.Mode) *graph.Report {
 	return m.exec.Execute(p, m.fwd, mode)
 }
@@ -299,14 +279,15 @@ func (m *Model) MLPParams() int {
 	return bot.Params() + top.Params()
 }
 
-// TrainStep runs one training iteration through the graph executor:
-// the forward pass, the backward MLP and interaction kernels, and the
+// TrainStep runs one training iteration through the graph executor in
+// the given mode and returns the per-node graph report: the forward
+// pass, the backward MLP and interaction kernels, and the
 // embedding-gradient exchange concurrent with the data-parallel MLP
 // gradient AllReduce — the latter overlapped with the embedding path in
-// both execution models, matching production schedules and the paper's
-// Fig 15 setup.
-func (m *Model) TrainStep(p *sim.Proc, fused bool) core.Report {
-	return m.execute(p, m.TrainGraph(), fused)
+// every mode, matching production schedules and the paper's Fig 15
+// setup.
+func (m *Model) TrainStep(p *sim.Proc, mode graph.Mode) *graph.Report {
+	return m.exec.Execute(p, m.TrainGraph(), mode)
 }
 
 // interaction charges the pairwise dot-product interaction op: for each

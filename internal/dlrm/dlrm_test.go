@@ -6,6 +6,7 @@ import (
 	"fusedcc/internal/core"
 	"fusedcc/internal/fabric"
 	"fusedcc/internal/gpu"
+	"fusedcc/internal/graph"
 	"fusedcc/internal/platform"
 	"fusedcc/internal/shmem"
 	"fusedcc/internal/sim"
@@ -55,14 +56,14 @@ func pes(pl *platform.Platform) []int {
 }
 
 func TestForwardFusedMatchesBaselineOutput(t *testing.T) {
-	get := func(fused bool) [][]float32 {
+	get := func(mode graph.Mode) [][]float32 {
 		e := sim.NewEngine()
 		pl, w := testWorld(e, 2, 1, true)
 		m, err := New(w, pes(pl), smallCfg(), core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Go("fwd", func(p *sim.Proc) { m.Forward(p, fused) })
+		e.Go("fwd", func(p *sim.Proc) { m.StepReport(p, mode) })
 		e.Run()
 		var outs [][]float32
 		for _, pe := range m.PEs {
@@ -70,7 +71,7 @@ func TestForwardFusedMatchesBaselineOutput(t *testing.T) {
 		}
 		return outs
 	}
-	f, b := get(true), get(false)
+	f, b := get(graph.Compiled), get(graph.Eager)
 	for s := range f {
 		for i := range f[s] {
 			if f[s][i] != b[s][i] {
@@ -81,7 +82,7 @@ func TestForwardFusedMatchesBaselineOutput(t *testing.T) {
 }
 
 func TestForwardFusedFasterInterNode(t *testing.T) {
-	timeOf := func(fused bool) sim.Time {
+	timeOf := func(mode graph.Mode) sim.Time {
 		e := sim.NewEngine()
 		pl, w := testWorld(e, 2, 1, false)
 		cfg := smallCfg()
@@ -92,10 +93,10 @@ func TestForwardFusedFasterInterNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Go("fwd", func(p *sim.Proc) { m.Forward(p, fused) })
+		e.Go("fwd", func(p *sim.Proc) { m.StepReport(p, mode) })
 		return e.Run()
 	}
-	fused, base := timeOf(true), timeOf(false)
+	fused, base := timeOf(graph.Compiled), timeOf(graph.Eager)
 	if fused >= base {
 		t.Errorf("fused DLRM forward %v not faster than baseline %v", fused, base)
 	}
@@ -108,8 +109,8 @@ func TestForwardReportSpansWholePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep core.Report
-	e.Go("fwd", func(p *sim.Proc) { rep = m.Forward(p, true) })
+	var rep *graph.Report
+	e.Go("fwd", func(p *sim.Proc) { rep = m.StepReport(p, graph.Compiled) })
 	end := e.Run()
 	if rep.End != end || rep.Start != 0 {
 		t.Errorf("report [%v,%v] does not span run ending %v", rep.Start, rep.End, end)
@@ -162,7 +163,7 @@ func TestTimingModeSkipsIndexGeneration(t *testing.T) {
 }
 
 func TestTrainStepFusedFaster(t *testing.T) {
-	timeOf := func(fused bool) sim.Time {
+	timeOf := func(mode graph.Mode) sim.Time {
 		e := sim.NewEngine()
 		pl, w := testWorld(e, 2, 1, false)
 		cfg := smallCfg()
@@ -173,10 +174,10 @@ func TestTrainStepFusedFaster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Go("train", func(p *sim.Proc) { m.TrainStep(p, fused) })
+		e.Go("train", func(p *sim.Proc) { m.TrainStep(p, mode) })
 		return e.Run()
 	}
-	fused, base := timeOf(true), timeOf(false)
+	fused, base := timeOf(graph.Compiled), timeOf(graph.Eager)
 	if fused >= base {
 		t.Errorf("fused train step %v not faster than baseline %v", fused, base)
 	}
@@ -189,20 +190,20 @@ func TestTrainStepReportSpansIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep core.Report
-	e.Go("train", func(p *sim.Proc) { rep = m.TrainStep(p, true) })
+	var rep *graph.Report
+	e.Go("train", func(p *sim.Proc) { rep = m.TrainStep(p, graph.Compiled) })
 	end := e.Run()
 	if rep.Start != 0 || rep.End > end {
 		t.Errorf("report [%v,%v] vs run end %v", rep.Start, rep.End, end)
 	}
-	var fwdOnly core.Report
+	var fwdOnly *graph.Report
 	e2 := sim.NewEngine()
 	pl2, w2 := testWorld(e2, 1, 4, false)
 	m2, err := New(w2, pes(pl2), smallCfg(), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2.Go("fwd", func(p *sim.Proc) { fwdOnly = m2.Forward(p, true) })
+	e2.Go("fwd", func(p *sim.Proc) { fwdOnly = m2.StepReport(p, graph.Compiled) })
 	e2.Run()
 	if rep.Duration() <= fwdOnly.Duration() {
 		t.Error("training step must cost more than forward alone")

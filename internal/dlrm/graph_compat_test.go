@@ -70,8 +70,8 @@ func TestCompiledMatchesHandWiredFused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep core.Report
-		e.Go("fwd", func(p *sim.Proc) { rep = m.Forward(p, true) })
+		var rep *graph.Report
+		e.Go("fwd", func(p *sim.Proc) { rep = m.StepReport(p, graph.Compiled) })
 		e.Run()
 		return rep.Duration()
 	}()

@@ -25,13 +25,13 @@ func TestMultiGroupBitExactAcrossModes(t *testing.T) {
 	}
 	var want [][]float32
 	e.Go("modes", func(p *sim.Proc) {
-		m.Step(p, graph.Eager)
+		m.StepReport(p, graph.Eager)
 		for _, op := range m.Ops {
 			want = append(want, append([]float32(nil), op.Out.On(0).Data()...))
 		}
 		m.Executor().Chunks = 2
 		for _, mode := range []graph.Mode{graph.Compiled, graph.Pipelined, graph.Wavefront, graph.Auto} {
-			m.Step(p, mode)
+			m.StepReport(p, mode)
 			for grp, op := range m.Ops {
 				got := op.Out.On(0).Data()
 				for i := range want[grp] {
@@ -118,8 +118,8 @@ func TestMultiGroupBranchesOverlap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep core.Report
-		e.Go("fwd", func(p *sim.Proc) { rep = m.Step(p, graph.Eager) })
+		var rep *graph.Report
+		e.Go("fwd", func(p *sim.Proc) { rep = m.StepReport(p, graph.Eager) })
 		e.Run()
 		return rep.Duration()
 	}

@@ -118,8 +118,10 @@ func fingerprint(g *Graph) string {
 // (no pass prices them, and plans replay against each graph's own ops).
 func describeOp(b *strings.Builder, op Op) {
 	switch o := op.(type) {
-	case *allReduceOp, *embAllToAllOp, *gemmAllToAllOp:
-		describePair(b, pairOf(op))
+	case *pairOp:
+		if half(o, KindCollective) != nil {
+			describePair(b, o.pair)
+		}
 	case *rowsOp:
 		fmt.Fprintf(b, " rows{kind:%d units:%d", o.spec.Kind, o.spec.Units)
 		if o.spec.Estimate != nil {
@@ -138,18 +140,11 @@ func describeOp(b *strings.Builder, op Op) {
 
 // describePair samples a pair operator's cost surface and chunk-range
 // metadata.
-func describePair(b *strings.Builder, pair any) {
-	est, ok := pair.(pairEstimator)
-	if !ok {
-		b.WriteString(" pair{unpriced}")
-		return
-	}
+func describePair(b *strings.Builder, est core.Pair) {
 	fmt.Fprintf(b, " pair{max:%d sat:%d fused:%d",
 		est.MaxChunks(), est.SaturationChunks(), est.EstimateFused())
-	if r, ok := pair.(core.ChunkRanger); ok {
-		in, inOK := r.ChunkIn(0, 2)
-		fmt.Fprintf(b, " out:%+v in:%+v/%t", r.ChunkOut(0, 1), in, inOK)
-	}
+	in, inOK := est.ChunkIn(0, 2)
+	fmt.Fprintf(b, " out:%+v in:%+v/%t", est.ChunkOut(0, 1), in, inOK)
 	samplePoints(b, est.MaxChunks(), func(c, k int) {
 		fmt.Fprintf(b, " %d/%d:%d,%d", c, k,
 			est.EstimateComputeChunk(c, k), est.EstimateCollectiveChunk(c, k))

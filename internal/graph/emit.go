@@ -31,33 +31,6 @@ type Join struct {
 	Chunks int
 }
 
-// chunkOps builds the chunk-c-of-n compute and collective ops for a
-// pair operator.
-func chunkOps(pair any, c, n int) (compute, collective Op) {
-	switch op := pair.(type) {
-	case *core.GEMVAllReduce:
-		return &gemvChunkOp{op: op, c: c, n: n}, &allReduceChunkOp{op: op, c: c, n: n}
-	case *core.EmbeddingAllToAll:
-		return &embBagChunkOp{op: op, c: c, n: n}, &embAllToAllChunkOp{op: op, c: c, n: n}
-	case *core.GEMMAllToAll:
-		return &matmulChunkOp{op: op, c: c, n: n}, &gemmAllToAllChunkOp{op: op, c: c, n: n}
-	}
-	panic("graph: chunkOps on non-chunkable pair") // unreachable: pairMatches gated
-}
-
-// maxChunksOf returns the pair operator's finest chunk granularity.
-func maxChunksOf(pair any) int {
-	switch op := pair.(type) {
-	case *core.GEMVAllReduce:
-		return op.MaxChunks()
-	case *core.EmbeddingAllToAll:
-		return op.MaxChunks()
-	case *core.GEMMAllToAll:
-		return op.MaxChunks()
-	}
-	return 1
-}
-
 // rowUnits returns the row granularity of a rowwise node — a rowwise
 // per-rank node or a row-structured exchange; ok is false for every
 // other op.
@@ -77,7 +50,7 @@ func rowUnits(op Op) (units int, ok bool) {
 // so every plan builder refuses it as a deterministic no-op instead.
 func lowered(g *Graph) bool {
 	for _, n := range g.nodes {
-		if _, ok := n.op.(loweredOp); ok {
+		if op, ok := n.op.(loweredOp); ok && op.chunked() {
 			return true
 		}
 	}
@@ -92,8 +65,7 @@ type segChain struct {
 	// tails[c] is chunk c's final node (the collective chunk for pairs,
 	// the chunk node itself for rowwise segments).
 	tails []*Node
-	// out returns the output range chunk c finalizes; nil when the
-	// segment has no range metadata (downstream edges stay full-tensor).
+	// out returns the output range chunk c finalizes.
 	out func(c int) core.ChunkRange
 }
 
@@ -102,7 +74,7 @@ type segChain struct {
 // prefix through chunk c ends at out(c).Hi), or nil when the kinds do
 // not match or no chunk covers it.
 func (s *segChain) chunkFor(in core.ChunkRange) *Node {
-	if s.out == nil || in.Empty() {
+	if in.Empty() {
 		return nil
 	}
 	for c := 0; c < s.k; c++ {
@@ -153,7 +125,7 @@ func (em *emitter) place(n *Node, op Op) *Node {
 // fusePair replaces the (producer, collective) pair with one fused
 // node inheriting both nodes' dependencies.
 func (em *emitter) fusePair(producer, coll *Node) {
-	fn := fuseNodes(producer, coll)
+	fn := &Node{name: producer.name + "+" + coll.name, op: coll.op.(*pairOp).form(KindFused, 0, 0)}
 	fn.in = mapInputs(append(append([]*Node{}, producer.in...), exclude(coll.in, producer)...), em.replaced)
 	em.emit(fn)
 	em.replaced[producer] = fn
@@ -211,29 +183,20 @@ func (em *emitter) headDeps(origs []*Node, in core.ChunkRange, inOK bool, joined
 // plus its own chunk's compute node. Downstream consumers of the pair
 // depend on the final chunks (unless themselves rewired).
 func (em *emitter) chunkChain(producer, coll *Node, k int) *segChain {
-	pair := pairOf(coll.op)
-	ranger, ranged := pair.(core.ChunkRanger)
+	op := coll.op.(*pairOp)
 	collDeps := mapInputs(exclude(coll.in, producer), em.replaced)
-	seg := &segChain{k: k, tails: make([]*Node, k)}
-	if ranged {
-		seg.out = func(c int) core.ChunkRange { return ranger.ChunkOut(c, k) }
-	}
+	seg := &segChain{k: k, tails: make([]*Node, k), out: func(c int) core.ChunkRange { return op.pair.ChunkOut(c, k) }}
 	joined := map[*Node]bool{}
 	var prevComp, prevColl *Node
 	for c := 0; c < k; c++ {
-		compOp, collOp := chunkOps(pair, c, k)
-		var in core.ChunkRange
-		inOK := false
-		if ranged {
-			in, inOK = ranger.ChunkIn(c, k)
-		}
-		comp := &Node{name: fmt.Sprintf("%s#%d", producer.name, c), op: compOp}
+		in, inOK := op.pair.ChunkIn(c, k)
+		comp := &Node{name: fmt.Sprintf("%s#%d", producer.name, c), op: op.form(KindCompute, c, k)}
 		comp.in = em.headDeps(producer.in, in, inOK, joined, producer.name, k)
 		if prevComp != nil {
 			comp.in = append(comp.in, prevComp)
 		}
 		em.emit(comp)
-		cl := &Node{name: fmt.Sprintf("%s#%d", coll.name, c), op: collOp}
+		cl := &Node{name: fmt.Sprintf("%s#%d", coll.name, c), op: op.form(KindCollective, c, k)}
 		cl.in = append(cl.in, comp)
 		cl.in = append(cl.in, collDeps...)
 		if prevColl != nil {

@@ -174,27 +174,6 @@ func (r *Report) OverlapEfficiency() float64 {
 	return sum / float64(n)
 }
 
-// Summary condenses the graph report into the operator Report shape
-// the case studies and experiments consume: the makespan window plus
-// total GPU-initiated traffic. Each PE is credited its own last node
-// completion (preserving the per-PE skew the operator-level consumers
-// measure); a PE the execution recorded no end time for falls back to
-// the graph-final time.
-func (r *Report) Summary(peCount int) core.Report {
-	rep := core.Report{
-		Start: r.Start, End: r.End,
-		PEEnd:      make([]sim.Time, peCount),
-		RemotePuts: r.RemotePuts(), RemoteBytes: r.RemoteBytes(),
-	}
-	for i := range rep.PEEnd {
-		rep.PEEnd[i] = r.End
-		if i < len(r.PEEnd) && r.PEEnd[i] > 0 {
-			rep.PEEnd[i] = r.PEEnd[i]
-		}
-	}
-	return rep
-}
-
 // String renders the report as an aligned per-node table.
 func (r *Report) String() string {
 	s := fmt.Sprintf("graph run (%s): %v makespan\n", r.Mode, r.Duration())

@@ -90,12 +90,13 @@ func (n *Node) Op() Op { return n.op }
 func (n *Node) Inputs() []*Node { return append([]*Node(nil), n.in...) }
 
 // Value is an SSA-style edge: the output of one node, consumable as a
-// dependency by later nodes. Typed payloads (the backing core operator)
-// let collective builders and the fusion pass check compatibility
-// statically instead of via stringly-typed attribute maps.
+// dependency by later nodes. Typed payloads (the pair op binding the
+// backing core operator and its pattern) let AllReduce, AllToAll, and
+// the fusion pass check compatibility statically instead of via
+// stringly-typed attribute maps.
 type Value struct {
 	producer *Node
-	payload  any // *core.GEMVAllReduce | *core.EmbeddingAllToAll | *core.GEMMAllToAll | *core.EmbeddingGradExchange | *shmem.Symm | nil
+	payload  any // *pairOp | *core.EmbeddingGradExchange | *shmem.Symm | nil
 }
 
 // Producer returns the node that computes this value (nil for the zero
@@ -109,12 +110,8 @@ func (v Value) Producer() *Node { return v.producer }
 // node has run.
 func (v Value) Symm() *shmem.Symm {
 	switch pl := v.payload.(type) {
-	case *core.GEMVAllReduce:
-		return pl.Out
-	case *core.EmbeddingAllToAll:
-		return pl.Out
-	case *core.GEMMAllToAll:
-		return pl.Recv
+	case *pairOp:
+		return pl.pair.Output()
 	case *core.EmbeddingGradExchange:
 		return pl.GradIn
 	case *shmem.Symm:
@@ -256,8 +253,7 @@ func (g *Graph) consumers(n *Node) int {
 // The returned value is the pooled-per-rank tensor, the input of an
 // AllToAll node.
 func (g *Graph) EmbeddingBag(name string, op *core.EmbeddingAllToAll, deps ...Value) Value {
-	n := g.add(name, &embeddingBagOp{op: op}, deps...)
-	return Value{producer: n, payload: op}
+	return g.addPair(name, &pairOp{pair: op, pattern: PatternEmbeddingAllToAll, phase: KindCompute}, deps)
 }
 
 // NewEmbeddingBag materializes an embedding + All-to-All pair operator
@@ -275,8 +271,7 @@ func (g *Graph) NewEmbeddingBag(name string, sets []*kernels.EmbeddingSet, globa
 // kernels, staging each rank's partial output. The returned value is
 // the partial-output tensor, the input of an AllReduce node.
 func (g *Graph) GEMV(name string, op *core.GEMVAllReduce, deps ...Value) Value {
-	n := g.add(name, &gemvOp{op: op}, deps...)
-	return Value{producer: n, payload: op}
+	return g.addPair(name, &pairOp{pair: op, pattern: PatternGEMVAllReduce, phase: KindCompute}, deps)
 }
 
 // NewGEMV materializes a GEMV + AllReduce pair operator from per-rank
@@ -295,8 +290,13 @@ func (g *Graph) NewGEMV(name string, gemvs []*kernels.GEMV, deps ...Value) (Valu
 // per-rank output tensor grouped by destination, the input of an
 // AllToAll node.
 func (g *Graph) MatMul(name string, op *core.GEMMAllToAll, deps ...Value) Value {
-	n := g.add(name, &matmulOp{op: op}, deps...)
-	return Value{producer: n, payload: op}
+	return g.addPair(name, &pairOp{pair: op, pattern: PatternGEMMAllToAll, phase: KindCompute}, deps)
+}
+
+// addPair adds a pair-operator half; its value carries the op, so
+// AllReduce and AllToAll know which pair and pattern they complete.
+func (g *Graph) addPair(name string, op *pairOp, deps []Value) Value {
+	return Value{producer: g.add(name, op, deps...), payload: op}
 }
 
 // NewMatMul materializes a GEMM + All-to-All pair operator from
@@ -362,12 +362,11 @@ func (g *Graph) PerRankRows(name string, spec RowsSpec, deps ...Value) Value {
 // runs the library AllReduce over the staged partial outputs. The input
 // must be the value of a GEMV node.
 func (g *Graph) AllReduce(name string, in Value, deps ...Value) (Value, error) {
-	op, ok := in.payload.(*core.GEMVAllReduce)
-	if !ok {
-		return Value{}, fmt.Errorf("graph: AllReduce %q input is %T, want a GEMV partial output (use AllReduceSymm for generic payloads)", name, in.payload)
+	op, ok := in.payload.(*pairOp)
+	if !ok || op.pattern != PatternGEMVAllReduce {
+		return Value{}, fmt.Errorf("graph: AllReduce %q input is %s, want a GEMV partial output (use AllReduceSymm for generic payloads)", name, in.describe())
 	}
-	n := g.add(name, &allReduceOp{op: op}, append([]Value{in}, deps...)...)
-	return Value{producer: n, payload: op}, nil
+	return g.addPair(name, op.form(KindCollective, 0, 0), append([]Value{in}, deps...)), nil
 }
 
 // AllToAll adds the collective node completing an embedding or matmul
@@ -376,17 +375,20 @@ func (g *Graph) AllReduce(name string, in Value, deps ...Value) (Value, error) {
 // layout). The input must be the value of an EmbeddingBag or MatMul
 // node.
 func (g *Graph) AllToAll(name string, in Value, deps ...Value) (Value, error) {
-	var op Op
-	switch pair := in.payload.(type) {
-	case *core.EmbeddingAllToAll:
-		op = &embAllToAllOp{op: pair}
-	case *core.GEMMAllToAll:
-		op = &gemmAllToAllOp{op: pair}
-	default:
-		return Value{}, fmt.Errorf("graph: AllToAll %q input is %T, want an EmbeddingBag or MatMul output (use AllToAllSymm for generic payloads)", name, in.payload)
+	op, ok := in.payload.(*pairOp)
+	if !ok || op.pattern == PatternGEMVAllReduce {
+		return Value{}, fmt.Errorf("graph: AllToAll %q input is %s, want an EmbeddingBag or MatMul output (use AllToAllSymm for generic payloads)", name, in.describe())
 	}
-	n := g.add(name, op, append([]Value{in}, deps...)...)
-	return Value{producer: n, payload: in.payload}, nil
+	return g.addPair(name, op.form(KindCollective, 0, 0), append([]Value{in}, deps...)), nil
+}
+
+// describe names a value's payload for AllReduce and AllToAll input
+// errors.
+func (v Value) describe() string {
+	if op, ok := v.payload.(*pairOp); ok {
+		return "a " + op.pattern.String() + " value"
+	}
+	return fmt.Sprintf("%T", v.payload)
 }
 
 // GradExchange adds the embedding-gradient exchange collective: eagerly

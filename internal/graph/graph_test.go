@@ -204,7 +204,7 @@ func TestCompileRewritesGradExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gx := core.NewEmbeddingGradExchange(v.payload.(*core.EmbeddingAllToAll))
+	gx := core.NewEmbeddingGradExchange(v.payload.(*pairOp).pair.(*core.EmbeddingAllToAll))
 	g.GradExchange("grad", gx, out)
 
 	cg, rep := Compile(g)

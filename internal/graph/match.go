@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-
-	"fusedcc/internal/core"
-)
+import "fmt"
 
 // Pattern identifies one compute→collective pairing the passes know.
 type Pattern int
@@ -49,20 +45,14 @@ func (pt Pattern) String() string {
 func pairMatches(g *Graph) map[*Node]*Node {
 	match := map[*Node]*Node{}
 	for _, c := range g.nodes {
-		if c.op.Kind() != KindCollective {
-			continue
-		}
-		pair := pairOf(c.op)
-		if pair == nil {
-			continue
-		}
-		if _, ok := patternFor(c.op); !ok {
+		coll := half(c.op, KindCollective)
+		if coll == nil {
 			continue
 		}
 		// The producing compute node: the input bound to the same pair.
 		var producer *Node
 		for _, in := range c.in {
-			if in.op.Kind() == KindCompute && pairOf(in.op) == pair {
+			if comp := half(in.op, KindCompute); comp != nil && comp.pair == coll.pair {
 				producer = in
 				break
 			}
@@ -73,34 +63,6 @@ func pairMatches(g *Graph) map[*Node]*Node {
 		match[c] = producer
 	}
 	return match
-}
-
-// patternFor classifies a fusable collective op.
-func patternFor(op Op) (Pattern, bool) {
-	switch op.(type) {
-	case *allReduceOp:
-		return PatternGEMVAllReduce, true
-	case *embAllToAllOp:
-		return PatternEmbeddingAllToAll, true
-	case *gemmAllToAllOp:
-		return PatternGEMMAllToAll, true
-	}
-	return 0, false
-}
-
-// fuseNodes builds the fused node replacing compute node n and
-// collective node c.
-func fuseNodes(n, c *Node) *Node {
-	name := n.name + "+" + c.name
-	switch pair := pairOf(c.op).(type) {
-	case *core.GEMVAllReduce:
-		return &Node{name: name, op: &fusedGEMVAllReduceOp{op: pair}}
-	case *core.EmbeddingAllToAll:
-		return &Node{name: name, op: &fusedEmbeddingAllToAllOp{op: pair}}
-	case *core.GEMMAllToAll:
-		return &Node{name: name, op: &fusedGEMMAllToAllOp{op: pair}}
-	}
-	panic("graph: fuseNodes on non-fusable pair") // unreachable: patternFor gated
 }
 
 // exclude returns ins without node x.

@@ -9,25 +9,71 @@ import (
 	"fusedcc/internal/sim"
 )
 
-// ---- compute ops ----
+// ---- pair ops ----
 
-type embeddingBagOp struct{ op *core.EmbeddingAllToAll }
+// pairNames is the per-pattern operator-name table, indexed by the
+// phase a pair op runs: the compute half, the collective half, and the
+// fused node the compiler substitutes for both (the torch registry key).
+var pairNames = [...][3]string{
+	PatternGEMVAllReduce:     {KindCompute: "gemv", KindCollective: "all_reduce", KindFused: "fused::gemv_allreduce"},
+	PatternEmbeddingAllToAll: {KindCompute: "embedding_bag", KindCollective: "all_to_all", KindFused: "fused::embedding_all2all"},
+	PatternGEMMAllToAll:      {KindCompute: "matmul", KindCollective: "all_to_all", KindFused: "fused::gemm_all2all"},
+}
 
-func (o *embeddingBagOp) OpName() string              { return "embedding_bag" }
-func (o *embeddingBagOp) Kind() NodeKind              { return KindCompute }
-func (o *embeddingBagOp) Run(p *sim.Proc) core.Report { return o.op.RunPooling(p) }
+// pairOp runs one form of a pair operator through the core.Pair
+// surface: its compute or collective half, whole (n == 0) or chunk c of
+// n of it (the sub-nodes a pipelined or wavefront lowering emits), or
+// the fused persistent kernel. The compute half stages its output
+// exactly where the collective half reads it, so every form performs
+// the eager graph's work on the same buffers.
+type pairOp struct {
+	pair    core.Pair
+	pattern Pattern
+	phase   NodeKind
+	c, n    int
+}
 
-type gemvOp struct{ op *core.GEMVAllReduce }
+func (o *pairOp) OpName() string {
+	name := pairNames[o.pattern][o.phase]
+	if o.n > 0 {
+		return fmt.Sprintf("%s[%d/%d]", name, o.c, o.n)
+	}
+	return name
+}
 
-func (o *gemvOp) OpName() string              { return "gemv" }
-func (o *gemvOp) Kind() NodeKind              { return KindCompute }
-func (o *gemvOp) Run(p *sim.Proc) core.Report { return o.op.RunCompute(p) }
+func (o *pairOp) Kind() NodeKind { return o.phase }
+func (o *pairOp) chunked() bool  { return o.n > 0 }
 
-type matmulOp struct{ op *core.GEMMAllToAll }
+func (o *pairOp) Run(p *sim.Proc) core.Report {
+	c, n := o.c, o.n
+	if n == 0 {
+		n = 1 // the whole phase is its single chunk
+	}
+	switch o.phase {
+	case KindCompute:
+		return o.pair.RunComputeChunk(p, c, n)
+	case KindCollective:
+		return o.pair.RunCollectiveChunk(p, c, n)
+	}
+	return o.pair.RunFused(p)
+}
 
-func (o *matmulOp) OpName() string              { return "matmul" }
-func (o *matmulOp) Kind() NodeKind              { return KindCompute }
-func (o *matmulOp) Run(p *sim.Proc) core.Report { return o.op.RunCompute(p) }
+// form returns the op running the same pair in another phase, chunk c
+// of n (n == 0: the whole phase).
+func (o *pairOp) form(phase NodeKind, c, n int) *pairOp {
+	return &pairOp{pair: o.pair, pattern: o.pattern, phase: phase, c: c, n: n}
+}
+
+// half returns the pair op of a whole (unchunked) half of the given
+// kind, or nil for any other op.
+func half(op Op, kind NodeKind) *pairOp {
+	if po, ok := op.(*pairOp); ok && po.phase == kind && po.n == 0 {
+		return po
+	}
+	return nil
+}
+
+// ---- per-rank ops ----
 
 type perRankOp struct {
 	g  *Graph
@@ -56,25 +102,7 @@ func (o *perRankOp) Run(p *sim.Proc) core.Report {
 	return rep
 }
 
-// ---- collective ops (eager halves of the pairs) ----
-
-type allReduceOp struct{ op *core.GEMVAllReduce }
-
-func (o *allReduceOp) OpName() string              { return "all_reduce" }
-func (o *allReduceOp) Kind() NodeKind              { return KindCollective }
-func (o *allReduceOp) Run(p *sim.Proc) core.Report { return o.op.RunAllReduce(p) }
-
-type embAllToAllOp struct{ op *core.EmbeddingAllToAll }
-
-func (o *embAllToAllOp) OpName() string              { return "all_to_all" }
-func (o *embAllToAllOp) Kind() NodeKind              { return KindCollective }
-func (o *embAllToAllOp) Run(p *sim.Proc) core.Report { return o.op.RunExchange(p) }
-
-type gemmAllToAllOp struct{ op *core.GEMMAllToAll }
-
-func (o *gemmAllToAllOp) OpName() string              { return "all_to_all" }
-func (o *gemmAllToAllOp) Kind() NodeKind              { return KindCollective }
-func (o *gemmAllToAllOp) Run(p *sim.Proc) core.Report { return o.op.RunExchange(p) }
+// ---- collective ops ----
 
 type gradExchangeOp struct {
 	op    *core.EmbeddingGradExchange
@@ -176,9 +204,9 @@ type rowsChunkOp struct {
 	c, n int
 }
 
-func (o *rowsChunkOp) OpName() string      { return fmt.Sprintf("per_rank_rows[%d/%d]", o.c, o.n) }
-func (o *rowsChunkOp) Kind() NodeKind      { return KindCompute }
-func (o *rowsChunkOp) chunkOf() (int, int) { return o.c, o.n }
+func (o *rowsChunkOp) OpName() string { return fmt.Sprintf("per_rank_rows[%d/%d]", o.c, o.n) }
+func (o *rowsChunkOp) Kind() NodeKind { return KindCompute }
+func (o *rowsChunkOp) chunked() bool  { return true }
 func (o *rowsChunkOp) Run(p *sim.Proc) core.Report {
 	lo, hi := core.ChunkSpan(o.c, o.n, o.op.spec.Units)
 	return o.op.runRows(p, lo, hi)
@@ -226,124 +254,16 @@ type symmA2ARowsChunkOp struct {
 	c, n int
 }
 
-func (o *symmA2ARowsChunkOp) OpName() string      { return fmt.Sprintf("all_to_all[%d/%d]", o.c, o.n) }
-func (o *symmA2ARowsChunkOp) Kind() NodeKind      { return KindCollective }
-func (o *symmA2ARowsChunkOp) chunkOf() (int, int) { return o.c, o.n }
+func (o *symmA2ARowsChunkOp) OpName() string { return fmt.Sprintf("all_to_all[%d/%d]", o.c, o.n) }
+func (o *symmA2ARowsChunkOp) Kind() NodeKind { return KindCollective }
+func (o *symmA2ARowsChunkOp) chunked() bool  { return true }
 func (o *symmA2ARowsChunkOp) Run(p *sim.Proc) core.Report {
 	lo, hi := core.ChunkSpan(o.c, o.n, o.op.rows)
 	return o.op.runRows(p, o.c, lo, hi)
 }
 
-// ---- chunked ops (substituted for pipelined and wavefront forms) ----
-//
-// A chunk op runs chunk c of n of one phase of a pair operator through
-// the operator's chunked phase entry points, so a chunked graph
-// performs exactly the eager graph's work — split into K pieces whose
-// collectives overlap later pieces' compute on the device streams.
-//
-// Every chunk op implements loweredOp, so the plan builders can detect
-// an already-lowered graph and refuse to re-chunk chunk nodes.
-
-// loweredOp marks chunk sub-nodes produced by lowering a pipelined or
-// wavefront form (under any mode's plan).
-type loweredOp interface{ chunkOf() (c, n int) }
-
-type gemvChunkOp struct {
-	op   *core.GEMVAllReduce
-	c, n int
-}
-
-func (o *gemvChunkOp) OpName() string              { return fmt.Sprintf("gemv[%d/%d]", o.c, o.n) }
-func (o *gemvChunkOp) Kind() NodeKind              { return KindCompute }
-func (o *gemvChunkOp) chunkOf() (int, int)         { return o.c, o.n }
-func (o *gemvChunkOp) Run(p *sim.Proc) core.Report { return o.op.RunComputeChunk(p, o.c, o.n) }
-
-type allReduceChunkOp struct {
-	op   *core.GEMVAllReduce
-	c, n int
-}
-
-func (o *allReduceChunkOp) OpName() string              { return fmt.Sprintf("all_reduce[%d/%d]", o.c, o.n) }
-func (o *allReduceChunkOp) Kind() NodeKind              { return KindCollective }
-func (o *allReduceChunkOp) chunkOf() (int, int)         { return o.c, o.n }
-func (o *allReduceChunkOp) Run(p *sim.Proc) core.Report { return o.op.RunAllReduceChunk(p, o.c, o.n) }
-
-type embBagChunkOp struct {
-	op   *core.EmbeddingAllToAll
-	c, n int
-}
-
-func (o *embBagChunkOp) OpName() string              { return fmt.Sprintf("embedding_bag[%d/%d]", o.c, o.n) }
-func (o *embBagChunkOp) Kind() NodeKind              { return KindCompute }
-func (o *embBagChunkOp) chunkOf() (int, int)         { return o.c, o.n }
-func (o *embBagChunkOp) Run(p *sim.Proc) core.Report { return o.op.RunPoolingChunk(p, o.c, o.n) }
-
-type embAllToAllChunkOp struct {
-	op   *core.EmbeddingAllToAll
-	c, n int
-}
-
-func (o *embAllToAllChunkOp) OpName() string              { return fmt.Sprintf("all_to_all[%d/%d]", o.c, o.n) }
-func (o *embAllToAllChunkOp) Kind() NodeKind              { return KindCollective }
-func (o *embAllToAllChunkOp) chunkOf() (int, int)         { return o.c, o.n }
-func (o *embAllToAllChunkOp) Run(p *sim.Proc) core.Report { return o.op.RunExchangeChunk(p, o.c, o.n) }
-
-type matmulChunkOp struct {
-	op   *core.GEMMAllToAll
-	c, n int
-}
-
-func (o *matmulChunkOp) OpName() string              { return fmt.Sprintf("matmul[%d/%d]", o.c, o.n) }
-func (o *matmulChunkOp) Kind() NodeKind              { return KindCompute }
-func (o *matmulChunkOp) chunkOf() (int, int)         { return o.c, o.n }
-func (o *matmulChunkOp) Run(p *sim.Proc) core.Report { return o.op.RunComputeChunk(p, o.c, o.n) }
-
-type gemmAllToAllChunkOp struct {
-	op   *core.GEMMAllToAll
-	c, n int
-}
-
-func (o *gemmAllToAllChunkOp) OpName() string              { return fmt.Sprintf("all_to_all[%d/%d]", o.c, o.n) }
-func (o *gemmAllToAllChunkOp) Kind() NodeKind              { return KindCollective }
-func (o *gemmAllToAllChunkOp) chunkOf() (int, int)         { return o.c, o.n }
-func (o *gemmAllToAllChunkOp) Run(p *sim.Proc) core.Report { return o.op.RunExchangeChunk(p, o.c, o.n) }
-
-// ---- fused ops (substituted by the compiler) ----
-
-type fusedGEMVAllReduceOp struct{ op *core.GEMVAllReduce }
-
-func (o *fusedGEMVAllReduceOp) OpName() string              { return "fused::gemv_allreduce" }
-func (o *fusedGEMVAllReduceOp) Kind() NodeKind              { return KindFused }
-func (o *fusedGEMVAllReduceOp) Run(p *sim.Proc) core.Report { return o.op.RunFused(p) }
-
-type fusedEmbeddingAllToAllOp struct{ op *core.EmbeddingAllToAll }
-
-func (o *fusedEmbeddingAllToAllOp) OpName() string              { return "fused::embedding_all2all" }
-func (o *fusedEmbeddingAllToAllOp) Kind() NodeKind              { return KindFused }
-func (o *fusedEmbeddingAllToAllOp) Run(p *sim.Proc) core.Report { return o.op.RunFused(p) }
-
-type fusedGEMMAllToAllOp struct{ op *core.GEMMAllToAll }
-
-func (o *fusedGEMMAllToAllOp) OpName() string              { return "fused::gemm_all2all" }
-func (o *fusedGEMMAllToAllOp) Kind() NodeKind              { return KindFused }
-func (o *fusedGEMMAllToAllOp) Run(p *sim.Proc) core.Report { return o.op.RunFused(p) }
-
-// pairOf returns the backing pair operator of a compute or collective
-// op that participates in fusion, or nil.
-func pairOf(op Op) any {
-	switch o := op.(type) {
-	case *embeddingBagOp:
-		return o.op
-	case *gemvOp:
-		return o.op
-	case *matmulOp:
-		return o.op
-	case *allReduceOp:
-		return o.op
-	case *embAllToAllOp:
-		return o.op
-	case *gemmAllToAllOp:
-		return o.op
-	}
-	return nil
-}
+// loweredOp marks ops that can be chunk sub-nodes of a pipelined or
+// wavefront lowering (under any mode's plan); chunked reports whether
+// this one is. Planning uses it to detect an already-lowered graph and
+// refuse to re-chunk chunk nodes.
+type loweredOp interface{ chunked() bool }

@@ -351,21 +351,6 @@ func TestReportAccessors(t *testing.T) {
 	if got := rep.RemoteBytes(); got != 1024 {
 		t.Errorf("RemoteBytes = %g", got)
 	}
-	sum := rep.Summary(4)
-	if sum.Start != rep.Start || sum.End != rep.End {
-		t.Error("Summary window mismatch")
-	}
-	if len(sum.PEEnd) != 4 {
-		t.Fatalf("Summary PEEnd = %d entries", len(sum.PEEnd))
-	}
-	for _, at := range sum.PEEnd {
-		if at != rep.End {
-			t.Error("every PE must be credited the final time")
-		}
-	}
-	if sum.RemotePuts != 3 || sum.RemoteBytes != 1024 {
-		t.Error("Summary traffic mismatch")
-	}
 	if (&Report{}).Duration() != 0 {
 		t.Error("empty report duration")
 	}

@@ -193,10 +193,10 @@ func forcedPlan(g *Graph, mode Mode, chunks int) *plan {
 		return p
 	}
 	for coll, producer := range pairMatches(g) {
-		d := Decision{Compute: producer.name, Collective: coll.name, Choice: mode, Chunks: 1}
-		d.Pattern, _ = patternFor(coll.op)
+		op := coll.op.(*pairOp)
+		d := Decision{Pattern: op.pattern, Compute: producer.name, Collective: coll.name, Choice: mode, Chunks: 1}
 		if mode != Compiled {
-			if d.Chunks = clampChunks(chunks, maxChunksOf(pairOf(coll.op))); d.Chunks < 2 {
+			if d.Chunks = clampChunks(chunks, op.pair.MaxChunks()); d.Chunks < 2 {
 				d.Choice, d.Chunks = Eager, 1
 			}
 		}

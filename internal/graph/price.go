@@ -28,16 +28,6 @@ import (
 // planned whole: chunk chains with chunk-granular join edges, exactly
 // what the forced Wavefront plan builds, at the model's chosen K.
 
-// pairEstimator is the per-operator cost surface Select consults. All
-// three core pair operators implement it.
-type pairEstimator interface {
-	EstimateComputeChunk(c, n int) sim.Duration
-	EstimateCollectiveChunk(c, n int) sim.Duration
-	EstimateFused() sim.Duration
-	MaxChunks() int
-	SaturationChunks() int
-}
-
 // LoadContext describes observed serving load, so Select can price
 // execution forms under contention instead of on an idle machine. On an
 // idle machine the best form minimizes makespan; under an open-loop
@@ -155,7 +145,7 @@ const wavefrontMargin = 0.03
 // Alongside the makespan it returns the form's bottleneck-stream
 // demand: the busier stream's summed chunk work, the steady-state
 // per-execution interval when executions pipeline back to back.
-func pipelineCost(est pairEstimator, k int) (lat, demand sim.Duration) {
+func pipelineCost(est core.Pair, k int) (lat, demand sim.Duration) {
 	var compEnd, collEnd, compSum, collSum sim.Duration
 	for c := 0; c < k; c++ {
 		comp := est.EstimateComputeChunk(c, k)
@@ -187,9 +177,9 @@ func pipelineCost(est pairEstimator, k int) (lat, demand sim.Duration) {
 // penalizes the fused form (its persistent kernel carries the
 // communication on the compute stream, so its demand is its whole
 // duration) relative to the split forms.
-func decide(est pairEstimator, load LoadContext) Decision {
+func decide(est core.Pair, load LoadContext) Decision {
 	if load.Degrade.Degraded() {
-		est = &degradedEstimator{pairEstimator: est, dc: load.Degrade}
+		est = &degradedEstimator{Pair: est, dc: load.Degrade}
 	}
 	d := Decision{Choice: Eager, Chunks: 1}
 	comp := est.EstimateComputeChunk(0, 1)
@@ -234,20 +224,20 @@ func decide(est pairEstimator, load LoadContext) Decision {
 // chain couples both streams — by the worse of the two. Chunk bounds
 // pass through unchanged.
 type degradedEstimator struct {
-	pairEstimator
+	core.Pair
 	dc DegradeContext
 }
 
 func (e *degradedEstimator) EstimateComputeChunk(c, n int) sim.Duration {
-	return scaleDur(e.pairEstimator.EstimateComputeChunk(c, n), e.dc.comp())
+	return scaleDur(e.Pair.EstimateComputeChunk(c, n), e.dc.comp())
 }
 
 func (e *degradedEstimator) EstimateCollectiveChunk(c, n int) sim.Duration {
-	return scaleDur(e.pairEstimator.EstimateCollectiveChunk(c, n), e.dc.comm())
+	return scaleDur(e.Pair.EstimateCollectiveChunk(c, n), e.dc.comm())
 }
 
 func (e *degradedEstimator) EstimateFused() sim.Duration {
-	return scaleDur(e.pairEstimator.EstimateFused(), e.dc.coupled())
+	return scaleDur(e.Pair.EstimateFused(), e.dc.coupled())
 }
 
 // --- wavefront chain analysis ---
@@ -258,10 +248,9 @@ func (e *degradedEstimator) EstimateFused() sim.Duration {
 type wfSeg struct {
 	head, tail *Node
 	// Exactly one of pair/rows/a2a describes the segment.
-	pair   pairEstimator
-	ranger core.ChunkRanger
-	rows   *rowsOp
-	a2a    *symmA2ARowsOp
+	pair core.Pair
+	rows *rowsOp
+	a2a  *symmA2ARowsOp
 	// maxK is the segment's chunk-depth bound (granularity, and
 	// WG-slot saturation for pairs).
 	maxK int
@@ -496,16 +485,9 @@ func wavefrontDemand(chain []*wfSeg, k int) sim.Duration {
 func wfSegments(g *Graph, match map[*Node]*Node, dc DegradeContext) map[*Node]*wfSeg {
 	segs := map[*Node]*wfSeg{}
 	for coll, producer := range match {
-		est, ok := pairOf(coll.op).(pairEstimator)
-		if !ok {
-			continue
-		}
-		ranger, ok := pairOf(coll.op).(core.ChunkRanger)
-		if !ok {
-			continue
-		}
+		est := coll.op.(*pairOp).pair
 		if dc.Degraded() {
-			est = &degradedEstimator{pairEstimator: est, dc: dc}
+			est = &degradedEstimator{Pair: est, dc: dc}
 		}
 		// Granularity bounds K, but NOT the WG-slot saturation clamp the
 		// standalone decide() applies: an under-filled chunk's extra
@@ -516,9 +498,9 @@ func wfSegments(g *Graph, match map[*Node]*Node, dc DegradeContext) map[*Node]*w
 		if maxK > maxCandidateChunks {
 			maxK = maxCandidateChunks
 		}
-		s := &wfSeg{head: producer, tail: coll, pair: est, ranger: ranger, maxK: maxK}
-		s.outKind = ranger.ChunkOut(0, 1).Kind
-		in, inOK := ranger.ChunkIn(0, 2)
+		s := &wfSeg{head: producer, tail: coll, pair: est, maxK: maxK}
+		s.outKind = est.ChunkOut(0, 1).Kind
+		in, inOK := est.ChunkIn(0, 2)
 		s.inKind, s.inOK = in.Kind, inOK
 		segs[coll] = s
 	}
@@ -620,14 +602,9 @@ func selectAnalyze(g *Graph, load LoadContext) *plan {
 	match := pairMatches(g)
 	decisions := map[*Node]Decision{}
 	for coll, producer := range match {
-		est, ok := pairOf(coll.op).(pairEstimator)
-		if !ok {
-			delete(match, coll) // no cost surface: leave the pair eager
-			continue
-		}
-		d := decide(est, load)
-		d.Pattern, _ = patternFor(coll.op)
-		d.Compute, d.Collective = producer.name, coll.name
+		op := coll.op.(*pairOp)
+		d := decide(op.pair, load)
+		d.Pattern, d.Compute, d.Collective = op.pattern, producer.name, coll.name
 		decisions[coll] = d
 	}
 

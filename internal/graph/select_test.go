@@ -8,8 +8,11 @@ import (
 	"fusedcc/internal/sim"
 )
 
-// fakeEstimator is a deterministic cost surface for decide tests.
+// fakeEstimator is a deterministic cost surface for decide tests. The
+// embedded (nil) core.Pair completes the interface; decide only calls
+// the estimator methods overridden here.
 type fakeEstimator struct {
+	core.Pair
 	compute, collective sim.Duration // per full phase; chunks split evenly
 	chunkDiscount       sim.Duration // saved per non-head collective chunk
 	fused               sim.Duration
@@ -323,9 +326,10 @@ func TestExecutorSelectCacheKeysOnGen(t *testing.T) {
 	})
 }
 
-// TestSummaryPreservesPESkew is the regression test for the Summary
-// flattening bug: per-PE completion times must come from each PE's last
-// node, not be overwritten with the graph-final end time.
+// TestSummaryPreservesPESkew is the regression test for the per-PE
+// flattening bug: a graph report's per-PE completion times must come
+// from each PE's last node, not be overwritten with the graph-final end
+// time.
 func TestSummaryPreservesPESkew(t *testing.T) {
 	pl, w := testWorld(t, 1, 2)
 	g := New(w, allPEs(pl), core.DefaultConfig())
@@ -334,17 +338,16 @@ func TestSummaryPreservesPESkew(t *testing.T) {
 	})
 	var rep *Report
 	drive(pl, func(p *sim.Proc) { rep = Run(p, g, Eager) })
-	sum := rep.Summary(2)
-	if len(sum.PEEnd) != 2 {
-		t.Fatalf("PEEnd = %v", sum.PEEnd)
+	if len(rep.PEEnd) != 2 {
+		t.Fatalf("PEEnd = %v", rep.PEEnd)
 	}
-	if sum.PEEnd[0] >= sum.PEEnd[1] {
-		t.Fatalf("PEEnd %v: rank 0 (100ns) must finish before rank 1 (200ns)", sum.PEEnd)
+	if rep.PEEnd[0] >= rep.PEEnd[1] {
+		t.Fatalf("PEEnd %v: rank 0 (100ns) must finish before rank 1 (200ns)", rep.PEEnd)
 	}
-	if sum.PEEnd[1] != sum.End {
-		t.Errorf("slowest PE end %v != graph end %v", sum.PEEnd[1], sum.End)
+	if rep.PEEnd[1] != rep.End {
+		t.Errorf("slowest PE end %v != graph end %v", rep.PEEnd[1], rep.End)
 	}
-	if sum.Skew() <= 0 {
-		t.Error("per-PE skew flattened to zero")
+	if rep.PEEnd[0] <= rep.Start {
+		t.Errorf("fastest PE end %v not after graph start %v", rep.PEEnd[0], rep.Start)
 	}
 }

@@ -300,11 +300,6 @@ func (st *Stack) Graph() *graph.Graph { return st.g }
 // (Chunks) or forcing stream-aware scheduling.
 func (st *Stack) Executor() *graph.Executor { return &st.exec }
 
-// Step runs one pass over the whole stack in the given execution mode.
-func (st *Stack) Step(p *sim.Proc, mode graph.Mode) core.Report {
-	return st.exec.Execute(p, st.g, mode).Summary(len(st.PEs))
-}
-
 // StepReport runs one pass and returns the full per-node graph report.
 func (st *Stack) StepReport(p *sim.Proc, mode graph.Mode) *graph.Report {
 	return st.exec.Execute(p, st.g, mode)
@@ -319,22 +314,13 @@ func (l *Layer) Graph() *graph.Graph { return l.g }
 // ready for the weighted combine.
 func (l *Layer) Combined() *shmem.Symm { return l.Op.Recv }
 
-// Forward runs one layer pass through the graph executor. fused selects
-// compiled mode, where the fusion pass substitutes the fused
-// GEMM + combine All-to-All; the gate, dispatch All-to-All, first GEMM,
-// and activation are common to both paths.
-func (l *Layer) Forward(p *sim.Proc, fused bool) core.Report {
-	mode := graph.Eager
-	if fused {
-		mode = graph.Compiled
-	}
-	return l.Step(p, mode)
-}
-
-// Step runs one layer pass in any execution mode (Eager, Compiled, or
-// Pipelined).
-func (l *Layer) Step(p *sim.Proc, mode graph.Mode) core.Report {
-	return l.exec.Execute(p, l.g, mode).Summary(len(l.PEs))
+// StepReport runs one layer pass through the graph executor in the
+// given mode and returns the per-node graph report. In Compiled mode
+// the fusion pass substitutes the fused GEMM + combine All-to-All; the
+// gate, dispatch All-to-All, first GEMM, and activation are common to
+// every mode.
+func (l *Layer) StepReport(p *sim.Proc, mode graph.Mode) *graph.Report {
+	return l.exec.Execute(p, l.g, mode)
 }
 
 // Executor returns the layer's executor, for tuning pipeline depth.

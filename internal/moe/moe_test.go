@@ -6,6 +6,7 @@ import (
 	"fusedcc/internal/core"
 	"fusedcc/internal/fabric"
 	"fusedcc/internal/gpu"
+	"fusedcc/internal/graph"
 	"fusedcc/internal/platform"
 	"fusedcc/internal/shmem"
 	"fusedcc/internal/sim"
@@ -43,14 +44,14 @@ func smallCfg() Config {
 }
 
 func TestForwardFusedMatchesBaseline(t *testing.T) {
-	get := func(fused bool) [][]float32 {
+	get := func(mode graph.Mode) [][]float32 {
 		e := sim.NewEngine()
 		pl, w := testWorld(e, true)
 		l, err := New(w, pes(pl), smallCfg(), core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Go("fwd", func(p *sim.Proc) { l.Forward(p, fused) })
+		e.Go("fwd", func(p *sim.Proc) { l.StepReport(p, mode) })
 		e.Run()
 		var outs [][]float32
 		for _, pe := range l.PEs {
@@ -58,7 +59,7 @@ func TestForwardFusedMatchesBaseline(t *testing.T) {
 		}
 		return outs
 	}
-	fu, ba := get(true), get(false)
+	fu, ba := get(graph.Compiled), get(graph.Eager)
 	for s := range fu {
 		for i := range fu[s] {
 			if fu[s][i] != ba[s][i] {
@@ -84,7 +85,7 @@ func TestExpertRowsTopK(t *testing.T) {
 }
 
 func TestForwardFusedFaster(t *testing.T) {
-	timeOf := func(fused bool) sim.Time {
+	timeOf := func(mode graph.Mode) sim.Time {
 		e := sim.NewEngine()
 		pl, w := testWorld(e, false)
 		cfg := Config{TokensPerGPU: 256, ModelDim: 512, FFNDim: 1024, TopK: 2, TileM: 16, TileN: 128, Seed: 5}
@@ -92,10 +93,10 @@ func TestForwardFusedFaster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Go("fwd", func(p *sim.Proc) { l.Forward(p, fused) })
+		e.Go("fwd", func(p *sim.Proc) { l.StepReport(p, mode) })
 		return e.Run()
 	}
-	fused, base := timeOf(true), timeOf(false)
+	fused, base := timeOf(graph.Compiled), timeOf(graph.Eager)
 	if fused >= base {
 		t.Errorf("fused MoE forward %v not faster than baseline %v", fused, base)
 	}
@@ -125,8 +126,8 @@ func TestDispatchThenCombineAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep core.Report
-	e.Go("fwd", func(p *sim.Proc) { rep = l.Forward(p, true) })
+	var rep *graph.Report
+	e.Go("fwd", func(p *sim.Proc) { rep = l.StepReport(p, graph.Compiled) })
 	end := e.Run()
 	// Trailing asynchronous memory traffic may retire just after the
 	// operator's own completion.

@@ -21,13 +21,13 @@ func TestStackBitExactAcrossModes(t *testing.T) {
 	}
 	var want [][]float32
 	e.Go("modes", func(p *sim.Proc) {
-		st.Step(p, graph.Eager)
+		st.StepReport(p, graph.Eager)
 		for _, l := range st.Layers {
 			want = append(want, append([]float32(nil), l.Op.Recv.On(0).Data()...))
 		}
 		st.Executor().Chunks = 2
 		for _, mode := range []graph.Mode{graph.Compiled, graph.Pipelined, graph.Wavefront, graph.Auto} {
-			st.Step(p, mode)
+			st.StepReport(p, mode)
 			for li, l := range st.Layers {
 				got := l.Op.Recv.On(0).Data()
 				for i := range want[li] {

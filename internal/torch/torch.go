@@ -167,55 +167,34 @@ func attr[T any](attrs map[string]any, key string) (T, error) {
 // has an rccl:: baseline twin so benchmarks and graph passes can swap
 // execution models without touching call sites.
 func registerBuiltins(f *Framework) {
-	must := func(err error) {
+	for _, err := range []error{
+		registerPair[*core.EmbeddingAllToAll](f, "embedding_all2all"),
+		registerPair[*core.GEMVAllReduce](f, "gemv_allreduce"),
+		registerPair[*core.GEMMAllToAll](f, "gemm_all2all"),
+	} {
 		if err != nil {
 			panic(err)
 		}
 	}
-	run := func(fused bool) Op {
-		return func(p *sim.Proc, attrs map[string]any) (any, error) {
-			op, err := attr[*core.EmbeddingAllToAll](attrs, "op")
-			if err != nil {
-				return nil, err
-			}
-			if fused {
-				return op.RunFused(p), nil
-			}
-			return op.RunBaseline(p), nil
-		}
-	}
-	must(f.Register("fused::embedding_all2all", run(true)))
-	must(f.Register("rccl::embedding_all2all", run(false)))
+}
 
-	runGemv := func(fused bool) Op {
+// registerPair installs the fused:: and rccl:: entries of one pair
+// operator type. Each entry runs the "op" attribute, which must be a T:
+// the registry keeps its per-name operator type check.
+func registerPair[T core.Pair](f *Framework, name string) error {
+	entry := func(run func(T, *sim.Proc) core.Report) Op {
 		return func(p *sim.Proc, attrs map[string]any) (any, error) {
-			op, err := attr[*core.GEMVAllReduce](attrs, "op")
+			op, err := attr[T](attrs, "op")
 			if err != nil {
 				return nil, err
 			}
-			if fused {
-				return op.RunFused(p), nil
-			}
-			return op.RunBaseline(p), nil
+			return run(op, p), nil
 		}
 	}
-	must(f.Register("fused::gemv_allreduce", runGemv(true)))
-	must(f.Register("rccl::gemv_allreduce", runGemv(false)))
-
-	runGemm := func(fused bool) Op {
-		return func(p *sim.Proc, attrs map[string]any) (any, error) {
-			op, err := attr[*core.GEMMAllToAll](attrs, "op")
-			if err != nil {
-				return nil, err
-			}
-			if fused {
-				return op.RunFused(p), nil
-			}
-			return op.RunBaseline(p), nil
-		}
+	if err := f.Register("fused::"+name, entry(T.RunFused)); err != nil {
+		return err
 	}
-	must(f.Register("fused::gemm_all2all", runGemm(true)))
-	must(f.Register("rccl::gemm_all2all", runGemm(false)))
+	return f.Register("rccl::"+name, entry(T.RunBaseline))
 }
 
 // BuildEmbeddingAllToAll assembles the fused embedding + All-to-All

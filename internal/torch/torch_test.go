@@ -162,6 +162,13 @@ func TestCallMissingAttr(t *testing.T) {
 		if _, err := f.Call(p, "fused::gemv_allreduce", map[string]any{"op": 42}); err == nil {
 			t.Error("want error for mistyped op attribute")
 		}
+		// Every entry checks its own operator type: another pair
+		// operator is rejected before it runs.
+		for _, name := range []string{"fused::gemv_allreduce", "rccl::gemv_allreduce"} {
+			if _, err := f.Call(p, name, map[string]any{"op": &core.EmbeddingAllToAll{}}); err == nil {
+				t.Errorf("%s accepted an *EmbeddingAllToAll", name)
+			}
+		}
 	})
 	e.Run()
 }

@@ -52,8 +52,8 @@ func TestCompiledMatchesHandWiredFused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep core.Report
-		e.Go("step", func(p *sim.Proc) { rep = f.DecodeStep(p, true) })
+		var rep *graph.Report
+		e.Go("step", func(p *sim.Proc) { rep = f.StepReport(p, graph.Compiled) })
 		e.Run()
 		return rep.Duration()
 	}()

@@ -30,13 +30,13 @@ func TestDecoderStackBitExactAcrossModes(t *testing.T) {
 	}
 	var want [][]float32
 	e.Go("modes", func(p *sim.Proc) {
-		d.Step(p, graph.Eager)
+		d.StepReport(p, graph.Eager)
 		for _, b := range d.Blocks {
 			want = append(want, append([]float32(nil), b.Out.On(0).Data()...))
 		}
 		d.Executor().Chunks = 2
 		for _, mode := range []graph.Mode{graph.Compiled, graph.Pipelined, graph.Wavefront, graph.Auto} {
-			d.Step(p, mode)
+			d.StepReport(p, mode)
 			for l, b := range d.Blocks {
 				got := b.Out.On(0).Data()
 				for i := range want[l] {

@@ -231,14 +231,8 @@ func NewDecoder(w *shmem.World, pes []int, cfg DecoderConfig, opCfg core.Config)
 func (d *Decoder) Graph() *graph.Graph { return d.g }
 
 // Executor returns the decoder's executor, for tuning pipeline depth
-// (Chunks) or forcing stream-aware scheduling before Step.
+// (Chunks) or forcing stream-aware scheduling before StepReport.
 func (d *Decoder) Executor() *graph.Executor { return &d.exec }
-
-// Step runs one token step of the whole stack in the given execution
-// mode and condenses the per-node report.
-func (d *Decoder) Step(p *sim.Proc, mode graph.Mode) core.Report {
-	return d.exec.Execute(p, d.g, mode).Summary(len(d.PEs))
-}
 
 // StepReport runs one token step and returns the full per-node graph
 // report (per-stream occupancy included in stream-aware modes).
@@ -250,21 +244,12 @@ func (d *Decoder) StepReport(p *sim.Proc, mode graph.Mode) *graph.Report {
 // PE after a step).
 func (f *ParallelFFN) Output() *shmem.Symm { return f.Op.Out }
 
-// DecodeStep runs one token step of the block through the graph
-// executor: eager (bulk-synchronous second layer + library AllReduce)
-// or compiled (the fusion pass substitutes the fused GEMV + AllReduce).
-func (f *ParallelFFN) DecodeStep(p *sim.Proc, fused bool) core.Report {
-	mode := graph.Eager
-	if fused {
-		mode = graph.Compiled
-	}
-	return f.Step(p, mode)
-}
-
-// Step runs one token step in any execution mode (Eager, Compiled, or
-// Pipelined).
-func (f *ParallelFFN) Step(p *sim.Proc, mode graph.Mode) core.Report {
-	return f.exec.Execute(p, f.g, mode).Summary(len(f.PEs))
+// StepReport runs one token step of the block through the graph
+// executor in the given mode — Eager runs the bulk-synchronous second
+// layer + library AllReduce, Compiled the fused GEMV + AllReduce the
+// fusion pass substitutes — and returns the per-node graph report.
+func (f *ParallelFFN) StepReport(p *sim.Proc, mode graph.Mode) *graph.Report {
+	return f.exec.Execute(p, f.g, mode)
 }
 
 // Executor returns the block's executor, for tuning pipeline depth.

@@ -7,6 +7,7 @@ import (
 	"fusedcc/internal/core"
 	"fusedcc/internal/fabric"
 	"fusedcc/internal/gpu"
+	"fusedcc/internal/graph"
 	"fusedcc/internal/platform"
 	"fusedcc/internal/shmem"
 	"fusedcc/internal/sim"
@@ -44,18 +45,18 @@ func smallCfg() Config {
 }
 
 func TestDecodeStepFusedMatchesBaseline(t *testing.T) {
-	get := func(fused bool) []float32 {
+	get := func(mode graph.Mode) []float32 {
 		e := sim.NewEngine()
 		pl, w := testWorld(e, true)
 		f, err := New(w, pes(pl), smallCfg(), core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Go("step", func(p *sim.Proc) { f.DecodeStep(p, fused) })
+		e.Go("step", func(p *sim.Proc) { f.StepReport(p, mode) })
 		e.Run()
 		return append([]float32(nil), f.Output().On(0).Data()...)
 	}
-	fu, ba := get(true), get(false)
+	fu, ba := get(graph.Compiled), get(graph.Eager)
 	for i := range fu {
 		if fu[i] != ba[i] {
 			t.Fatalf("out[%d]: fused %g != baseline %g", i, fu[i], ba[i])
@@ -70,7 +71,7 @@ func TestDecodeStepOutputReplicatedAcrossRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Go("step", func(p *sim.Proc) { f.DecodeStep(p, true) })
+	e.Go("step", func(p *sim.Proc) { f.StepReport(p, graph.Compiled) })
 	e.Run()
 	ref := f.Output().On(0).Data()
 	var nonzero bool
@@ -95,7 +96,7 @@ func TestDecodeStepOutputReplicatedAcrossRanks(t *testing.T) {
 func TestReLUAppliedBetweenLayers(t *testing.T) {
 	// With ReLU between the layers, the fused result must differ from
 	// the product without activation for generic random weights — sanity
-	// that DecodeStep actually routes through the activation.
+	// that StepReport actually routes through the activation.
 	e := sim.NewEngine()
 	pl, w := testWorld(e, true)
 	f, err := New(w, pes(pl), smallCfg(), core.DefaultConfig())
@@ -110,7 +111,7 @@ func TestReLUAppliedBetweenLayers(t *testing.T) {
 			pre[m] += float64(g1.W.Data()[m*g1.K+k]) * float64(g1.X.Data()[k])
 		}
 	}
-	e.Go("step", func(p *sim.Proc) { f.DecodeStep(p, true) })
+	e.Go("step", func(p *sim.Proc) { f.StepReport(p, graph.Compiled) })
 	e.Run()
 	// g2.X (== g1.Y) must equal relu(pre).
 	for m := 0; m < g1.M; m++ {
@@ -125,7 +126,7 @@ func TestReLUAppliedBetweenLayers(t *testing.T) {
 }
 
 func TestDecodeStepFusedFaster(t *testing.T) {
-	timeOf := func(fused bool) sim.Time {
+	timeOf := func(mode graph.Mode) sim.Time {
 		e := sim.NewEngine()
 		pl, w := testWorld(e, false)
 		cfg := Config{Hidden: 4096, FFN: 8192, TileM: 64, Seed: 3}
@@ -133,10 +134,10 @@ func TestDecodeStepFusedFaster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Go("step", func(p *sim.Proc) { f.DecodeStep(p, fused) })
+		e.Go("step", func(p *sim.Proc) { f.StepReport(p, mode) })
 		return e.Run()
 	}
-	fused, base := timeOf(true), timeOf(false)
+	fused, base := timeOf(graph.Compiled), timeOf(graph.Eager)
 	if fused >= base {
 		t.Errorf("fused decode step %v not faster than baseline %v", fused, base)
 	}
