@@ -13,6 +13,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -136,9 +137,10 @@ func (p Plan) Draw(seed int64, nodes, ranks int) Plan {
 // Parse reads the -faults spec grammar: semicolon-separated faults,
 // each "kind@target[,option...]". Target is a node id (slowlink), a
 // rank id (straggler, droprank), or "?" to draw one at seed time.
-// Options: "x<factor>" (slowdown multiplier, default 4), "latency"
-// (slowlink only: scale propagation latency instead of bandwidth),
-// "start=<dur>" and "for=<dur>" with time.ParseDuration syntax.
+// Options: "x<factor>" (slowdown multiplier, finite and > 1, default
+// 4), "latency" (slowlink only: scale propagation latency instead of
+// bandwidth), "start=<dur>" and "for=<dur>" with time.ParseDuration
+// syntax.
 // "none" (or an empty spec) is the empty plan.
 //
 //	slowlink@3,x8,start=1ms,for=5ms   node 3's NIC at 1/8 bandwidth
@@ -203,8 +205,8 @@ func parseFault(spec string) (Fault, error) {
 			f.Latency = true
 		case strings.HasPrefix(opt, "x"):
 			v, err := strconv.ParseFloat(opt[1:], 64)
-			if err != nil || v <= 1 {
-				return Fault{}, fmt.Errorf("chaos: fault %q: bad factor %q (want x<float> > 1)", spec, opt)
+			if err != nil || !validFactor(v) {
+				return Fault{}, fmt.Errorf("chaos: fault %q: bad factor %q (want x<float> > 1, finite)", spec, opt)
 			}
 			if f.Kind == DropRank {
 				return Fault{}, fmt.Errorf("chaos: fault %q: droprank takes no factor", spec)
@@ -231,6 +233,9 @@ func parseFault(spec string) (Fault, error) {
 	}
 	return f, nil
 }
+
+// validFactor reports whether v is a usable slowdown: finite and > 1.
+func validFactor(v float64) bool { return v > 1 && !math.IsInf(v, 1) }
 
 func parseDur(s string) (sim.Duration, error) {
 	d, err := time.ParseDuration(s)
@@ -346,8 +351,8 @@ func Arm(pl *platform.Platform, plan Plan) (*Injector, error) {
 }
 
 func armSlowLink(pl *platform.Platform, f Fault) error {
-	if f.Factor <= 1 {
-		return fmt.Errorf("factor must be > 1, got %g", f.Factor)
+	if !validFactor(f.Factor) {
+		return fmt.Errorf("factor must be finite and > 1, got %g", f.Factor)
 	}
 	net := pl.Network()
 	if net == nil {
@@ -398,8 +403,8 @@ func armSlowLink(pl *platform.Platform, f Fault) error {
 }
 
 func armStraggler(pl *platform.Platform, f Fault) error {
-	if f.Factor <= 1 {
-		return fmt.Errorf("factor must be > 1, got %g", f.Factor)
+	if !validFactor(f.Factor) {
+		return fmt.Errorf("factor must be finite and > 1, got %g", f.Factor)
 	}
 	if f.Target >= pl.NDevices() {
 		return fmt.Errorf("rank %d out of range (%d ranks)", f.Target, pl.NDevices())

@@ -103,9 +103,9 @@ func (t *Trace) Next(i int) (sim.Duration, string, bool) {
 
 // ParseTrace reads an arrival trace: one request per line as
 // "<offset-seconds> [kind]", '#' comments and blank lines skipped.
-// Offsets must be non-negative, finite, and non-decreasing, and the
-// trace must contain at least one arrival. Errors carry the offending
-// line number.
+// Offsets must be non-negative, finite, below sim.Forever, and
+// non-decreasing, and the trace must contain at least one arrival.
+// Errors carry the offending line number.
 func ParseTrace(r io.Reader) (*Trace, error) {
 	tr := &Trace{}
 	sc := bufio.NewScanner(r)
@@ -128,6 +128,11 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("serve: trace line %d: offset %v out of range", line, fields[0])
 		}
 		at := sim.Time(sim.DurationOf(secs))
+		if at == sim.Forever {
+			// DurationOf saturates: the offset lies past the last
+			// instant the simulation clock can reach.
+			return nil, fmt.Errorf("serve: trace line %d: offset %v out of range", line, fields[0])
+		}
 		if n := len(tr.At); n > 0 && at < tr.At[n-1] {
 			return nil, fmt.Errorf("serve: trace line %d: offset %v before previous %v", line, at, tr.At[n-1])
 		}

@@ -74,9 +74,10 @@ func BenchmarkCallbacksSameInstant(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkResourceFlows measures the bandwidth-server path: concurrent
-// transfers reallocating rates (timer cancel + reschedule churn). One op
-// is one complete transfer.
+// BenchmarkResourceFlows measures the bandwidth-server path: four
+// processes whose equal transfers complete together, each then admitting
+// its next one, so every instant holds four triggers and one settle. One
+// op is one complete transfer.
 func BenchmarkResourceFlows(b *testing.B) {
 	e := NewEngine()
 	r := NewResource(e, "hbm", 1e12, nil)
@@ -91,4 +92,39 @@ func BenchmarkResourceFlows(b *testing.B) {
 	}
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkResourceSameInstantAdmits measures a kernel-launch wave: n
+// flows admitted at one instant, as n workgroups start their tiles. Caps
+// sit below the fair share, so every settle runs the general (sorting)
+// water-fill. The flows finish at two instants, and the last completion
+// admits the next wave. One op is one wave.
+func BenchmarkResourceSameInstantAdmits(b *testing.B) {
+	for _, n := range []int{64, 512} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			e := NewEngine()
+			r := NewResource(e, "hbm", 1e12, nil)
+			share := 1e12 / float64(n)
+			waves := 0
+			var wave func()
+			wave = func() {
+				if waves == b.N {
+					return
+				}
+				waves++
+				left := n
+				for i := 0; i < n; i++ {
+					r.TransferAsync(4096, share/float64(2+i%2), func() {
+						if left--; left == 0 {
+							wave()
+						}
+					})
+				}
+			}
+			e.At(0, wave)
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
+	}
 }

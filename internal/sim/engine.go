@@ -11,8 +11,12 @@ import (
 // so holders (e.g. Resource timers) must drop their reference no later
 // than cancellation.
 type event struct {
-	at   Time
-	seq  uint64 // tie-break: FIFO among equal times
+	at Time
+	// seq breaks ties: FIFO among equal times. It is taken from the
+	// engine's counter when the event is scheduled, except for a
+	// Resource timer, which carries the seq reserved at its resource's
+	// last trigger of the instant (see Resource.reallocate).
+	seq  uint64
 	proc *Proc  // non-nil: wake this process
 	fn   func() // non-nil: run this callback on the engine goroutine
 	// cancelled events stay queued but are skipped when reached.
@@ -61,7 +65,8 @@ const (
 // not usable; create engines with NewEngine.
 //
 // Scheduling maintains a strict (time, seq) order, where seq is a global
-// monotone counter assigned at schedule time, so equal-time events run in
+// monotone counter assigned at schedule time (or, for a Resource timer,
+// reserved at the trigger that armed it), so equal-time events run in
 // FIFO order. Two structures hold pending events: a binary heap for
 // future instants and a flat FIFO (nowq) for events scheduled *at* the
 // instant currently being executed. Every nowq entry was necessarily
@@ -88,6 +93,10 @@ type Engine struct {
 
 	pool       []*event // event free list
 	ncancelled int      // cancelled events still in the heap
+
+	// dirty lists the resources triggered since the last settle; each
+	// water-fills and arms its completion timer once per instant.
+	dirty []*Resource
 
 	// Runtime counters (see Stats).
 	nDispatched uint64
@@ -171,16 +180,24 @@ func (e *Engine) free(ev *event) {
 	}
 }
 
-// enqueue schedules an occurrence at time t (clamped to now) and returns
-// the pooled event, which stays valid until dispatched or cancelled.
+// enqueue schedules an occurrence at time t (clamped to now) under a
+// fresh seq and returns the pooled event, which stays valid until
+// dispatched or cancelled.
 func (e *Engine) enqueue(t Time, p *Proc, fn func()) *event {
+	seq := e.seq
+	e.seq++
+	return e.enqueueSeq(t, seq, p, fn)
+}
+
+// enqueueSeq is enqueue under a seq reserved earlier from e.seq. A
+// reserved seq may only be used for a future instant: the same-instant
+// queue relies on its seqs rising in append order.
+func (e *Engine) enqueueSeq(t Time, seq uint64, p *Proc, fn func()) *event {
 	if t < e.now {
 		t = e.now
 	}
 	ev := e.newEvent()
-	ev.at, ev.proc, ev.fn = t, p, fn
-	ev.seq = e.seq
-	e.seq++
+	ev.at, ev.seq, ev.proc, ev.fn = t, seq, p, fn
 	if e.running && t == e.now {
 		ev.index = -1
 		e.nowq = append(e.nowq, ev)
@@ -229,6 +246,19 @@ func (e *Engine) compact() {
 	e.queue = live
 	heap.Init(&e.queue)
 	e.ncancelled = 0
+}
+
+// settle water-fills every resource triggered since the last settle
+// and arms its completion timer. The run loop settles once per instant,
+// after the instant's events have all run; Sleep's direct handoff
+// settles before it looks at the heap; a trigger with the engine
+// stopped settles at once.
+func (e *Engine) settle() {
+	for i, r := range e.dirty {
+		e.dirty[i] = nil
+		r.settle()
+	}
+	e.dirty = e.dirty[:0]
 }
 
 // purgeHead pops cancelled events off the heap top.
@@ -306,7 +336,8 @@ func (p *Proc) park(kind parkKind) {
 // clock itself and keeps running. This is safe under the
 // exclusive-runner invariant: the engine is blocked in <-e.parked for
 // the entire duration, and observes the new clock only after the
-// process parks or exits.
+// process parks or exits. Resources triggered at this instant settle
+// first, so their completion timers are in the heap when it is checked.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
@@ -314,6 +345,7 @@ func (p *Proc) Sleep(d Duration) {
 	e := p.e
 	at := e.now.Add(d)
 	if e.nowqHead == len(e.nowq) && at <= e.horizon {
+		e.settle()
 		e.purgeHead()
 		if len(e.queue) == 0 || e.queue[0].at > at {
 			e.now = at
@@ -385,6 +417,9 @@ func (e *Engine) run(horizon Time, windowed bool) Time {
 	}()
 
 	for {
+		// The instant has drained: arm the completion timers of the
+		// resources it triggered before looking for the next event.
+		e.settle()
 		e.purgeHead()
 		if len(e.queue) == 0 {
 			if e.nprocs > 0 && !windowed {

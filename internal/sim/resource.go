@@ -2,7 +2,7 @@ package sim
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Resource models a shared bandwidth server (memory interface, fabric
@@ -12,11 +12,13 @@ import (
 // active flows. The efficiency curve is how memory-contention knees (row
 // buffer thrash at high occupancy) are expressed.
 //
-// Rates are piecewise constant between membership changes; on every change
-// the engine advances all in-flight transfers and recomputes the
-// water-filling allocation, so transfer times are exact for the fluid
-// model. All methods must be called from process context or engine
-// callbacks (single-threaded by construction).
+// Rates are piecewise constant between membership changes, so transfer
+// times are exact for the fluid model. Every change (an admission, a
+// completion, a rate scale) advances all in-flight transfers at once;
+// the water-filling allocation and the next completion are recomputed
+// once per simulated instant, however many changes the instant holds
+// (see reallocate). All methods must be called from process context or
+// engine callbacks (single-threaded by construction).
 type Resource struct {
 	e        *Engine
 	name     string
@@ -26,6 +28,14 @@ type Resource struct {
 	flows      []*flow
 	lastUpdate Time
 	timer      *event
+
+	// Pending settle, recorded by reallocate: the usable capacity and
+	// the timer seq of the instant's last trigger, and whether the
+	// resource is on its engine's dirty list.
+	usableNow float64
+	timerSeq  uint64
+	dirty     bool
+	sorted    []*flow // waterfill scratch
 
 	// rateScale multiplies the usable capacity — the fault-injection
 	// hook (degraded link, straggling memory system). Zero means the
@@ -211,8 +221,15 @@ func (r *Resource) complete(f *flow) {
 	}
 }
 
-// reallocate recomputes water-filling rates and schedules the next
-// completion event.
+// reallocate records a change after advance: it cancels the armed
+// timer and, while flows remain, snapshots the usable capacity,
+// reserves the event seq the completion timer will carry, and puts the
+// resource on its engine's dirty list. The engine settles each dirty
+// resource once per instant. Rates computed between two triggers of one
+// instant would never be used (advance does nothing at dt = 0), so the
+// settled timer gets the (time, seq) that recomputing at the last
+// trigger would give it. The capacity is read here, not at settle,
+// because eff may read state that changes later in the instant.
 func (r *Resource) reallocate() {
 	if r.timer != nil {
 		r.e.cancel(r.timer)
@@ -222,8 +239,25 @@ func (r *Resource) reallocate() {
 	if n == 0 {
 		return
 	}
-	r.waterfill()
-	// Next completion.
+	e := r.e
+	r.usableNow = r.usable(n)
+	r.timerSeq = e.seq
+	e.seq++
+	if !r.dirty {
+		r.dirty = true
+		e.dirty = append(e.dirty, r)
+	}
+	if !e.running {
+		e.settle()
+	}
+}
+
+// settle water-fills the flows and arms the timer for the next
+// completion. There is at least one flow: reallocate marks a resource
+// dirty only with flows, and none complete before the instant ends.
+func (r *Resource) settle() {
+	r.dirty = false
+	r.waterfill(r.usableNow)
 	min := math.MaxFloat64
 	for _, f := range r.flows {
 		if f.rate <= 0 {
@@ -241,7 +275,14 @@ func (r *Resource) reallocate() {
 	if d < 1 {
 		d = 1
 	}
-	r.timer = r.e.enqueue(r.e.now.Add(d), nil, r.tick)
+	at := r.e.now.Add(d)
+	if at == r.e.now {
+		// The clock is at Forever, where Add saturates: no later
+		// instant exists, so the flows never complete and a caller
+		// blocked on them surfaces as the engine's deadlock.
+		return
+	}
+	r.timer = r.e.enqueueSeq(at, r.timerSeq, nil, r.tick)
 }
 
 func (r *Resource) tick() {
@@ -375,11 +416,10 @@ func (s *Server) Utilization() float64 {
 	return float64(s.BusyTime()) / float64(s.e.now)
 }
 
-// waterfill assigns rates: capped flows below the fair share get their
-// cap; the surplus is redistributed among the rest.
-func (r *Resource) waterfill() {
+// waterfill splits total among the flows: capped flows below the fair
+// share get their cap; the surplus is redistributed among the rest.
+func (r *Resource) waterfill(total float64) {
 	n := len(r.flows)
-	total := r.usable(n)
 	// Fast path: uniform uncapped or generous caps.
 	share := total / float64(n)
 	allAbove := true
@@ -395,19 +435,24 @@ func (r *Resource) waterfill() {
 		}
 		return
 	}
-	// General water-filling: sort by cap ascending, satisfy small caps,
-	// split the remainder.
-	sorted := make([]*flow, n)
-	copy(sorted, r.flows)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		ci, cj := sorted[i].cap, sorted[j].cap
-		if ci == 0 {
-			ci = math.MaxFloat64
+	// General water-filling: sort by cap ascending (uncapped last, ties
+	// in admission order), satisfy small caps, split the remainder.
+	sorted := append(r.sorted[:0], r.flows...)
+	slices.SortStableFunc(sorted, func(a, b *flow) int {
+		ca, cb := a.cap, b.cap
+		if ca == 0 {
+			ca = math.MaxFloat64
 		}
-		if cj == 0 {
-			cj = math.MaxFloat64
+		if cb == 0 {
+			cb = math.MaxFloat64
 		}
-		return ci < cj
+		switch {
+		case ca < cb:
+			return -1
+		case cb < ca:
+			return 1
+		}
+		return 0
 	})
 	remainingCap := total
 	remainingFlows := n
@@ -421,4 +466,6 @@ func (r *Resource) waterfill() {
 		remainingCap -= f.rate
 		remainingFlows--
 	}
+	clear(sorted) // let completed flows be collected
+	r.sorted = sorted[:0]
 }
