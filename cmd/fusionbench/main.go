@@ -51,10 +51,8 @@
 //	                            # 128-node DLRM replay, serial vs
 //	                            # conservative sharded engine: in-process
 //	                            # identity gate plus both wall clocks
-//	fusionbench -simshards 8 ...
-//	                            # run simulations on 8 conservative
-//	                            # engine shards (results identical;
-//	                            # executor sweeps degrade to serial)
+//	                            # (the only sharded run: -simshards
+//	                            # applies to it alone, default 8)
 //	fusionbench -pipeline -quick -speedjson BENCH_speed.json
 //	                            # also record host wall-clock speeds
 package main
@@ -177,18 +175,18 @@ func writeJSON(path string, header jsonHeader, results []*fusedcc.ExperimentResu
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// parseBaseline reads a baseline JSON in either schema: the schema-2
-// object with a header, or the legacy bare results array.
+// parseBaseline reads a schema-2 baseline JSON: the header object plus
+// the results array. Anything else, the legacy bare results array
+// included, is an error, so the gate fails closed.
 func parseBaseline(data []byte) ([]jsonResult, error) {
 	var file jsonFile
-	if err := json.Unmarshal(data, &file); err == nil && file.Header.Schema >= 2 {
-		return file.Results, nil
-	}
-	var legacy []jsonResult
-	if err := json.Unmarshal(data, &legacy); err != nil {
+	if err := json.Unmarshal(data, &file); err != nil {
 		return nil, err
 	}
-	return legacy, nil
+	if file.Header.Schema != 2 {
+		return nil, fmt.Errorf("baseline schema %d, want 2", file.Header.Schema)
+	}
+	return file.Results, nil
 }
 
 // compareBaseline is the CI perf-regression gate: it checks the
@@ -259,6 +257,20 @@ func compareBaseline(path string, tol float64, results []*fusedcc.ExperimentResu
 	return nil
 }
 
+// checkSimShards rejects a -simshards the run would not honour. It is
+// the astra replay's shard count, so only a run that includes the
+// replay takes it, and the replay compares the serial engine against
+// at least two shards.
+func checkSimShards(shards int, astraRun bool) error {
+	if !astraRun {
+		return fmt.Errorf("-simshards applies only to the astra replay (-mode astra or -all)")
+	}
+	if shards < 2 {
+		return fmt.Errorf("-simshards %d: the astra replay compares the serial engine against >= 2 shards", shards)
+	}
+	return nil
+}
+
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
@@ -315,9 +327,17 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 		speedPath  = flag.String("speedjson", "", "also write host wall-clock speeds as JSON (e.g. BENCH_speed.json)")
-		simShards  = flag.Int("simshards", 0, "conservative engine shard request (0/1 = serial; workloads without a positive cross-shard lookahead degrade to serial; simulated results are identical at any count)")
+		simShards  = flag.Int("simshards", 0, "engine shard count of the astra replay (-mode astra, or -all, which includes it): the replay runs serially and on this many conservative shards, >= 2 (default 8); no other run shards")
 	)
 	flag.Parse()
+	astraRun := *mode == "astra" || (*mode == "" && *shape == "" && *all)
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "simshards" {
+			if err := checkSimShards(*simShards, astraRun); err != nil {
+				fail(err)
+			}
+		}
+	})
 	if *parallel < 1 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
@@ -410,12 +430,10 @@ func main() {
 	switch {
 	case *mode == "astra":
 		// -mode astra runs the scale-out DLRM replay serially and on the
-		// conservative sharded engine in one process: the experiment
-		// gates that simulated timestamps are identical, and both
-		// passes' wall-clock points land in -speedjson.
-		if sopt.SimShards == 0 {
-			sopt.SimShards = 8
-		}
+		// conservative sharded engine in one process (8 shards unless
+		// -simshards says otherwise): the experiment gates that
+		// simulated timestamps are identical, and both passes'
+		// wall-clock points land in -speedjson.
 		emit(runExp("astra"))
 		finish()
 		return

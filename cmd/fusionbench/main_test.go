@@ -52,53 +52,74 @@ func TestBaselineRoundTripSchema2(t *testing.T) {
 	}
 }
 
+// TestParseBaselineLegacyArray checks that the gate fails closed on
+// the legacy bare results array: every baseline must be schema 2.
 func TestParseBaselineLegacyArray(t *testing.T) {
 	legacy, err := json.Marshal(encodeResults(benchResults(100)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := parseBaseline(legacy)
+	if base, err := parseBaseline(legacy); err == nil {
+		t.Fatalf("legacy bare array accepted as a baseline: %+v", base)
+	}
+	// A header without the schema-2 marker fails closed too.
+	unversioned, err := json.Marshal(jsonFile{Results: encodeResults(benchResults(100))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base) != 1 || base[0].Rows[0].FusedNs != 100 {
-		t.Fatalf("legacy parse mangled results: %+v", base)
+	if _, err := parseBaseline(unversioned); err == nil {
+		t.Fatal("baseline without schema 2 accepted")
 	}
 }
 
-// TestCompareBaselineGate checks the perf gate on both schemas: equal
-// results pass, a >tolerance slowdown fails, a row that measured 0 ns
-// against a timed baseline row fails, and a result set matching no
-// baseline rows fails closed.
+// TestCompareBaselineGate checks the perf gate: equal results pass, a
+// >tolerance slowdown fails, a row that measured 0 ns against a timed
+// baseline row fails, and a result set matching no baseline rows fails
+// closed.
 func TestCompareBaselineGate(t *testing.T) {
-	dir := t.TempDir()
-	v2 := filepath.Join(dir, "v2.json")
-	if err := writeJSON(v2, jsonHeader{Schema: 2}, benchResults(100, 200)); err != nil {
+	path := filepath.Join(t.TempDir(), "v2.json")
+	if err := writeJSON(path, jsonHeader{Schema: 2}, benchResults(100, 200)); err != nil {
 		t.Fatal(err)
 	}
-	v1 := filepath.Join(dir, "v1.json")
-	legacy, _ := json.Marshal(encodeResults(benchResults(100, 200)))
-	if err := os.WriteFile(v1, legacy, 0o644); err != nil {
-		t.Fatal(err)
+	if err := compareBaseline(path, 0.10, benchResults(100, 200)); err != nil {
+		t.Errorf("identical results failed the gate: %v", err)
 	}
-	for _, path := range []string{v2, v1} {
-		if err := compareBaseline(path, 0.10, benchResults(100, 200)); err != nil {
-			t.Errorf("identical results failed the gate vs %s: %v", path, err)
-		}
-		err := compareBaseline(path, 0.10, benchResults(150, 200))
-		if err == nil || !strings.Contains(err.Error(), "regression") {
-			t.Errorf("50%% slowdown passed the gate vs %s (err %v)", path, err)
-		}
-		// An arm that served nothing reads 0 ns: not a 100% win.
-		err = compareBaseline(path, 0.10, benchResults(100, 0))
-		if err == nil || !strings.Contains(err.Error(), "rowB: 0 ns") {
-			t.Errorf("zero-time row passed the gate vs %s (err %v)", path, err)
-		}
+	err := compareBaseline(path, 0.10, benchResults(150, 200))
+	if err == nil || !strings.Contains(err.Error(), "regression") {
+		t.Errorf("50%% slowdown passed the gate (err %v)", err)
+	}
+	// An arm that served nothing reads 0 ns: not a 100% win.
+	err = compareBaseline(path, 0.10, benchResults(100, 0))
+	if err == nil || !strings.Contains(err.Error(), "rowB: 0 ns") {
+		t.Errorf("zero-time row passed the gate (err %v)", err)
 	}
 	// Fail closed when labels drift and nothing matches.
 	drifted := benchResults(100)
 	drifted[0].ID = "Renamed"
-	if err := compareBaseline(v2, 0.10, drifted); err == nil {
+	if err := compareBaseline(path, 0.10, drifted); err == nil {
 		t.Error("gate passed with zero matched rows")
+	}
+}
+
+// TestCheckSimShards pins -simshards to the astra replay: it needs at
+// least two shards there and is an error on every other run.
+func TestCheckSimShards(t *testing.T) {
+	cases := []struct {
+		shards   int
+		astraRun bool
+		ok       bool
+	}{
+		{8, true, true},
+		{2, true, true},
+		{1, true, false},
+		{0, true, false},
+		{-4, true, false},
+		{8, false, false},
+		{1, false, false},
+	}
+	for _, tc := range cases {
+		if err := checkSimShards(tc.shards, tc.astraRun); (err == nil) != tc.ok {
+			t.Errorf("checkSimShards(%d, astra=%v) = %v, want ok=%v", tc.shards, tc.astraRun, err, tc.ok)
+		}
 	}
 }

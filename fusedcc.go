@@ -491,11 +491,10 @@ type SweepOptions struct {
 	// in deterministic point order — results are identical at any
 	// count. One runs serial; values below one mean GOMAXPROCS.
 	Parallel int
-	// SimShards requests intra-simulation parallelism: each simulation
-	// runs on up to this many conservative engine shards (0/1 =
-	// serial). Simulated results are byte-identical at any shard count;
-	// workloads without a positive cross-shard lookahead degrade to one
-	// shard.
+	// SimShards is the astra replay's engine shard count: the replay
+	// ("astra") runs serially and on this many conservative shards, and
+	// zero means eight. Every other experiment runs each simulation on
+	// one serial engine and ignores it.
 	SimShards int
 }
 

@@ -211,9 +211,9 @@ type Result struct {
 	Note   string
 }
 
-// torusLinks enumerates the torus's directed neighbor couplings at the
-// hop latency — the partition input (matches Torus2D.CouplingLinks, but
-// is needed before the world the torus is built on exists).
+// torusLinks enumerates the torus's neighbor couplings at the hop
+// latency: the partition input, built from the system config because
+// the torus itself is built on the sharded world this partitions.
 func (s *Simulator) torusLinks() []sim.Link {
 	w, h := s.Sys.TorusW, s.Sys.TorusH
 	ls := make([]sim.Link, 0, 2*w*h)

@@ -1,7 +1,7 @@
 // Package chaos injects deterministic, seeded faults into a simulated
 // platform: degraded links (bandwidth or propagation latency),
 // straggler devices, and dropped ranks. Faults are armed as timed
-// events on the platform's engines before the run starts, so a given
+// events on the platform's engine before the run starts, so a given
 // (plan, seed, workload) triple replays byte-identically — the whole
 // point of rehearsing failures in a DES instead of on hardware. The
 // package also supplies the observation side of graceful degradation: a
@@ -320,7 +320,7 @@ type Injector struct {
 }
 
 // Arm validates plan against pl and schedules every fault as timed
-// events on the owning engines. It must run before the simulation
+// events on the platform's engine. It must run before the simulation
 // starts. Randomized targets must already be resolved (Plan.Draw).
 // Faults with a bounded window also schedule their revert event; note
 // the engine runs until all events fire, so a window outlasting the
@@ -361,7 +361,7 @@ func armSlowLink(pl *platform.Platform, f Fault) error {
 	if f.Target >= pl.Nodes() {
 		return fmt.Errorf("node %d out of range (%d nodes)", f.Target, pl.Nodes())
 	}
-	e := pl.World().EngineFor(f.Target)
+	e := pl.E
 	if f.Latency {
 		ls, ok := net.(netsim.LatencyScaler)
 		if !ok {
@@ -410,10 +410,9 @@ func armStraggler(pl *platform.Platform, f Fault) error {
 		return fmt.Errorf("rank %d out of range (%d ranks)", f.Target, pl.NDevices())
 	}
 	dev := pl.Device(f.Target)
-	e := pl.World().EngineFor(pl.NodeOf(f.Target))
-	e.At(sim.Time(f.Start), func() { dev.SetServiceScale(f.Factor) })
+	pl.E.At(sim.Time(f.Start), func() { dev.SetServiceScale(f.Factor) })
 	if f.For > 0 {
-		e.At(sim.Time(f.Start+f.For), func() { dev.SetServiceScale(1) })
+		pl.E.At(sim.Time(f.Start+f.For), func() { dev.SetServiceScale(1) })
 	}
 	return nil
 }
@@ -422,7 +421,6 @@ func armDropRank(pl *platform.Platform, f Fault, h *Health) error {
 	if f.Target >= pl.NDevices() {
 		return fmt.Errorf("rank %d out of range (%d ranks)", f.Target, pl.NDevices())
 	}
-	e := pl.World().EngineFor(pl.NodeOf(f.Target))
-	e.At(sim.Time(f.Start), func() { h.MarkDead(f.Target, e.Now()) })
+	pl.E.At(sim.Time(f.Start), func() { h.MarkDead(f.Target, pl.E.Now()) })
 	return nil
 }

@@ -12,13 +12,11 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"fusedcc/internal/chaos"
 	"fusedcc/internal/graph"
-	"fusedcc/internal/serve"
 	"fusedcc/internal/sim"
 	"fusedcc/internal/sweep"
 )
@@ -45,15 +43,9 @@ const (
 	chaosDeadlineFactor = 4 * servingSLOFactor
 )
 
-// chaosArmSpec names one serving policy under fault.
-type chaosArmSpec struct {
-	name   string
-	mode   graph.Mode
-	online bool
-}
-
-func chaosArmSpecs() []chaosArmSpec {
-	return []chaosArmSpec{
+// chaosArmSpecs lists the serving policies every chaos point runs.
+func chaosArmSpecs() []armSpec {
+	return []armSpec{
 		{"static-fused", graph.Compiled, false},
 		{"static-eager", graph.Eager, false},
 		{"auto", graph.Auto, false},
@@ -80,218 +72,57 @@ func (d *depthEWMA) observe(depth int) {
 
 func (d *depthEWMA) value() float64 { return math.Round(d.v) }
 
-// chaosBackend adapts a case stack to a fault-aware serving slot: it
-// checks participant liveness around each step, and — on the online
-// arm — closes a sampling window and re-prices the plan from observed
-// degradation before stepping.
-type chaosBackend struct {
-	r      stackRunner
-	x      *graph.Executor
-	mode   graph.Mode
-	pes    []int
-	health *chaos.Health
-	// detect is the timeout a step burns before reporting a dead rank —
-	// the RPC-timeout detection delay.
-	detect sim.Duration
-
-	online  bool
-	sampler *chaos.Sampler
-	depth   *depthEWMA
-	rate    float64
-
-	choices   string
-	reselects int
-}
-
-func (b *chaosBackend) Step(p *sim.Proc, batch []*serve.Request) { _ = b.StepErr(p, batch) }
-
-func (b *chaosBackend) StepErr(p *sim.Proc, batch []*serve.Request) error {
-	if rank, since, dead := b.health.AnyDead(b.pes); dead {
-		// The collective times out against the dead rank: the step burns
-		// the detection delay, then fails without doing work.
-		p.Sleep(b.detect)
-		return &chaos.RankDeadError{Rank: rank, Since: since}
-	}
-	if b.online {
-		b.sampler.Sample()
-		load := graph.LoadContext{
-			QueueDepth:  b.depth.value(),
-			ArrivalRate: b.rate,
-			Degrade:     b.sampler.Degrade(),
-		}
-		if load != b.x.Load {
-			b.x.Load = load
-		}
-	}
-	rep := b.r.StepReport(p, b.mode)
-	if rep.Mode == graph.Auto {
-		c := summarizeDecisions(rep.Select)
-		if b.choices != "" && c != b.choices {
-			b.reselects++
-		}
-		b.choices = c
-	}
-	if rank, since, dead := b.health.AnyDead(b.pes); dead {
-		// The rank died mid-step: the simulated work completed, but its
-		// results are void — work lost at failure; the batch retries.
-		return &chaos.RankDeadError{Rank: rank, Since: since}
-	}
-	return nil
-}
-
-// chaosRun specifies one serving pass under a fault plan.
-type chaosRun struct {
-	sc                  stackCase
-	nodes, gpus, layers int
-	arm                 chaosArmSpec
-	plan                chaos.Plan
-	rate                float64
-	detect              sim.Duration
-}
-
-// chaosArm is one completed pass: request statistics plus the fault
-// handling and (online) re-selection telemetry.
-type chaosArm struct {
-	name      string
-	stats     *serve.Stats
-	choices   string
-	reselects int
-	degrade   graph.DegradeContext
-	rebuilt   int
-	survivors int
-	monitor   string
-}
-
-func (a chaosArm) p99() sim.Duration { return a.stats.Latency.P99 }
-
-// chaosServe runs one serving pass on a fresh world with the fault plan
-// armed: servingInFlight fault-aware slots share the world, the dropped
-// -rank rebuild hook re-shards onto survivors when the case supports
-// it, and the online arm feeds sampled degradation into selection.
-func chaosServe(cr chaosRun, arrivals serve.Arrivals, cfg serve.Config, opt Options) (chaosArm, error) {
-	pl, w := clusterWorldOpt(cr.nodes, cr.gpus, opt)
-	inj, err := chaos.Arm(pl, cr.plan)
-	if err != nil {
-		return chaosArm{}, err
-	}
-	var sampler *chaos.Sampler
-	var depth *depthEWMA
-	if cr.arm.online {
-		sampler = chaos.NewSampler(pl, chaosAlpha, chaosThreshold)
-		depth = &depthEWMA{alpha: chaosAlpha}
-		cfg.Probe = func(now sim.Time, d int) { depth.observe(d) }
-	}
-	pes := allPEs(pl)
-	newBackend := func(r stackRunner, ranks []int, load graph.LoadContext) *chaosBackend {
-		x := r.Executor()
-		x.Streams = true
-		x.Cache = opt.Cache
-		x.Load = load
-		return &chaosBackend{
-			r: r, x: x, mode: cr.arm.mode, pes: ranks,
-			health: inj.Health, detect: cr.detect,
-			online: cr.arm.online, sampler: sampler, depth: depth, rate: cr.rate,
-		}
-	}
-	slots := make([]serve.Backend, servingInFlight)
-	backends := make([]*chaosBackend, servingInFlight)
-	for i := range slots {
-		r, err := cr.sc.build(w, pes, cr.layers)
-		if err != nil {
-			return chaosArm{}, fmt.Errorf("%s on %dx%d: %w", cr.sc.name, cr.nodes, cr.gpus, err)
-		}
-		backends[i] = newBackend(r, pes, graph.LoadContext{})
-		slots[i] = backends[i]
-	}
-	arm := chaosArm{name: cr.arm.name, survivors: len(pes)}
-	cfg.MaxBatch = servingMaxBatch
-	cfg.Rebuild = func(slot int, err error) serve.Backend {
-		var rde *chaos.RankDeadError
-		if !errors.As(err, &rde) || cr.sc.reshard == nil {
-			return nil
-		}
-		survivors := inj.Health.Survivors(pes)
-		if len(survivors) == 0 || len(survivors) == len(backends[slot].pes) {
-			return nil // nothing new to exclude
-		}
-		r, rerr := cr.sc.reshard(w, survivors, cr.layers, len(pes))
-		if rerr != nil {
-			return nil // cannot re-shard: keep shedding via retries/drops
-		}
-		nb := newBackend(r, survivors, backends[slot].x.Load)
-		nb.choices, nb.reselects = backends[slot].choices, backends[slot].reselects
-		backends[slot] = nb
-		arm.rebuilt++
-		arm.survivors = len(survivors)
-		return nb
-	}
-	arm.stats = serve.Run(pl.E, arrivals, slots, cfg)
-	arm.choices = backends[0].choices
-	for _, b := range backends {
-		arm.reselects += b.reselects
-	}
-	if sampler != nil {
-		arm.degrade = sampler.Degrade()
-		arm.monitor = sampler.Monitor().String()
-	}
-	return arm, nil
-}
-
-// chaosScenario is one named fault plan of the sweep.
+// chaosScenario is one named fault plan. plan builds it from the
+// config's own idle stack makespan cal, so fault onsets scale with the
+// step: the same scenarios stress a 5ms DLRM step and a 500us decoder
+// step equally. Random targets are left undrawn (the point draws them).
 type chaosScenario struct {
 	name string
-	plan chaos.Plan
+	plan func(cal sim.Duration) chaos.Plan
 }
 
-// chaosScenarios builds the scenario set for one sweep point: fault
-// onsets scale with the config's own idle step time cal, so the same
-// scenarios stress a 5ms DLRM step and a 500us decoder step equally.
-// Degradations strike after a short healthy window — realistic (the
-// machine was fine at deployment) and required for the sampler's
-// learned compute baseline. Random targets are left undrawn (the point
-// draws them).
-func chaosScenarios(cal sim.Duration) []chaosScenario {
+// chaosScenarios builds the sweep's scenario set. Degradations strike
+// after a short healthy window — realistic (the machine was fine at
+// deployment) and required for the sampler's learned compute baseline.
+func chaosScenarios() []chaosScenario {
+	// after plans one fault on a drawn target, onset idle steps in.
+	after := func(kind chaos.Kind, factor float64, onset sim.Duration) func(sim.Duration) chaos.Plan {
+		return func(cal sim.Duration) chaos.Plan {
+			return chaos.Plan{Faults: []chaos.Fault{{Kind: kind, Target: -1, Factor: factor, Start: onset * cal}}}
+		}
+	}
 	return []chaosScenario{
-		{"no-fault", chaos.Plan{}},
-		{"slow-nic", chaos.Plan{Faults: []chaos.Fault{
-			{Kind: chaos.SlowLink, Target: -1, Factor: 8, Start: 2 * cal},
-		}}},
-		{"straggler", chaos.Plan{Faults: []chaos.Fault{
-			{Kind: chaos.Straggler, Target: -1, Factor: 4, Start: 2 * cal},
-		}}},
-		{"drop-rank", chaos.Plan{Faults: []chaos.Fault{
-			{Kind: chaos.DropRank, Target: -1, Start: 3 * cal},
-		}}},
+		{"no-fault", func(sim.Duration) chaos.Plan { return chaos.Plan{} }},
+		{"slow-nic", after(chaos.SlowLink, 8, 2)},
+		{"straggler", after(chaos.Straggler, 4, 2)},
+		{"drop-rank", after(chaos.DropRank, 0, 3)},
 	}
 }
 
 // chaosSweepOutcomes runs one chaos point per (case, scenario) on the
 // worker pool: the sweep body of Chaos, factored out so the
-// determinism tests can drive a reduced case set through the same
-// shard/worker matrix.
+// determinism test can drive a reduced case set through it.
 func chaosSweepOutcomes(cases []stackCase, nodes, gpus, layers int, mult float64, opt Options) []chaosOutcome {
-	scens := chaosScenarios(0) // names only; plans are rebuilt per point with cal
+	requests := 48
+	if opt.Quick {
+		requests = 16
+	}
 	type point struct {
 		sc   stackCase
-		scen int
+		scen chaosScenario
 		seed int64
 	}
 	var points []point
 	for _, sc := range cases {
-		for si := range scens {
-			points = append(points, point{sc, si, chaosSeed + int64(len(points))})
+		for _, scen := range chaosScenarios() {
+			points = append(points, point{sc, scen, chaosSeed + int64(len(points))})
 		}
 	}
 	return sweep.Map(opt.Parallel, len(points), func(i int) chaosOutcome {
 		pt := points[i]
-		// Rebuild the scenario with this point's own calibration inside
-		// the worker: onset times scale with the case's step time.
-		cal, err := runStack(pt.sc, nodes, gpus, layers, 2, graph.Auto, opt)
-		if err != nil {
-			return chaosOutcome{err: err}
-		}
-		scen := chaosScenarios(cal.dur)[pt.scen]
-		return chaosPointRun(pt.sc, nodes, gpus, layers, scen.name, scen.plan, mult, pt.seed, opt)
+		d := servingDemand{mult: mult, requests: requests, seed: pt.seed}
+		return chaosPointRun(pt.sc, nodes, gpus, layers,
+			fmt.Sprintf("%dx%d %s", nodes, gpus, pt.scen.name), pt.scen, d, opt)
 	})
 }
 
@@ -302,53 +133,37 @@ type chaosOutcome struct {
 	scen  string
 	qps   float64
 	plan  chaos.Plan
-	arms  []chaosArm
+	arms  []servingArm
 	err   error
 }
 
 // arm returns the named arm's result.
-func (o chaosOutcome) arm(name string) chaosArm {
+func (o chaosOutcome) arm(name string) servingArm {
 	for _, a := range o.arms {
 		if a.name == name {
 			return a
 		}
 	}
-	return chaosArm{}
+	return servingArm{}
 }
 
 // chaosPointRun serves one (case, shape, scenario) point once per arm.
-// All arms replay the same seeded arrival stream under the same drawn
-// fault plan, so the comparison isolates the serving policy.
-func chaosPointRun(sc stackCase, nodes, gpus, layers int, scenName string,
-	plan chaos.Plan, mult float64, seed int64, opt Options) chaosOutcome {
-	out := chaosOutcome{
-		label: fmt.Sprintf("%s %dx%d %s", sc.name, nodes, gpus, scenName),
-		scen:  scenName,
-	}
-	cal, err := runStack(sc, nodes, gpus, layers, 2, graph.Auto, opt)
+// The point calibrates once; every arm replays the same seeded arrival
+// stream under the same drawn fault plan, so the comparison isolates
+// the serving policy. tag follows the case name in the point's label.
+func chaosPointRun(sc stackCase, nodes, gpus, layers int, tag string, scen chaosScenario,
+	d servingDemand, opt Options) chaosOutcome {
+	out := chaosOutcome{label: sc.name + " " + tag, scen: scen.name}
+	pt, err := newServingPoint(sc, nodes, gpus, layers, d, opt)
 	if err != nil {
 		out.err = err
 		return out
 	}
-	out.plan = plan.Draw(seed, nodes, nodes*gpus)
-	out.qps = mult * servingMaxBatch / cal.dur.Seconds()
-	requests := 48
-	if opt.Quick {
-		requests = 16
-	}
-	cfg := serve.Config{
-		Requests:     requests,
-		SLO:          servingSLOFactor * cal.dur,
-		Deadline:     chaosDeadlineFactor * cal.dur,
-		MaxRetries:   chaosMaxRetries,
-		RetryBackoff: cal.dur / 4,
-	}
+	pt.plan = scen.plan(pt.cal).Draw(d.seed, nodes, nodes*gpus)
+	pt.handleFaults()
+	out.plan, out.qps = pt.plan, pt.rate
 	for _, spec := range chaosArmSpecs() {
-		cr := chaosRun{
-			sc: sc, nodes: nodes, gpus: gpus, layers: layers,
-			arm: spec, plan: out.plan, rate: out.qps, detect: cal.dur / 4,
-		}
-		arm, err := chaosServe(cr, serve.Poisson(out.qps, seed, sc.name), cfg, opt)
+		arm, err := pt.serve(spec, graph.LoadContext{}, opt)
 		if err != nil {
 			out.err = err
 			return out
@@ -358,8 +173,17 @@ func chaosPointRun(sc stackCase, nodes, gpus, layers int, scenName string,
 	return out
 }
 
+// handleFaults sets the chaos arms' failure policy on the point's
+// serving config: a deadline of chaosDeadlineFactor idle makespans, and
+// up to chaosMaxRetries retries a quarter makespan apart.
+func (pt *servingPoint) handleFaults() {
+	pt.cfg.Deadline = chaosDeadlineFactor * pt.cal
+	pt.cfg.MaxRetries = chaosMaxRetries
+	pt.cfg.RetryBackoff = pt.cal / 4
+}
+
 // chaosArmNote renders one arm's line of a point note.
-func chaosArmNote(a chaosArm) string {
+func chaosArmNote(a servingArm) string {
 	s := fmt.Sprintf("%s p99 %v, goodput %.0f/s", a.name, a.p99(), a.stats.Goodput)
 	if a.stats.Drops > 0 || a.stats.Retries > 0 {
 		s += fmt.Sprintf(", %d dropped/%d retries", a.stats.Drops, a.stats.Retries)
@@ -388,7 +212,7 @@ func chaosArmNote(a chaosArm) string {
 // onlineBeat reports whether the online arm out-served static-fused: a
 // lower p99, or completions where the static arm shed its entire stream
 // (whose p99 over zero completions reads 0, not infinity).
-func onlineBeat(sf, ao chaosArm) bool {
+func onlineBeat(sf, ao servingArm) bool {
 	if sf.p99() == 0 {
 		return ao.p99() > 0 && sf.stats.Drops > 0
 	}
@@ -499,8 +323,19 @@ func ChaosPoint(nodes, gpus, layers int, spec string, qps float64, requests int,
 	if err != nil {
 		return nil, err
 	}
+	// Arm the drawn plan on a throwaway cluster of this shape, so a
+	// plan this shape cannot host fails before any point calibrates.
+	drawn := plan.Draw(seed, nodes, nodes*gpus)
+	pl, _ := clusterWorld(nodes, gpus)
+	if _, err := chaos.Arm(pl, drawn); err != nil {
+		return nil, err
+	}
 	if requests <= 0 {
 		requests = 32
+	}
+	d := servingDemand{qps: qps, requests: requests, seed: seed}
+	if qps <= 0 {
+		d.mult = 1 // the config's own saturation rate
 	}
 	opt = opt.withCache()
 	label := fmt.Sprintf("%dx%d L%d", nodes, gpus, layers)
@@ -513,40 +348,9 @@ func ChaosPoint(nodes, gpus, layers int, spec string, qps float64, requests int,
 	if opt.Quick {
 		cases = cases[:1]
 	}
+	scen := chaosScenario{name: "cli", plan: func(sim.Duration) chaos.Plan { return drawn }}
 	outs := sweep.Map(opt.Parallel, len(cases), func(i int) chaosOutcome {
-		sc := cases[i]
-		out := chaosOutcome{label: fmt.Sprintf("%s %s", sc.name, label), scen: "cli"}
-		cal, err := runStack(sc, nodes, gpus, layers, 2, graph.Auto, opt)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		out.plan = plan.Draw(seed, nodes, nodes*gpus)
-		rate := qps
-		if rate <= 0 {
-			rate = servingMaxBatch / cal.dur.Seconds()
-		}
-		out.qps = rate
-		cfg := serve.Config{
-			Requests:     requests,
-			SLO:          servingSLOFactor * cal.dur,
-			Deadline:     chaosDeadlineFactor * cal.dur,
-			MaxRetries:   chaosMaxRetries,
-			RetryBackoff: cal.dur / 4,
-		}
-		for _, spec := range chaosArmSpecs() {
-			cr := chaosRun{
-				sc: sc, nodes: nodes, gpus: gpus, layers: layers,
-				arm: spec, plan: out.plan, rate: rate, detect: cal.dur / 4,
-			}
-			arm, aerr := chaosServe(cr, serve.Poisson(rate, seed, sc.name), cfg, opt)
-			if aerr != nil {
-				out.err = aerr
-				return out
-			}
-			out.arms = append(out.arms, arm)
-		}
-		return out
+		return chaosPointRun(cases[i], nodes, gpus, layers, label, scen, d, opt)
 	})
 	for _, o := range outs {
 		if o.err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fusedcc/internal/graph"
-	"fusedcc/internal/serve"
 )
 
 // chaosDlrmOnly is the reduced case set the determinism tests sweep:
@@ -21,86 +20,59 @@ func chaosDlrmOnly(t *testing.T) []stackCase {
 }
 
 // TestChaosZeroFaultMatchesServing is the no-regression acceptance
-// check: the fault-aware serving path with an empty plan — health
-// checks, deadline config, retry config all armed but never firing —
-// must replay the plain serving engine byte-for-byte.
+// check: with an empty fault plan, the chaos arms' deadline and retry
+// policy — armed but never firing — must leave a serving pass
+// byte-identical to the plain serving pass the Serving sweep runs.
 func TestChaosZeroFaultMatchesServing(t *testing.T) {
 	const nodes, gpus, layers = 4, 1, 2
-	const seed = 42
 	opt := Options{Quick: true, Parallel: 1}.withCache()
 	sc := chaosDlrmOnly(t)[0]
-	cal, err := runStack(sc, nodes, gpus, layers, 2, graph.Auto, opt)
+	pt, err := newServingPoint(sc, nodes, gpus, layers, servingDemand{mult: 0.7, requests: 8, seed: 42}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qps := 0.7 * servingMaxBatch / cal.dur.Seconds()
-	cfg := serve.Config{Requests: 8, SLO: servingSLOFactor * cal.dur}
-	base, err := servingServe(sc, nodes, gpus, layers,
-		serve.Poisson(qps, seed, sc.name), cfg, graph.LoadContext{}, opt)
+	auto := armSpec{name: "auto", mode: graph.Auto}
+	base, err := pt.serve(auto, graph.LoadContext{}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cfg.Deadline = chaosDeadlineFactor * cal.dur
-	cfg.MaxRetries = chaosMaxRetries
-	cfg.RetryBackoff = cal.dur / 4
-	cr := chaosRun{
-		sc: sc, nodes: nodes, gpus: gpus, layers: layers,
-		arm: chaosArmSpec{"auto", graph.Auto, false}, rate: qps, detect: cal.dur / 4,
+	pt.handleFaults()
+	if pt.cfg.Deadline == 0 || pt.cfg.MaxRetries == 0 {
+		t.Fatalf("handleFaults armed no deadline or retries: %+v", pt.cfg)
 	}
-	arm, err := chaosServe(cr, serve.Poisson(qps, seed, sc.name), cfg, opt)
+	arm, err := pt.serve(auto, graph.LoadContext{}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if arm.stats.Drops != 0 || arm.stats.Retries != 0 {
 		t.Fatalf("zero-fault run shed work: %d drops, %d retries", arm.stats.Drops, arm.stats.Retries)
 	}
-	if !reflect.DeepEqual(base.stats, arm.stats) {
-		t.Errorf("zero-fault chaos serving diverged from the plain serving engine:\nserving: %v\nchaos:   %v",
-			base.stats, arm.stats)
-	}
-	if arm.choices != base.choices {
-		t.Errorf("plans differ: serving [%s], chaos [%s]", base.choices, arm.choices)
+	if !reflect.DeepEqual(base, arm) {
+		t.Errorf("zero-fault chaos serving diverged from plain serving:\nserving: %+v\n%v\nchaos:   %+v\n%v",
+			base, base.stats, arm, arm.stats)
 	}
 }
 
 // TestChaosDeterminismMatrix asserts the sweep invariant under fault
 // injection: every outcome — request timestamps, drawn fault targets,
 // retry counts, re-shard telemetry — is identical whether points run
-// serially or on a worker pool, on a serial engine or a sharded one.
+// serially or on a worker pool.
 func TestChaosDeterminismMatrix(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full sweep runs are too heavy under the race detector; the fault path is race-covered by the serve and chaos package tests")
 	}
 	cases := chaosDlrmOnly(t)
-	run := func(par, shards int) []chaosOutcome {
-		return chaosSweepOutcomes(cases, 4, 1, 2, 0.7,
-			Options{Quick: true, Parallel: par, SimShards: shards}.withCache())
+	run := func(par int) []chaosOutcome {
+		return chaosSweepOutcomes(cases, 4, 1, 2, 0.7, Options{Quick: true, Parallel: par}.withCache())
 	}
-	base := run(1, 0)
+	base := run(1)
 	for _, o := range base {
 		if o.err != nil {
 			t.Fatal(o.err)
 		}
 	}
-	// The worker-pool and sharded-engine axes are checked independently;
-	// their composition rides in CI's chaos job (-simshards 8 CLI
-	// byte-identity), so the in-package matrix stays two runs deep.
-	configs := []struct {
-		name        string
-		par, shards int
-	}{
-		{"workers4", 4, 0},
-		{"simshards8", 1, 8},
-	}
-	if testing.Short() {
-		configs = configs[:1]
-	}
-	for _, tc := range configs {
-		if got := run(tc.par, tc.shards); !reflect.DeepEqual(base, got) {
-			t.Errorf("%s: chaos sweep diverged from the serial unsharded run:\nserial: %+v\n%s: %+v",
-				tc.name, base, tc.name, got)
-		}
+	if got := run(4); !reflect.DeepEqual(base, got) {
+		t.Errorf("chaos sweep diverged on 4 workers:\nserial:   %+v\nworkers4: %+v", base, got)
 	}
 }
 
@@ -112,20 +84,17 @@ func TestChaosDropRankReshardsAndDrains(t *testing.T) {
 	const nodes, gpus, layers = 4, 1, 2
 	opt := Options{Quick: true, Parallel: 1}.withCache()
 	sc := chaosDlrmOnly(t)[0]
-	cal, err := runStack(sc, nodes, gpus, layers, 2, graph.Auto, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var plan chaosScenario
-	for _, s := range chaosScenarios(cal.dur) {
+	var scen chaosScenario
+	for _, s := range chaosScenarios() {
 		if s.name == "drop-rank" {
-			plan = s
+			scen = s
 		}
 	}
-	if plan.name == "" {
+	if scen.plan == nil {
 		t.Fatal("no drop-rank scenario")
 	}
-	out := chaosPointRun(sc, nodes, gpus, layers, plan.name, plan.plan, 0.7, chaosSeed, opt)
+	d := servingDemand{mult: 0.7, requests: 16, seed: chaosSeed}
+	out := chaosPointRun(sc, nodes, gpus, layers, scen.name, scen, d, opt)
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
@@ -139,6 +108,29 @@ func TestChaosDropRankReshardsAndDrains(t *testing.T) {
 		}
 		if a.rebuilt == 0 || a.survivors != nodes*gpus-1 {
 			t.Errorf("%s did not re-shard: %d rebuilds, %d survivors", a.name, a.rebuilt, a.survivors)
+		}
+	}
+}
+
+// TestChaosPointValidation covers the CLI entry point's error paths.
+// Each is rejected before any point calibrates, so the table runs in
+// milliseconds; the happy path runs through chaosPointRun, which the
+// tests above exercise.
+func TestChaosPointValidation(t *testing.T) {
+	cases := []struct {
+		name                string
+		nodes, gpus, layers int
+		spec                string
+	}{
+		{"bad shape", 0, 1, 2, "none"},
+		{"bad layers", 4, 1, 0, "none"},
+		{"unparsable spec", 4, 1, 2, "meltdown@0"},
+		{"target out of range", 4, 1, 2, "droprank@99"},
+		{"slowlink on one node", 1, 4, 2, "slowlink@0,x4"},
+	}
+	for _, tc := range cases {
+		if _, err := ChaosPoint(tc.nodes, tc.gpus, tc.layers, tc.spec, 0, 8, 1, Options{Quick: true}); err == nil {
+			t.Errorf("%s: expected an error", tc.name)
 		}
 	}
 }

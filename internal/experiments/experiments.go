@@ -114,12 +114,10 @@ type Options struct {
 	// replay cached plans instead of re-pricing identical cost
 	// surfaces. Nil makes each sweep build its own cache.
 	Cache *graph.PassCache
-	// SimShards requests intra-simulation parallelism: the engine is
-	// split into up to this many conservative shards (0 and 1 run the
-	// plain serial engine). Workloads whose cross-node interactions
-	// admit no positive lookahead — executor clusters coupled through
-	// zero-latency symmetric-heap writes — degrade to one shard with a
-	// partition note; simulated results are identical either way.
+	// SimShards is the astra replay's engine shard count: AstraReplay
+	// runs the replay serially and on this many conservative shards,
+	// and zero means eight. Every other experiment builds its cluster
+	// on one serial engine and ignores it.
 	SimShards int
 }
 
@@ -133,28 +131,11 @@ func (opt Options) withCache() Options {
 }
 
 // clusterWorld builds a Nodes x GPUsPerNode system with the Table I link
-// parameters on both levels (timing mode). Shapes are fixed per
-// experiment, so a construction failure is a programming error.
+// parameters on both levels (timing mode), on one fresh serial engine.
+// Shapes are fixed per experiment, so a construction failure is a
+// programming error.
 func clusterWorld(nodes, gpusPerNode int) (*platform.Platform, *shmem.World) {
-	return clusterWorldOpt(nodes, gpusPerNode, Options{})
-}
-
-// clusterWorldOpt honours opt.SimShards by building the cluster through
-// the sharded construction path. Executor clusters couple nodes through
-// zero-latency shmem writes, so the partition always degrades to one
-// shard here — pl.E remains the engine that runs everything — but the
-// request still exercises the full sharded plumbing end to end.
-func clusterWorldOpt(nodes, gpusPerNode int, opt Options) (*platform.Platform, *shmem.World) {
-	cfg := platform.Cluster(nodes, gpusPerNode)
-	var (
-		pl  *platform.Platform
-		err error
-	)
-	if opt.SimShards > 1 {
-		pl, err = platform.NewSharded(sim.NewSharded(cfg.Partition(opt.SimShards)), cfg)
-	} else {
-		pl, err = platform.New(sim.NewEngine(), cfg)
-	}
+	pl, err := platform.New(sim.NewEngine(), platform.Cluster(nodes, gpusPerNode))
 	if err != nil {
 		panic(err)
 	}

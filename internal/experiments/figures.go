@@ -311,7 +311,7 @@ func Fig15(opt Options) *Result {
 
 // AstraReplay validates the conservative sharded engine on the DLRM
 // replay: each configuration (baseline and fused) runs serially and on
-// opt.SimShards engine shards (default 8), and the experiment fails
+// opt.SimShards engine shards (zero means 8), and the experiment fails
 // loudly if any simulated makespan diverges — the byte-identity
 // contract of the sharded engine, enforced in-process. Rows report the
 // serial makespan as "baseline" and the sharded one as "fused", so a
@@ -331,7 +331,7 @@ func AstraReplay(opt Options) *Result {
 		model.MLPLayers = 12
 	}
 	shards := opt.SimShards
-	if shards <= 1 {
+	if shards == 0 {
 		shards = 8
 	}
 	s, err := astra.New(sys, model)

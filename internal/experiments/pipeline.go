@@ -170,7 +170,7 @@ func summarizeDecisions(sel *graph.SelectReport) string {
 // fusionbench, where an indivisible shape is a usage error, not a
 // programming one.
 func runStack(sc stackCase, nodes, gpus, layers, chunks int, mode graph.Mode, opt Options) (stackRun, error) {
-	pl, w := clusterWorldOpt(nodes, gpus, opt)
+	pl, w := clusterWorld(nodes, gpus)
 	r, err := sc.build(w, allPEs(pl), layers)
 	if err != nil {
 		return stackRun{}, fmt.Errorf("%s on %dx%d: %w", sc.name, nodes, gpus, err)

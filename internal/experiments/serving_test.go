@@ -63,8 +63,10 @@ func TestServingLoadAwareCrossover(t *testing.T) {
 	}
 }
 
-// TestServingPointValidation covers the CLI entry point's error paths;
-// the happy path is exercised end to end by the sweep test above.
+// TestServingPointValidation covers the CLI entry point's error paths.
+// Each is rejected before any point calibrates, so the table runs in
+// milliseconds; the happy path runs through servingPointRun, which the
+// sweep test above exercises end to end.
 func TestServingPointValidation(t *testing.T) {
 	cases := []struct {
 		name string

@@ -32,22 +32,12 @@ type message struct {
 	onDelivered func()
 }
 
-// NewChannel opens an ordered channel from src to dst over net.
-// overhead is the per-message posting cost charged on the channel (WQE
-// build + doorbell), not on the posting workgroup.
-//
-// A channel's queue, in-flight count and Quiet condition all live on the
-// source side, so both endpoints must map to the same shard engine —
-// shmem worlds guarantee this by declaring zero-latency couplings that
-// collapse the partition (see platform.Config.Partition). A channel
-// whose endpoints span shards panics at construction rather than racing.
-func NewChannel(w sim.World, net Network, src, dst int, overhead sim.Duration) *Channel {
+// NewChannel opens an ordered channel from src to dst over net, on
+// engine e. overhead is the per-message posting cost charged on the
+// channel (WQE build + doorbell), not on the posting workgroup.
+func NewChannel(e *sim.Engine, net Network, src, dst int, overhead sim.Duration) *Channel {
 	if src == dst {
 		panic(fmt.Sprintf("netsim: channel to self (node %d)", src))
-	}
-	e := w.EngineFor(src)
-	if e != w.EngineFor(dst) {
-		panic(fmt.Sprintf("netsim: channel %d->%d spans shards; the partition must co-shard channel endpoints", src, dst))
 	}
 	return &Channel{e: e, net: net, src: src, dst: dst, overhead: overhead, idle: sim.NewCond(e)}
 }

@@ -16,20 +16,14 @@ import (
 	"fusedcc/internal/sim"
 )
 
-// Network is a topology that can route bytes between nodes.
+// Network is a topology that can route bytes between nodes: the
+// blocking, whole-path view that Send and Channel use.
 type Network interface {
 	// Nodes returns the endpoint count.
 	Nodes() int
 	// Path returns the directed link sequence from src to dst and the
 	// total propagation latency. src == dst returns (nil, 0).
 	Path(src, dst int) ([]*sim.Resource, sim.Duration)
-	// Lookahead returns the minimum latency of any single link: the
-	// conservative-PDES lookahead bound — no node can affect another
-	// sooner than this.
-	Lookahead() sim.Duration
-	// CouplingLinks enumerates the directed inter-node couplings with
-	// their latencies, the input to sim.PartitionNodes.
-	CouplingLinks() []sim.Link
 }
 
 // DirectedLink pairs a directed inter-node link with its serializing
@@ -49,9 +43,8 @@ type LinkEnumerator interface {
 
 // LatencyScaler is implemented by topologies whose per-node propagation
 // latency can be degraded at runtime (fault injection). Scales must be
-// >= 1: faults only ever slow a link, so the conservative-PDES
-// lookahead a sharded world captured at partition time stays a valid
-// lower bound, while Lookahead() recomputes the current minimum.
+// >= 1: faults only ever slow a link, so a hop latency never drops
+// below the nominal one a sharded world's lookahead was computed from.
 type LatencyScaler interface {
 	SetLatencyScale(node int, f float64)
 }
@@ -131,13 +124,12 @@ type PointToPoint struct {
 	latency sim.Duration
 	nics    []*sim.Resource
 	// latScale degrades per-node propagation latency (zero value = 1);
-	// entries are >= 1 so partition-time lookahead bounds stay valid.
+	// entries are >= 1.
 	latScale []float64
 }
 
-// NewPointToPoint builds the mesh. w places each node's NIC on its
-// shard engine (a bare *sim.Engine keeps everything serial).
-func NewPointToPoint(w sim.World, nodes int, bytesPerSec float64, latency sim.Duration) *PointToPoint {
+// NewPointToPoint builds the mesh on engine e.
+func NewPointToPoint(e *sim.Engine, nodes int, bytesPerSec float64, latency sim.Duration) *PointToPoint {
 	if nodes < 1 {
 		panic("netsim: need at least one node")
 	}
@@ -146,7 +138,7 @@ func NewPointToPoint(w sim.World, nodes int, bytesPerSec float64, latency sim.Du
 	}
 	pp := &PointToPoint{nodes: nodes, latency: latency, nics: make([]*sim.Resource, nodes)}
 	for i := range pp.nics {
-		pp.nics[i] = sim.NewResource(w.EngineFor(i), fmt.Sprintf("nic%d.tx", i), bytesPerSec, nil)
+		pp.nics[i] = sim.NewResource(e, fmt.Sprintf("nic%d.tx", i), bytesPerSec, nil)
 	}
 	return pp
 }
@@ -193,43 +185,6 @@ func (pp *PointToPoint) Path(src, dst int) ([]*sim.Resource, sim.Duration) {
 		return nil, 0
 	}
 	return []*sim.Resource{pp.nics[src]}, pp.srcLatency(src)
-}
-
-// Route implements Router: one hop through the source NIC.
-func (pp *PointToPoint) Route(src, dst int) []Hop {
-	if src == dst {
-		return nil
-	}
-	return []Hop{{From: src, To: dst, Link: pp.nics[src], Latency: pp.srcLatency(src)}}
-}
-
-// Lookahead implements Network: the minimum current one-way latency
-// over all nodes. With latency faults in force every entry is >= the
-// nominal latency, so the recomputed bound never drops below what a
-// sharded world captured at partition time.
-func (pp *PointToPoint) Lookahead() sim.Duration {
-	if pp.latScale == nil {
-		return pp.latency
-	}
-	min := sim.Duration(0)
-	for i := range pp.nics {
-		if l := pp.srcLatency(i); min == 0 || l < min {
-			min = l
-		}
-	}
-	return min
-}
-
-// CouplingLinks implements Network: every ordered node pair, at the
-// mesh latency.
-func (pp *PointToPoint) CouplingLinks() []sim.Link {
-	var ls []sim.Link
-	for a := 0; a < pp.nodes; a++ {
-		for b := a + 1; b < pp.nodes; b++ {
-			ls = append(ls, sim.Link{A: a, B: b, Latency: pp.latency})
-		}
-	}
-	return ls
 }
 
 // Torus2D is a width x height torus with directed neighbor links and
@@ -409,39 +364,6 @@ func (t *Torus2D) Route(src, dst int) []Hop {
 		y = ny
 	}
 	return hops
-}
-
-// Lookahead implements Network: the minimum current per-hop propagation
-// latency over all injecting nodes (>= the nominal hop latency while
-// latency faults are in force, so partition-time bounds stay valid).
-func (t *Torus2D) Lookahead() sim.Duration {
-	if t.latScale == nil {
-		return t.hopLat
-	}
-	min := sim.Duration(0)
-	for n := 0; n < t.w*t.h; n++ {
-		if l := t.hopLatency(n); min == 0 || l < min {
-			min = l
-		}
-	}
-	return min
-}
-
-// CouplingLinks implements Network: every directed neighbor link at the
-// hop latency.
-func (t *Torus2D) CouplingLinks() []sim.Link {
-	ls := make([]sim.Link, 0, len(t.links))
-	for y := 0; y < t.h; y++ {
-		for x := 0; x < t.w; x++ {
-			n := t.ID(x, y)
-			for _, m := range []int{t.ID((x+1)%t.w, y), t.ID(x, (y+1)%t.h)} {
-				if n != m {
-					ls = append(ls, sim.Link{A: n, B: m, Latency: t.hopLat})
-				}
-			}
-		}
-	}
-	return ls
 }
 
 // shortestStep returns -1 or +1: the ring direction with fewer hops from

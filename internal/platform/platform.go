@@ -143,59 +143,25 @@ func (cfg Config) torusDims() (w, h int, err error) {
 	return w, h, nil
 }
 
-// Partition maps the cluster's nodes onto simulation shards. Executor
-// clusters interact through shmem symmetric-heap operations — remote
-// flag writes and rendezvous that mutate receiver-side state through
-// direct callbacks with no posted-message indirection — so every
-// multi-node pair is declared a zero-latency coupling and the
-// degenerate-lookahead rule collapses the request to one shard. The
-// returned partition's Note says so; callers asked for parallelism
-// should log it rather than silently serializing. Workloads built on
-// message-passing interactions (e.g. the astra replay) construct their
-// partitions from real link latencies instead and shard genuinely.
-func (cfg Config) Partition(shards int) sim.Partition {
-	var links []sim.Link
-	for a := 0; a < cfg.Nodes; a++ {
-		for b := a + 1; b < cfg.Nodes; b++ {
-			links = append(links, sim.Link{A: a, B: b, Latency: 0})
-		}
-	}
-	return sim.PartitionNodes(cfg.Nodes, shards, links)
-}
-
-// Platform is an instantiated cluster bound to a simulation world.
+// Platform is an instantiated cluster bound to one simulation engine.
 type Platform struct {
-	// E is the engine hosting cluster-global processes (shard 0 of a
-	// sharded world).
+	// E is the engine hosting every device, fabric and network link.
 	E       *sim.Engine
-	world   sim.World
 	cfg     Config
 	devices []*gpu.Device
 	fabrics []*fabric.Fabric // per node; nil when GPUsPerNode == 1
 	net     netsim.Network   // nil when Nodes == 1
 }
 
-// New builds all devices, fabrics and the network on one serial engine.
-// A configuration that fails Validate is reported as an error, not a
+// New builds all devices, fabrics and the network on e. A
+// configuration that fails Validate is reported as an error, not a
 // panic.
 func New(e *sim.Engine, cfg Config) (*Platform, error) {
-	return build(e, e, cfg)
-}
-
-// NewSharded builds the cluster on a sharded world (typically from
-// cfg.Partition): node n's devices, fabric, and outbound network links
-// live on n's shard engine. Platform.E is shard 0's engine.
-func NewSharded(w *sim.Sharded, cfg Config) (*Platform, error) {
-	return build(w, w.Shard(0), cfg)
-}
-
-func build(w sim.World, e0 *sim.Engine, cfg Config) (*Platform, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pl := &Platform{E: e0, world: w, cfg: cfg}
+	pl := &Platform{E: e, cfg: cfg}
 	for n := 0; n < cfg.Nodes; n++ {
-		e := w.EngineFor(n)
 		var fab *fabric.Fabric
 		if cfg.GPUsPerNode > 1 {
 			fab = fabric.New(e, cfg.GPUsPerNode, cfg.Fabric)
@@ -213,26 +179,13 @@ func build(w sim.World, e0 *sim.Engine, cfg Config) (*Platform, error) {
 	if cfg.Nodes > 1 {
 		switch cfg.Topology {
 		case TopoTorus2D:
-			w2, h, _ := cfg.torusDims()
-			pl.net = netsim.NewTorus2D(w, w2, h, cfg.NICBandwidth, cfg.NICLatency)
+			w, h, _ := cfg.torusDims()
+			pl.net = netsim.NewTorus2D(e, w, h, cfg.NICBandwidth, cfg.NICLatency)
 		default:
-			pl.net = netsim.NewPointToPoint(w, cfg.Nodes, cfg.NICBandwidth, cfg.NICLatency)
+			pl.net = netsim.NewPointToPoint(e, cfg.Nodes, cfg.NICBandwidth, cfg.NICLatency)
 		}
 	}
 	return pl, nil
-}
-
-// World returns the simulation world the platform was built on: the
-// bare engine for New, the sharded world for NewSharded.
-func (pl *Platform) World() sim.World { return pl.world }
-
-// RunSim drives the world to completion: the sharded window loop when
-// the platform was built on one, the serial engine otherwise.
-func (pl *Platform) RunSim() sim.Time {
-	if w, ok := pl.world.(*sim.Sharded); ok {
-		return w.Run()
-	}
-	return pl.E.Run()
 }
 
 // Config returns the construction parameters.

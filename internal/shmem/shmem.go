@@ -128,24 +128,6 @@ func (fn *fabricNet) Path(src, dst int) ([]*sim.Resource, sim.Duration) {
 	return []*sim.Resource{fn.f.Link(src, dst)}, fn.f.Config().StoreLatency
 }
 
-// Lookahead implements netsim.Network: the fabric store latency bounds
-// how soon one local PE can affect another.
-func (fn *fabricNet) Lookahead() sim.Duration { return fn.f.Config().StoreLatency }
-
-// CouplingLinks implements netsim.Network over local PE indices. Fabric
-// couplings never feed cluster-level partitioning (the platform declares
-// shmem nodes zero-latency-coupled instead), but the interface is
-// honest: every PE pair couples at the store latency.
-func (fn *fabricNet) CouplingLinks() []sim.Link {
-	var ls []sim.Link
-	for a := 0; a < fn.f.Size(); a++ {
-		for b := a + 1; b < fn.f.Size(); b++ {
-			ls = append(ls, sim.Link{A: a, B: b, Latency: fn.f.Config().StoreLatency})
-		}
-	}
-	return ls
-}
-
 // channel returns (building lazily) the ordered channel from srcPE to
 // dstPE. Cross-node pairs ride the NIC network; same-node pairs ride the
 // fabric through the adapter.
