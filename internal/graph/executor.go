@@ -327,8 +327,9 @@ func (x *Executor) Execute(p *sim.Proc, g *Graph, mode Mode) *Report {
 	}
 
 	// Per-PE last-completion times, merged from every node's per-rank
-	// report (rank order matches the graph's PE list). The engine's
-	// cooperative scheduling serializes the node goroutines' updates.
+	// report (rank order matches the graph's PE list). The node procs
+	// are engine coroutines that run one at a time, so their updates
+	// need no locking.
 	rep.PEEnd = make([]sim.Time, len(rg.pes))
 
 	done := make([]*sim.Flag, len(rg.nodes))

@@ -128,3 +128,21 @@ func BenchmarkResourceSameInstantAdmits(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSpawnExit measures proc creation and teardown: a wave of 256
+// processes that each sleep once and exit. The shared wake instant keeps
+// every one off the direct-handoff path, so each proc costs one spawn,
+// one park/resume and one exit. One op is one wave.
+func BenchmarkSpawnExit(b *testing.B) {
+	const procs = 256
+	e := NewEngine()
+	body := func(p *Proc) { p.Sleep(1) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < procs; k++ {
+			e.Go("wave", body)
+		}
+		e.Run()
+	}
+}

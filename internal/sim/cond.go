@@ -17,7 +17,7 @@ func NewCond(e *Engine) *Cond { return &Cond{e: e} }
 func (c *Cond) Wait(p *Proc, pred func() bool) {
 	for !pred() {
 		c.waiters = append(c.waiters, p)
-		p.park(parkBlocked)
+		p.park()
 	}
 }
 
@@ -107,7 +107,7 @@ func (s *Semaphore) Acquire(p *Proc, n int) {
 	w := &semWaiter{p: p, n: n}
 	s.queue = append(s.queue, w)
 	for !w.done {
-		p.park(parkBlocked)
+		p.park()
 	}
 }
 
@@ -134,6 +134,7 @@ func (s *Semaphore) Release(n int) {
 func (s *Semaphore) dispatch() {
 	for len(s.queue) > 0 && s.queue[0].n <= s.available {
 		w := s.queue[0]
+		s.queue[0] = nil // the backing array must not pin the admitted waiter
 		s.queue = s.queue[1:]
 		s.available -= w.n
 		w.done = true

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
+	"iter"
 )
 
 // event is a scheduled occurrence: either waking a parked process or
@@ -78,10 +80,11 @@ type Engine struct {
 	now     Time
 	queue   eventQueue
 	seq     uint64
-	parked  chan parkMsg
-	nprocs  int // live processes
 	running bool
-	panicV  any // panic propagated from a process
+
+	// live holds every process spawned and not yet exited, each at its
+	// Proc.slot, so an abnormal exit from Run can stop the parked ones.
+	live []*Proc
 
 	// Same-instant FIFO: events scheduled for the instant being executed.
 	nowq     []*event
@@ -112,29 +115,12 @@ type Engine struct {
 	postSeq uint64
 }
 
-type parkMsg struct {
-	kind parkKind
-}
-
-type parkKind int
-
-const (
-	parkScheduled parkKind = iota // process has a wake event in the queue
-	parkBlocked                   // process waits on a Signal (no event yet)
-	parkExited                    // process function returned
-	parkPanicked                  // process function panicked
-)
-
-// NewEngine returns an empty engine with the clock at zero.
-func NewEngine() *Engine {
-	// Buffered channels make park and resume one-way notifications
-	// instead of rendezvous: the sender never blocks, halving the
-	// scheduler handoffs per park/resume cycle. The exclusive-runner
-	// invariant (engine blocked in <-e.parked whenever a process runs,
-	// process blocked in <-p.resume whenever the engine runs) still
-	// provides the happens-before edges for all engine state.
-	return &Engine{parked: make(chan parkMsg, 1)}
-}
+// NewEngine returns an empty engine with the clock at zero. Its
+// processes are coroutines that run on whichever goroutine calls Run,
+// one at a time and only while the engine waits for them, so engine
+// state needs no synchronization: the exclusive-runner invariant holds
+// by construction.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -279,13 +265,21 @@ func (e *Engine) At(t Time, fn func()) {
 // After schedules fn to run d from now.
 func (e *Engine) After(d Duration, fn func()) { e.At(e.now.Add(d), fn) }
 
-// Proc is a simulated process: a goroutine that only advances while the
-// engine has handed control to it. All Proc methods must be called from
-// the process's own goroutine.
+// Proc is a simulated process: a coroutine that the engine resumes when
+// the process's wake event is dispatched and that hands control back
+// when it parks. The engine and its processes therefore never run at
+// the same time. All Proc methods must be called from the process's
+// own body.
 type Proc struct {
-	e      *Engine
-	name   string
-	resume chan struct{}
+	e    *Engine
+	name string
+	slot int // index in e.live while the process is alive, then -1
+
+	// Coroutine handles from iter.Pull, nil once the body has exited
+	// (or been stopped) so an exited *Proc does not pin its body.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // Name returns the diagnostic name given at spawn.
@@ -297,33 +291,77 @@ func (p *Proc) Engine() *Engine { return p.e }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
+// errStopped unwinds the body of a process that was stopped while
+// parked; the process's exit handler swallows it.
+var errStopped = errors.New("sim: process stopped")
+
 // Go spawns fn as a new process starting at the current time. It may be
 // called from the host (before Run), from engine callbacks, or from other
-// processes.
+// processes. The body runs as an iter.Pull coroutine: dispatch resumes
+// it with next and park suspends it with yield, so a park/resume is one
+// coroutine switch on the goroutine that runs the engine.
 func (e *Engine) Go(name string, fn func(*Proc)) {
-	p := &Proc{e: e, name: name, resume: make(chan struct{}, 1)}
-	e.nprocs++
+	p := &Proc{e: e, name: name, slot: len(e.live)}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
+		fn(p)
+	})
+	e.live = append(e.live, p)
 	// The process starts via a queue event so that spawn order is
 	// preserved deterministically.
 	e.enqueue(e.now, p, nil)
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				e.panicV = fmt.Errorf("sim: process %q panicked: %v", name, r)
-				e.parked <- parkMsg{kind: parkPanicked}
-				return
-			}
-			e.parked <- parkMsg{kind: parkExited}
-		}()
-		fn(p)
-	}()
 }
 
-// park transfers control back to the engine and blocks until resumed.
-func (p *Proc) park(kind parkKind) {
-	p.e.parked <- parkMsg{kind: kind}
-	<-p.resume
+// exit runs when the body returns, panics or calls runtime.Goexit. It
+// retires the process and turns a panic into the engine's error, which
+// iter.Pull re-raises from next on the goroutine running the engine (a
+// Goexit propagates the same way). A stopped process was retired by
+// stopProcs already; whatever it panics with while unwinding is
+// swallowed, so it cannot replace the failure that stopped it.
+func (p *Proc) exit() {
+	r := recover()
+	if p.slot < 0 {
+		return
+	}
+	p.e.retire(p)
+	if r != nil {
+		panic(fmt.Errorf("sim: process %q panicked: %v", p.name, r))
+	}
+}
+
+// retire removes p from the live list and drops its coroutine handles.
+func (e *Engine) retire(p *Proc) {
+	last := len(e.live) - 1
+	e.live[p.slot] = e.live[last]
+	e.live[p.slot].slot = p.slot
+	e.live[last] = nil
+	e.live = e.live[:last]
+	p.slot = -1
+	p.next, p.stop, p.yield = nil, nil, nil
+}
+
+// stopProcs stops every live process: a parked body sees yield return
+// false and unwinds, one never started does not run at all. Run calls
+// it on every abnormal exit (deadlock, process panic, Goexit), so no
+// coroutine outlives a failed run.
+func (e *Engine) stopProcs() {
+	for len(e.live) > 0 {
+		p := e.live[len(e.live)-1]
+		stop := p.stop
+		e.retire(p)
+		stop()
+	}
+}
+
+// park suspends the process: yield switches back to the engine's
+// dispatch, and returns when dispatch resumes the process. It returns
+// false only when the process is being stopped, and park then unwinds
+// the body.
+func (p *Proc) park() {
+	if !p.yield(struct{}{}) {
+		panic(errStopped)
+	}
 }
 
 // Sleep suspends the process for d of virtual time.
@@ -332,12 +370,12 @@ func (p *Proc) park(kind parkKind) {
 // instant — the same-instant queue is drained and every pending heap
 // event lies strictly after the wake time — the next event the engine
 // would dispatch is this process's own wake. Parking would be a pure
-// round trip through the engine goroutine, so the process advances the
-// clock itself and keeps running. This is safe under the
-// exclusive-runner invariant: the engine is blocked in <-e.parked for
-// the entire duration, and observes the new clock only after the
-// process parks or exits. Resources triggered at this instant settle
-// first, so their completion timers are in the heap when it is checked.
+// switch to the engine and straight back, so the process advances the
+// clock itself and keeps running. This is safe because the engine is
+// suspended in the dispatch that resumed this process for the entire
+// duration, and observes the new clock only after the process parks or
+// exits. Resources triggered at this instant settle first, so their
+// completion timers are in the heap when it is checked.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
@@ -354,16 +392,20 @@ func (p *Proc) Sleep(d Duration) {
 		}
 	}
 	e.enqueue(at, p, nil)
-	p.park(parkScheduled)
+	p.park()
 }
 
 // Yield reschedules the process at the current instant, letting every
 // other event already queued for this instant run first.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// dispatch runs one event: callbacks inline, process wakes via the
-// resume/park protocol. The event is recycled before control transfers,
-// so neither the callback nor the process may retain it.
+// dispatch runs one event: a callback inline, a process wake by
+// resuming the process's coroutine until it parks or exits. The event
+// is recycled before control transfers, so neither the callback nor the
+// process may retain it. A process panic or Goexit re-raises here, on
+// the goroutine running the engine. Only one of the engine and its
+// processes runs at a time, by construction: a resumed process runs
+// inside this call, and the engine inside the process's park.
 func (e *Engine) dispatch(ev *event) {
 	e.nDispatched++
 	if ev.fn != nil {
@@ -374,23 +416,15 @@ func (e *Engine) dispatch(ev *event) {
 	}
 	p := ev.proc
 	e.free(ev)
-	p.resume <- struct{}{}
-	msg := <-e.parked
-	switch msg.kind {
-	case parkExited:
-		e.nprocs--
-	case parkPanicked:
-		e.nprocs--
-		panic(e.panicV)
-	case parkScheduled, parkBlocked:
-		// Process parked; its wake event (if any) is queued.
-	}
+	p.next()
 }
 
 // Run executes events until the queue is empty or the optional horizon is
 // reached. It returns the final clock value. Run panics if a simulated
 // process panicked or if the simulation deadlocks (live processes remain
-// but no events are schedulable).
+// but no events are schedulable); a process that calls runtime.Goexit
+// ends Run's caller. On each of these exits Run first stops every
+// process still parked.
 func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 
 // RunUntil executes events with timestamps <= horizon.
@@ -411,8 +445,12 @@ func (e *Engine) run(horizon Time, windowed bool) Time {
 	}
 	e.running = true
 	e.horizon = horizon
+	clean := false
 	defer func() {
 		e.running = false
+		if !clean {
+			e.stopProcs()
+		}
 		e.flushStats()
 	}()
 
@@ -422,15 +460,18 @@ func (e *Engine) run(horizon Time, windowed bool) Time {
 		e.settle()
 		e.purgeHead()
 		if len(e.queue) == 0 {
-			if e.nprocs > 0 && !windowed {
-				panic(fmt.Sprintf("sim: deadlock at %v: %d process(es) blocked with empty event queue", e.now, e.nprocs))
+			if len(e.live) > 0 && !windowed {
+				panic(fmt.Sprintf("sim: deadlock at %v: %d process(es) blocked with empty event queue", e.now, len(e.live)))
 			}
+			clean = true
 			return e.now
 		}
 		if e.queue[0].at > horizon {
 			// Leave it queued for a later Run call; its sequence
 			// number is preserved, so FIFO tie-breaks among
 			// equal-time events survive the horizon boundary.
+			// Processes stay parked and resume in that call.
+			clean = true
 			return e.now
 		}
 		ev := heap.Pop(&e.queue).(*event)

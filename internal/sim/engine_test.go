@@ -297,8 +297,12 @@ func TestDeadlockPanics(t *testing.T) {
 
 func TestProcessPanicPropagates(t *testing.T) {
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("expected process panic to propagate")
+		}
+		if got, want := fmt.Sprint(r), `sim: process "boom" panicked: boom`; got != want {
+			t.Fatalf("panic %q, want %q", got, want)
 		}
 	}()
 	e := NewEngine()

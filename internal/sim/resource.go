@@ -131,7 +131,7 @@ func (r *Resource) Transfer(p *Proc, bytes, perFlowCap float64) {
 	f := &flow{remaining: bytes, cap: perFlowCap, p: p}
 	r.admit(f)
 	for !f.done {
-		p.park(parkBlocked)
+		p.park()
 	}
 }
 
@@ -208,6 +208,7 @@ func (r *Resource) advance() {
 		}
 		live = append(live, f)
 	}
+	clear(r.flows[len(live):]) // let completed flows and their procs be collected
 	r.flows = live
 }
 

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 )
@@ -29,6 +31,9 @@ type xmsg struct {
 	seq uint64
 	fn  func()
 }
+
+// errGoexit records that a shard's window ended in runtime.Goexit.
+var errGoexit = errors.New("sim: process called runtime.Goexit")
 
 // Sharded is a conservative parallel discrete-event engine in the
 // Chandy-Misra tradition: the simulation is split into logical
@@ -177,6 +182,9 @@ func (w *Sharded) flush() {
 // next event, execute every shard's events below min+lookahead
 // concurrently, barrier, repeat. Run panics if the whole world
 // deadlocks (blocked processes with no events or messages anywhere).
+// A shard's process panic or runtime.Goexit is re-raised on Run's
+// caller after the window. On each of these exits Run first stops every
+// process still parked on any shard.
 func (w *Sharded) Run() Time {
 	if len(w.shards) == 1 {
 		return w.shards[0].Run()
@@ -185,8 +193,6 @@ func (w *Sharded) Run() Time {
 		panic("sim: Run called re-entrantly")
 	}
 	w.running = true
-	defer func() { w.running = false }()
-
 	n := len(w.shards)
 	// Window workers: one persistent goroutine per shard for this run.
 	work := make([]chan Time, n)
@@ -197,21 +203,35 @@ func (w *Sharded) Run() Time {
 		go func(i int, eng *Engine) {
 			for h := range work[i] {
 				func() {
+					returned := false
 					defer func() {
 						if r := recover(); r != nil {
 							panics.Store(i, r)
+						} else if !returned {
+							// A process called runtime.Goexit, which
+							// ends this worker; hand it to the
+							// coordinator, which re-raises it.
+							panics.Store(i, errGoexit)
 						}
 						done <- i
 					}()
 					eng.runWindow(h)
+					returned = true
 				}()
 			}
 		}(i, w.shards[i])
 	}
+	clean := false
 	defer func() {
 		for i := 0; i < n; i++ {
 			close(work[i])
 		}
+		if !clean {
+			for _, sh := range w.shards {
+				sh.stopProcs()
+			}
+		}
+		w.running = false
 	}()
 
 	for {
@@ -225,7 +245,7 @@ func (w *Sharded) Run() Time {
 		if minNext == Forever {
 			blocked := 0
 			for _, sh := range w.shards {
-				blocked += sh.nprocs
+				blocked += len(sh.live)
 			}
 			if blocked > 0 {
 				panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked across %d shards with no events or messages", blocked, n))
@@ -239,6 +259,7 @@ func (w *Sharded) Run() Time {
 			globalStats.windows.Add(w.windows - w.flushedWindows)
 			globalStats.stalls.Add(w.stalls - w.flushedStalls)
 			w.flushedWindows, w.flushedStalls = w.windows, w.stalls
+			clean = true
 			return end
 		}
 		// Safe horizon: every event strictly before minNext+lookahead is
@@ -259,10 +280,13 @@ func (w *Sharded) Run() Time {
 		for k := 0; k < launched; k++ {
 			<-done
 		}
-		// Re-panic shard failures on the coordinating goroutine, lowest
+		// Re-raise shard failures on the coordinating goroutine, lowest
 		// shard first for determinism.
 		for i := 0; i < n; i++ {
-			if r, ok := panics.Load(i); ok {
+			if r, failed := panics.Load(i); failed {
+				if r == errGoexit {
+					runtime.Goexit()
+				}
 				panic(r)
 			}
 		}

@@ -11,8 +11,8 @@ type Stats struct {
 	Dispatched uint64 `json:"events_dispatched"`
 	// PoolHits counts event allocations served from the free list.
 	PoolHits uint64 `json:"pool_reuse_hits"`
-	// DirectHandoffs counts Sleep resumes that skipped the park/resume
-	// channel round trip.
+	// DirectHandoffs counts Sleeps that advanced the clock in place
+	// instead of parking: no switch to the engine and back.
 	DirectHandoffs uint64 `json:"direct_handoff_hits"`
 	// MaxHeapDepth is the high-water mark of a single engine's (shard's)
 	// pending-event heap.

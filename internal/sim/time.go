@@ -3,8 +3,8 @@
 //
 // The engine owns a virtual clock and an event queue ordered by
 // (time, sequence). Simulated activities are expressed as processes:
-// ordinary Go functions running on their own goroutine that park on the
-// engine whenever they wait for virtual time to pass or for a condition to
+// ordinary Go functions running as coroutines that park on the engine
+// whenever they wait for virtual time to pass or for a condition to
 // become true. Exactly one process runs at any instant (strict
 // engine<->process handoff), so simulations are fully deterministic and
 // need no locking.
