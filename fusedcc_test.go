@@ -1,6 +1,7 @@
 package fusedcc
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -205,5 +206,36 @@ func TestNewClusterRejectsBadShapes(t *testing.T) {
 	}
 	if sys, err := NewCluster(8, 2, Options{Topology: TopologyTorus2D}); err != nil || sys == nil {
 		t.Errorf("8-node torus cluster should construct, got %v", err)
+	}
+}
+
+// A RowsPerWG coarsening that does not divide SliceRows is reported at
+// construction, naming both values, instead of building an operator
+// whose fused run panics.
+func TestEmbeddingSpecRejectsRowsPerWGNotDividingSliceRows(t *testing.T) {
+	sys, err := NewScaleUp(2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := EmbeddingSpec{TablesPerGPU: 2, Rows: 64, Dim: 8, GlobalBatch: 32, AvgPooling: 4, SliceRows: 8, RowsPerWG: 3, Seed: 1}
+	_, err = sys.NewEmbeddingAllToAll(spec, DefaultOperatorConfig())
+	if err == nil || !strings.Contains(err.Error(), "RowsPerWG 3") || !strings.Contains(err.Error(), "SliceRows 8") {
+		t.Errorf("NewEmbeddingAllToAll error = %v, want one naming RowsPerWG 3 and SliceRows 8", err)
+	}
+}
+
+func TestDLRMRejectsRowsPerWGNotDividingSliceRows(t *testing.T) {
+	sys, err := NewScaleUp(4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DLRMConfig()
+	cfg.TablesPerGPU = 2
+	cfg.GlobalBatch = 64
+	cfg.SliceRows = 8
+	cfg.RowsPerWG = 3
+	_, err = sys.NewDLRM(cfg, DefaultOperatorConfig())
+	if err == nil || !strings.Contains(err.Error(), "RowsPerWG 3") || !strings.Contains(err.Error(), "SliceRows 8") {
+		t.Errorf("NewDLRM error = %v, want one naming RowsPerWG 3 and SliceRows 8", err)
 	}
 }

@@ -77,22 +77,6 @@ func (c *Comm) PE(rank int) int { return c.pes[rank] }
 // dev returns the device of a rank.
 func (c *Comm) dev(rank int) *gpu.Device { return c.pl.Device(c.pes[rank]) }
 
-// forEachRank runs body(rank) concurrently on per-rank processes and
-// blocks the coordinator until all complete.
-func (c *Comm) forEachRank(p *sim.Proc, name string, body func(rp *sim.Proc, rank int)) {
-	e := c.pl.E
-	wg := sim.NewWaitGroup(e)
-	wg.Add(len(c.pes))
-	for r := range c.pes {
-		r := r
-		e.Go(fmt.Sprintf("%s/rank%d", name, r), func(rp *sim.Proc) {
-			body(rp, r)
-			wg.Done()
-		})
-	}
-	wg.Wait(p)
-}
-
 // launchRank charges one collective-kernel launch plus the library
 // protocol overhead on a rank.
 func (c *Comm) launchRank(rp *sim.Proc, rank int) {
@@ -123,6 +107,17 @@ func (c *Comm) copyPair(rp *sim.Proc, src, dst int, bytes float64) {
 		panic("collectives: cross-node copy without a network")
 	}
 	netsim.Send(rp, net, c.pl.NodeOf(sPE), c.pl.NodeOf(dPE), bytes)
+}
+
+// toPeers copies bytes(d) from rank r to every other rank d at once,
+// one process per peer in ring order from r+1, and blocks rp until
+// every copy lands.
+func (c *Comm) toPeers(rp *sim.Proc, r int, name string, bytes func(d int) float64) {
+	k := len(c.pes)
+	rp.ForkJoin(k-1, name, func(pp *sim.Proc, j int) {
+		d := (r + 1 + j) % k
+		c.copyPair(pp, r, d, bytes(d))
+	})
 }
 
 // reduceLocal charges the memory traffic of reducing k shard copies of
@@ -169,7 +164,7 @@ func (c *Comm) AllToAllFlat(p *sim.Proc, send, recv *shmem.Symm, cnt int) {
 func (c *Comm) allToAllFlat(p *sim.Proc, send, recv *shmem.Symm, stride, off, cnt int) {
 	k := len(c.pes)
 	bytes := float64(cnt) * 4
-	c.forEachRank(p, "alltoall", func(rp *sim.Proc, s int) {
+	p.ForkJoin(k, "alltoall", func(rp *sim.Proc, s int) {
 		c.launchRank(rp, s)
 		// Local block: read + write on own HBM.
 		c.dev(s).HBM().Transfer(rp, 2*bytes, 0)
@@ -202,36 +197,19 @@ func (c *Comm) AllReduceDirect(p *sim.Proc, data *shmem.Symm, off, n int) {
 		return
 	}
 	sums := c.snapshotSum(data, off, n)
-	c.forEachRank(p, "allreduce.direct", func(rp *sim.Proc, r int) {
+	p.ForkJoin(k, "allreduce.direct", func(rp *sim.Proc, r int) {
 		c.launchRank(rp, r)
 		lo, hi := c.shard(n, r)
 		shardBytes := float64(hi-lo) * 4
 		// Phase 1: send my copy of every peer shard to its owner...
-		wg := sim.NewWaitGroup(rp.Engine())
-		for offr := 1; offr < k; offr++ {
-			d := (r + offr) % k
+		c.toPeers(rp, r, "ar.rs", func(d int) float64 {
 			dlo, dhi := c.shard(n, d)
-			b := float64(dhi-dlo) * 4
-			wg.Add(1)
-			rp.Engine().Go("ar.rs", func(pp *sim.Proc) {
-				c.copyPair(pp, r, d, b)
-				wg.Done()
-			})
-		}
-		wg.Wait(rp)
+			return float64(dhi-dlo) * 4
+		})
 		// ...reduce the k-1 received copies with my own.
 		c.reduceLocal(rp, r, k-1, shardBytes)
 		// Phase 2: broadcast my reduced shard.
-		wg2 := sim.NewWaitGroup(rp.Engine())
-		for offr := 1; offr < k; offr++ {
-			d := (r + offr) % k
-			wg2.Add(1)
-			rp.Engine().Go("ar.ag", func(pp *sim.Proc) {
-				c.copyPair(pp, r, d, shardBytes)
-				wg2.Done()
-			})
-		}
-		wg2.Wait(rp)
+		c.toPeers(rp, r, "ar.ag", func(int) float64 { return shardBytes })
 	})
 	c.writeAll(data, off, sums)
 }
@@ -245,21 +223,13 @@ func (c *Comm) ReduceScatter(p *sim.Proc, data *shmem.Symm, off, n int) {
 		return
 	}
 	sums := c.snapshotSum(data, off, n)
-	c.forEachRank(p, "reducescatter", func(rp *sim.Proc, r int) {
+	p.ForkJoin(k, "reducescatter", func(rp *sim.Proc, r int) {
 		c.launchRank(rp, r)
 		lo, hi := c.shard(n, r)
-		wg := sim.NewWaitGroup(rp.Engine())
-		for offr := 1; offr < k; offr++ {
-			d := (r + offr) % k
+		c.toPeers(rp, r, "rs.pair", func(d int) float64 {
 			dlo, dhi := c.shard(n, d)
-			b := float64(dhi-dlo) * 4
-			wg.Add(1)
-			rp.Engine().Go("rs.pair", func(pp *sim.Proc) {
-				c.copyPair(pp, r, d, b)
-				wg.Done()
-			})
-		}
-		wg.Wait(rp)
+			return float64(dhi-dlo) * 4
+		})
 		c.reduceLocal(rp, r, k-1, float64(hi-lo)*4)
 	})
 	for r := 0; r < k; r++ {
@@ -285,20 +255,11 @@ func (c *Comm) AllGather(p *sim.Proc, data *shmem.Symm, off, n int) {
 			shards[r] = append([]float32(nil), buf.Data()[off+lo:off+hi]...)
 		}
 	}
-	c.forEachRank(p, "allgather", func(rp *sim.Proc, r int) {
+	p.ForkJoin(k, "allgather", func(rp *sim.Proc, r int) {
 		c.launchRank(rp, r)
 		lo, hi := c.shard(n, r)
 		shardBytes := float64(hi-lo) * 4
-		wg := sim.NewWaitGroup(rp.Engine())
-		for offr := 1; offr < k; offr++ {
-			d := (r + offr) % k
-			wg.Add(1)
-			rp.Engine().Go("ag.pair", func(pp *sim.Proc) {
-				c.copyPair(pp, r, d, shardBytes)
-				wg.Done()
-			})
-		}
-		wg.Wait(rp)
+		c.toPeers(rp, r, "ag.pair", func(int) float64 { return shardBytes })
 	})
 	for r := 0; r < k; r++ {
 		if shards[r] == nil {
@@ -309,47 +270,6 @@ func (c *Comm) AllGather(p *sim.Proc, data *shmem.Symm, off, n int) {
 			buf := data.On(c.pes[d])
 			if buf.Functional() {
 				copy(buf.Data()[off+lo:], shards[r])
-			}
-		}
-	}
-}
-
-// Broadcast copies root's data[off:off+n] to every rank directly.
-func (c *Comm) Broadcast(p *sim.Proc, root int, data *shmem.Symm, off, n int) {
-	k := len(c.pes)
-	if k == 1 {
-		return
-	}
-	var vals []float32
-	rbuf := data.On(c.pes[root])
-	if rbuf.Functional() {
-		vals = append([]float32(nil), rbuf.Data()[off:off+n]...)
-	}
-	bytes := float64(n) * 4
-	c.forEachRank(p, "broadcast", func(rp *sim.Proc, r int) {
-		if r != root {
-			return
-		}
-		c.launchRank(rp, r)
-		wg := sim.NewWaitGroup(rp.Engine())
-		for d := 0; d < k; d++ {
-			if d == root {
-				continue
-			}
-			d := d
-			wg.Add(1)
-			rp.Engine().Go("bcast.pair", func(pp *sim.Proc) {
-				c.copyPair(pp, root, d, bytes)
-				wg.Done()
-			})
-		}
-		wg.Wait(rp)
-	})
-	if vals != nil {
-		for d := 0; d < k; d++ {
-			buf := data.On(c.pes[d])
-			if buf.Functional() {
-				copy(buf.Data()[off:off+n], vals)
 			}
 		}
 	}

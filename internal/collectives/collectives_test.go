@@ -230,22 +230,6 @@ func TestAllGatherCorrect(t *testing.T) {
 	}
 }
 
-func TestBroadcastCorrect(t *testing.T) {
-	e, pl, w, c := setup(t, 1, 4)
-	data := w.Malloc(8)
-	fillRank(data, 2, 50)
-	e.Go("coord", func(p *sim.Proc) { c.Broadcast(p, 2, data, 0, 8) })
-	e.Run()
-	for pe := 0; pe < pl.NDevices(); pe++ {
-		d := data.On(pe).Data()
-		for i := range d {
-			if d[i] != 50+float32(i) {
-				t.Fatalf("pe %d elem %d = %g", pe, i, d[i])
-			}
-		}
-	}
-}
-
 func TestDirectAllReduceBandwidthSanity(t *testing.T) {
 	// 4 ranks, n elements: direct moves 2*(k-1)/k*n elements per rank over
 	// its links. With 1 GB/s links and per-shard concurrency, check the
@@ -293,7 +277,6 @@ func TestSingleRankCollectivesAreNoOps(t *testing.T) {
 		c.AllReduceRing(p, data, 0, 8)
 		c.AllGather(p, data, 0, 8)
 		c.ReduceScatter(p, data, 0, 8)
-		c.Broadcast(p, 0, data, 0, 8)
 	})
 	end := e.Run()
 	if end != 0 {

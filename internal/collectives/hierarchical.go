@@ -134,23 +134,6 @@ func (c *Comm) sub(ranks []int) *Comm {
 	return &Comm{pl: c.pl, pes: pes, protocol: c.protocol, launch: c.launch}
 }
 
-// phase runs body(i) for i in [0,k) on concurrent processes and blocks
-// the coordinator until all complete — the barrier between the levels of
-// a hierarchical collective.
-func (c *Comm) phase(p *sim.Proc, name string, k int, body func(pp *sim.Proc, i int)) {
-	e := c.pl.E
-	wg := sim.NewWaitGroup(e)
-	wg.Add(k)
-	for i := 0; i < k; i++ {
-		i := i
-		e.Go(fmt.Sprintf("%s/%d", name, i), func(pp *sim.Proc) {
-			body(pp, i)
-			wg.Done()
-		})
-	}
-	wg.Wait(p)
-}
-
 // AllReduceHier is the two-level AllReduce for multi-node clusters of
 // multi-GPU nodes ("The Big Send-off" hierarchy): an intra-node
 // ReduceScatter over the fabric leaves local rank j holding shard j of
@@ -174,14 +157,14 @@ func (c *Comm) AllReduceHier(p *sim.Proc, data *shmem.Symm, off, n int) {
 		intra[g] = c.sub(groups[g])
 	}
 	// Level 1: intra-node reduce-scatter, all nodes concurrent.
-	c.phase(p, "hier.rs", len(groups), func(pp *sim.Proc, g int) {
+	p.ForkJoin(len(groups), "hier.rs", func(pp *sim.Proc, g int) {
 		intra[g].ReduceScatter(pp, data, off, n)
 	})
 	// Level 2: inter-node AllReduce of each shard over the NIC. Local
 	// rank j on every node owns shard j of its node's partial sum; the
 	// per-local-index communicators run concurrently and share the NICs.
 	local := len(groups[0])
-	c.phase(p, "hier.ar", local, func(pp *sim.Proc, j int) {
+	p.ForkJoin(local, "hier.ar", func(pp *sim.Proc, j int) {
 		ranks := make([]int, len(groups))
 		for g := range groups {
 			ranks[g] = groups[g][j]
@@ -192,7 +175,7 @@ func (c *Comm) AllReduceHier(p *sim.Proc, data *shmem.Symm, off, n int) {
 		}
 	})
 	// Level 3: intra-node all-gather of the globally reduced shards.
-	c.phase(p, "hier.ag", len(groups), func(pp *sim.Proc, g int) {
+	p.ForkJoin(len(groups), "hier.ag", func(pp *sim.Proc, g int) {
 		intra[g].AllGather(pp, data, off, n)
 	})
 	c.writeAll(data, off, sums)
@@ -233,7 +216,7 @@ func (c *Comm) allToAllHier(p *sim.Proc, send, recv *shmem.Symm, stride, off, cn
 	// Phase 1 — pack + local exchange: each rank exchanges same-node
 	// blocks directly over the fabric and forwards its remote-node
 	// blocks to the node leader (leaders already hold theirs).
-	c.forEachRank(p, "a2a.hier.pack", func(rp *sim.Proc, s int) {
+	p.ForkJoin(k, "a2a.hier.pack", func(rp *sim.Proc, s int) {
 		c.launchRank(rp, s)
 		// Local block: read + write on own HBM.
 		c.dev(s).HBM().Transfer(rp, 2*bytes, 0)
@@ -258,7 +241,7 @@ func (c *Comm) allToAllHier(p *sim.Proc, send, recv *shmem.Symm, stride, off, cn
 			}
 		}
 	}
-	c.phase(p, "a2a.hier.net", len(pairs), func(pp *sim.Proc, i int) {
+	p.ForkJoin(len(pairs), "a2a.hier.net", func(pp *sim.Proc, i int) {
 		pr := pairs[i]
 		payload := float64(len(groups[pr.a])*len(groups[pr.b])) * bytes
 		c.copyPair(pp, leader(pr.a), leader(pr.b), payload)
@@ -266,7 +249,7 @@ func (c *Comm) allToAllHier(p *sim.Proc, send, recv *shmem.Symm, stride, off, cn
 
 	// Phase 3 — scatter: leaders deliver each local rank its blocks
 	// received from remote nodes.
-	c.forEachRank(p, "a2a.hier.scatter", func(rp *sim.Proc, s int) {
+	p.ForkJoin(k, "a2a.hier.scatter", func(rp *sim.Proc, s int) {
 		if s == leader(nodeOf[s]) || remoteRanks == 0 {
 			return
 		}

@@ -34,7 +34,7 @@ func (c *Comm) AllReduceRing(p *sim.Proc, data *shmem.Symm, off, n int) {
 	}
 	mod := func(a int) int { return ((a % k) + k) % k }
 
-	c.forEachRank(p, "allreduce.ring", func(rp *sim.Proc, r int) {
+	p.ForkJoin(k, "allreduce.ring", func(rp *sim.Proc, r int) {
 		c.launchRank(rp, r)
 		next := (r + 1) % k
 		// Reduce-scatter: after step t, rank r has accumulated t+2

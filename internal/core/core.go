@@ -233,13 +233,6 @@ func runBaseline(p *sim.Proc, op Pair) Report {
 	return rep
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // chunkRange returns the balanced split [lo,hi) of units work items
 // into n chunks at index c (empty when n exceeds units) — the shared
 // chunk arithmetic of every pair operator's phase entry points.
@@ -247,12 +240,13 @@ func chunkRange(c, n, units int) (lo, hi int) {
 	return c * units / n, (c + 1) * units / n
 }
 
-// emptyChunkReport returns the zero-work report of an empty chunk over
-// k PEs.
-func emptyChunkReport(now sim.Time, k int) Report {
-	rep := Report{Start: now, End: now, PEEnd: make([]sim.Time, k)}
+// SpanReport returns the report of a phase over k ranks that every
+// rank finishes together: a library collective, which occupies each
+// rank until it completes, or an empty chunk (start == end).
+func SpanReport(start, end sim.Time, k int) Report {
+	rep := Report{Start: start, End: end, PEEnd: make([]sim.Time, k)}
 	for s := range rep.PEEnd {
-		rep.PEEnd[s] = now
+		rep.PEEnd[s] = end
 	}
 	return rep
 }
@@ -263,16 +257,16 @@ func emptyChunkReport(now sim.Time, k int) Report {
 // fresh launch.
 const ChunkDispatchOverhead = 1 * sim.Microsecond
 
-// chunkComm builds the communicator of chunk c of a chunked collective
-// chain. The first chunk pays the full library cost (kernel launch +
-// rendezvous); later chunks ride the persistent chain that launch
-// established and pay only a flag-poll dispatch — the way GC3-style
-// chunk-scheduled collectives and CoCoNet's emitted communication plans
-// work, one program per chain rather than n independent library calls.
-// Without this, chunked pipelining would re-pay the launch + rendezvous
-// floor n times and could never beat the bulk-synchronous baseline it
-// exists to overlap.
-func chunkComm(pl *platform.Platform, pes []int, c int) *collectives.Comm {
+// ChunkComm builds the communicator of chunk c of a chunked collective
+// chain, for running the chunk and for estimating it alike. The first
+// chunk pays the full library cost (kernel launch + rendezvous); later
+// chunks ride the persistent chain that launch established and pay only
+// a flag-poll dispatch — the way GC3-style chunk-scheduled collectives
+// and CoCoNet's emitted communication plans work, one program per chain
+// rather than n independent library calls. Without this, chunked
+// pipelining would re-pay the launch + rendezvous floor n times and
+// could never beat the bulk-synchronous baseline it exists to overlap.
+func ChunkComm(pl *platform.Platform, pes []int, c int) *collectives.Comm {
 	comm := collectives.New(pl, pes)
 	if c > 0 {
 		comm.SetProtocolOverhead(0)

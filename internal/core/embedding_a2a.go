@@ -84,6 +84,10 @@ func NewEmbeddingAllToAll(w *shmem.World, pes []int, sets []*kernels.EmbeddingSe
 	return op, nil
 }
 
+// wgRows resolves a RowsPerWG coarsening: zero or negative means one
+// pooled row per logical WG.
+func wgRows(rowsPerWG int) int { return max(rowsPerWG, 1) }
+
 // slicesPerTable returns B/S, the slice count per table per rank.
 func (op *EmbeddingAllToAll) slicesPerTable() int { return op.GlobalBatch / op.SliceRows }
 
@@ -166,10 +170,7 @@ func (op *EmbeddingAllToAll) RunFused(p *sim.Proc) Report {
 	e := pl.E
 	rep := Report{Start: e.Now(), PEEnd: make([]sim.Time, op.k)}
 	sliceRdy := w.MallocFlags(op.flagsPerPE())
-	rowsPerWG := op.RowsPerWG
-	if rowsPerWG <= 0 {
-		rowsPerWG = 1
-	}
+	rowsPerWG := wgRows(op.RowsPerWG)
 	if op.SliceRows%rowsPerWG != 0 {
 		panic(fmt.Sprintf("core: RowsPerWG %d must divide SliceRows %d", rowsPerWG, op.SliceRows))
 	}
@@ -189,19 +190,10 @@ func (op *EmbeddingAllToAll) RunFused(p *sim.Proc) Report {
 	// fenced) all its zero-copy stores into dst.
 	storeDone := w.MallocFlags(op.k * phys)
 
-	wgAll := sim.NewWaitGroup(e)
-	wgAll.Add(op.k)
-	for s := 0; s < op.k; s++ {
-		s := s
-		pe := op.PEs[s]
-		dev := pl.Device(pe)
-		e.Go(fmt.Sprintf("fused.emb/rank%d", s), func(rp *sim.Proc) {
-			op.runRank(rp, s, dev, sliceRdy, storeDone, itemsPerSlice, rowsPerWG, phys, &rep)
-			rep.PEEnd[s] = rp.Now()
-			wgAll.Done()
-		})
-	}
-	wgAll.Wait(p)
+	p.ForkJoin(op.k, "fused.emb", func(rp *sim.Proc, s int) {
+		op.runRank(rp, s, pl.Device(op.PEs[s]), sliceRdy, storeDone, itemsPerSlice, rowsPerWG, phys, &rep)
+		rep.PEEnd[s] = rp.Now()
+	})
 	rep.End = e.Now()
 	return rep
 }
@@ -353,14 +345,11 @@ func (op *EmbeddingAllToAll) RunKernelSplit(p *sim.Proc, shards int) Report {
 	w := op.World
 	pl := w.Platform()
 	e := pl.E
-	rep := Report{Start: e.Now(), PEEnd: make([]sim.Time, op.k)}
+	start := e.Now()
 	if shards < 1 || op.L%shards != 0 {
 		panic(fmt.Sprintf("core: %d shards must divide local batch %d", shards, op.L))
 	}
-	rowsPerWG := op.RowsPerWG
-	if rowsPerWG <= 0 {
-		rowsPerWG = 1
-	}
+	rowsPerWG := wgRows(op.RowsPerWG)
 	cnt := op.T * op.L * op.D
 	recv := w.Malloc(op.k * cnt)
 	shardBatch := op.GlobalBatch / shards
@@ -369,32 +358,24 @@ func (op *EmbeddingAllToAll) RunKernelSplit(p *sim.Proc, shards int) Report {
 	// computeShard runs one embedding kernel per rank covering all
 	// tables for the shard's batch rows, writing the bucketized layout.
 	computeShard := func(cp *sim.Proc, sh int) {
-		wg := sim.NewWaitGroup(e)
-		wg.Add(op.k)
-		for s := 0; s < op.k; s++ {
-			s := s
+		cp.ForkJoin(op.k, "split.emb", func(rp *sim.Proc, s int) {
 			pe := op.PEs[s]
-			dev := pl.Device(pe)
-			e.Go(fmt.Sprintf("split.emb/rank%d", s), func(rp *sim.Proc) {
-				sendBuf := op.send.On(pe)
-				rows := op.T * shardBatch
-				lanes := rowsPerWG
-				if shardBatch%lanes != 0 {
-					lanes = 1 // keep groups within one table/destination
-				}
-				grid := (rows + lanes - 1) / lanes
-				dev.LaunchGridLanes(rp, "emb.shard", grid, 0, lanes, func(wgc *gpu.WG, l int) {
-					item := l * lanes
-					t := item / shardBatch
-					b0 := sh*shardBatch + item%shardBatch
-					d := b0 / op.L
-					off := d*cnt + t*op.L*op.D + (b0-d*op.L)*op.D
-					op.Sets[s].Bags[t].ComputeRows(wgc, b0, lanes, sendBuf, off)
-				})
-				wg.Done()
+			sendBuf := op.send.On(pe)
+			rows := op.T * shardBatch
+			lanes := rowsPerWG
+			if shardBatch%lanes != 0 {
+				lanes = 1 // keep groups within one table/destination
+			}
+			grid := (rows + lanes - 1) / lanes
+			pl.Device(pe).LaunchGridLanes(rp, "emb.shard", grid, 0, lanes, func(wgc *gpu.WG, l int) {
+				item := l * lanes
+				t := item / shardBatch
+				b0 := sh*shardBatch + item%shardBatch
+				d := b0 / op.L
+				off := d*cnt + t*op.L*op.D + (b0-d*op.L)*op.D
+				op.Sets[s].Bags[t].ComputeRows(wgc, b0, lanes, sendBuf, off)
 			})
-		}
-		wg.Wait(cp)
+		})
 	}
 
 	// Pipeline: compute stream runs shards back to back; the comm
@@ -413,11 +394,7 @@ func (op *EmbeddingAllToAll) RunKernelSplit(p *sim.Proc, shards int) Report {
 		ready.Add(1)
 	}
 	commDone.WaitGE(p, 1)
-	rep.End = e.Now()
-	for s := range rep.PEEnd {
-		rep.PEEnd[s] = rep.End
-	}
-	return rep
+	return SpanReport(start, e.Now(), op.k)
 }
 
 // recvBuf lazily allocates the baseline receive staging buffer.
@@ -453,45 +430,34 @@ func (op *EmbeddingAllToAll) RunComputeChunk(p *sim.Proc, c, n int) Report {
 	e := pl.E
 	t0, t1 := op.chunkTables(c, n)
 	if t1 <= t0 {
-		return emptyChunkReport(e.Now(), op.k)
+		return SpanReport(e.Now(), e.Now(), op.k)
 	}
 	rep := Report{Start: e.Now(), PEEnd: make([]sim.Time, op.k)}
 	cnt := op.T * op.L * op.D
-	rowsPerWG := op.RowsPerWG
-	if rowsPerWG <= 0 {
-		rowsPerWG = 1
-	}
-	wgAll := sim.NewWaitGroup(e)
-	wgAll.Add(op.k)
-	for s := 0; s < op.k; s++ {
-		s := s
+	rowsPerWG := wgRows(op.RowsPerWG)
+	p.ForkJoin(op.k, "base.emb", func(rp *sim.Proc, s int) {
 		pe := op.PEs[s]
 		dev := pl.Device(pe)
-		e.Go(fmt.Sprintf("base.emb/rank%d", s), func(rp *sim.Proc) {
-			sendBuf := op.send.On(pe)
-			for t := t0; t < t1; t++ {
-				t := t
-				bag := op.Sets[s].Bags[t]
-				grid := (op.GlobalBatch + rowsPerWG - 1) / rowsPerWG
-				dev.LaunchGridLanes(rp, "embeddingbag", grid, 0, rowsPerWG, func(wg *gpu.WG, l int) {
-					b0 := l * rowsPerWG
-					n := rowsPerWG
-					if b0+n > op.GlobalBatch {
-						n = op.GlobalBatch - b0
-					}
-					// Row groups never straddle a destination because
-					// RowsPerWG divides SliceRows divides the local
-					// batch, so the bucketized rows are contiguous.
-					d := b0 / op.L
-					off := d*cnt + t*op.L*op.D + (b0-d*op.L)*op.D
-					bag.ComputeRows(wg, b0, n, sendBuf, off)
-				})
-			}
-			rep.PEEnd[s] = rp.Now()
-			wgAll.Done()
-		})
-	}
-	wgAll.Wait(p)
+		sendBuf := op.send.On(pe)
+		for t := t0; t < t1; t++ {
+			bag := op.Sets[s].Bags[t]
+			grid := (op.GlobalBatch + rowsPerWG - 1) / rowsPerWG
+			dev.LaunchGridLanes(rp, "embeddingbag", grid, 0, rowsPerWG, func(wg *gpu.WG, l int) {
+				b0 := l * rowsPerWG
+				n := rowsPerWG
+				if b0+n > op.GlobalBatch {
+					n = op.GlobalBatch - b0
+				}
+				// Row groups never straddle a destination because
+				// RowsPerWG divides SliceRows divides the local
+				// batch, so the bucketized rows are contiguous.
+				d := b0 / op.L
+				off := d*cnt + t*op.L*op.D + (b0-d*op.L)*op.D
+				bag.ComputeRows(wg, b0, n, sendBuf, off)
+			})
+		}
+		rep.PEEnd[s] = rp.Now()
+	})
 	rep.End = e.Now()
 	return rep
 }
@@ -509,42 +475,33 @@ func (op *EmbeddingAllToAll) RunCollectiveChunk(p *sim.Proc, c, n int) Report {
 	e := pl.E
 	t0, t1 := op.chunkTables(c, n)
 	if t1 <= t0 {
-		return emptyChunkReport(e.Now(), op.k)
+		return SpanReport(e.Now(), e.Now(), op.k)
 	}
 	rep := Report{Start: e.Now(), PEEnd: make([]sim.Time, op.k)}
 	cnt := op.T * op.L * op.D
 	recv := op.recvBuf()
 
-	comm := chunkComm(pl, op.PEs, c)
-	comm.AllToAllSub(p, op.send, recv, cnt, t0*op.L*op.D, (t1-t0)*op.L*op.D, op.Config.Collective)
+	ChunkComm(pl, op.PEs, c).AllToAllSub(p, op.send, recv, cnt, t0*op.L*op.D, (t1-t0)*op.L*op.D, op.Config.Collective)
 
-	wgAll := sim.NewWaitGroup(e)
-	wgAll.Add(op.k)
-	for s := 0; s < op.k; s++ {
-		s := s
+	p.ForkJoin(op.k, "base.shuffle", func(rp *sim.Proc, s int) {
 		pe := op.PEs[s]
-		dev := pl.Device(pe)
-		e.Go(fmt.Sprintf("base.shuffle/rank%d", s), func(rp *sim.Proc) {
-			out := op.Out.On(pe)
-			rbuf := recv.On(pe)
-			tables := t1 - t0
-			grid := op.k * tables
-			dev.LaunchGrid(rp, "shuffle", grid, 0, func(wg *gpu.WG, l int) {
-				src, t := l/tables, t0+l%tables
-				blockBytes := float64(op.L*op.D) * 4
-				wg.Read(blockBytes)
-				wg.Write(blockBytes)
-				if out.Functional() {
-					for lr := 0; lr < op.L; lr++ {
-						out.CopyWithin(op.dstOffset(src*op.T+t, lr), rbuf, src*cnt+t*op.L*op.D+lr*op.D, op.D)
-					}
+		out := op.Out.On(pe)
+		rbuf := recv.On(pe)
+		tables := t1 - t0
+		grid := op.k * tables
+		pl.Device(pe).LaunchGrid(rp, "shuffle", grid, 0, func(wg *gpu.WG, l int) {
+			src, t := l/tables, t0+l%tables
+			blockBytes := float64(op.L*op.D) * 4
+			wg.Read(blockBytes)
+			wg.Write(blockBytes)
+			if out.Functional() {
+				for lr := 0; lr < op.L; lr++ {
+					out.CopyWithin(op.dstOffset(src*op.T+t, lr), rbuf, src*cnt+t*op.L*op.D+lr*op.D, op.D)
 				}
-			})
-			rep.PEEnd[s] = rp.Now()
-			wgAll.Done()
+			}
 		})
-	}
-	wgAll.Wait(p)
+		rep.PEEnd[s] = rp.Now()
+	})
 	rep.End = e.Now()
 	return rep
 }

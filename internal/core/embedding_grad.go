@@ -90,10 +90,7 @@ func (g *EmbeddingGradExchange) RunFused(p *sim.Proc) Report {
 	e := pl.E
 	rep := Report{Start: e.Now(), PEEnd: make([]sim.Time, op.k)}
 
-	rowsPerWG := g.RowsPerWG
-	if rowsPerWG <= 0 {
-		rowsPerWG = 1
-	}
+	rowsPerWG := wgRows(g.RowsPerWG)
 	if op.SliceRows%rowsPerWG != 0 {
 		panic("core: RowsPerWG must divide SliceRows")
 	}
@@ -102,17 +99,10 @@ func (g *EmbeddingGradExchange) RunFused(p *sim.Proc) Report {
 	arrived := w.MallocFlags(g.gradSliceCount())
 	lSlices := op.L / op.SliceRows
 
-	wgAll := sim.NewWaitGroup(e)
-	wgAll.Add(op.k)
-	for s := 0; s < op.k; s++ {
-		s := s
-		e.Go(fmt.Sprintf("fused.embgrad/rank%d", s), func(rp *sim.Proc) {
-			g.runRank(rp, s, arrived, rowsPerWG, lSlices, &rep)
-			rep.PEEnd[s] = rp.Now()
-			wgAll.Done()
-		})
-	}
-	wgAll.Wait(p)
+	p.ForkJoin(op.k, "fused.embgrad", func(rp *sim.Proc, s int) {
+		g.runRank(rp, s, arrived, rowsPerWG, lSlices, &rep)
+		rep.PEEnd[s] = rp.Now()
+	})
 	rep.End = e.Now()
 	return rep
 }
@@ -205,69 +195,49 @@ func (g *EmbeddingGradExchange) RunBaseline(p *sim.Proc) Report {
 	pl := op.World.Platform()
 	e := pl.E
 	rep := Report{Start: e.Now(), PEEnd: make([]sim.Time, op.k)}
-	rowsPerWG := g.RowsPerWG
-	if rowsPerWG <= 0 {
-		rowsPerWG = 1
-	}
+	rowsPerWG := wgRows(g.RowsPerWG)
 
 	// Pack: the {L, k*T*D} gradient layout interleaves owners, but the
 	// library All-to-All needs contiguous per-destination blocks — a
 	// full read+write pass the fused path's strided puts avoid.
 	cnt := op.T * op.L * op.D
 	packed := op.World.Malloc(op.k * cnt)
-	wgPack := sim.NewWaitGroup(e)
-	wgPack.Add(op.k)
-	for s := 0; s < op.k; s++ {
-		s := s
+	p.ForkJoin(op.k, "base.embgrad.pack", func(rp *sim.Proc, s int) {
 		pe := op.PEs[s]
-		dev := pl.Device(pe)
-		e.Go(fmt.Sprintf("base.embgrad.pack/rank%d", s), func(rp *sim.Proc) {
-			src := g.GradOut.On(pe)
-			dst := packed.On(pe)
-			grid := op.k * op.T
-			dev.LaunchGrid(rp, "grad.pack", grid, 0, func(wg *gpu.WG, l int) {
-				d, t := l/op.T, l%op.T
-				blockBytes := float64(op.L*op.D) * 4
-				wg.Read(blockBytes)
-				wg.Write(blockBytes)
-				if dst.Functional() {
-					for lr := 0; lr < op.L; lr++ {
-						dst.CopyWithin(d*cnt+t*op.L*op.D+lr*op.D, src, lr*op.rowStride+(d*op.T+t)*op.D, op.D)
-					}
+		src := g.GradOut.On(pe)
+		dst := packed.On(pe)
+		grid := op.k * op.T
+		pl.Device(pe).LaunchGrid(rp, "grad.pack", grid, 0, func(wg *gpu.WG, l int) {
+			d, t := l/op.T, l%op.T
+			blockBytes := float64(op.L*op.D) * 4
+			wg.Read(blockBytes)
+			wg.Write(blockBytes)
+			if dst.Functional() {
+				for lr := 0; lr < op.L; lr++ {
+					dst.CopyWithin(d*cnt+t*op.L*op.D+lr*op.D, src, lr*op.rowStride+(d*op.T+t)*op.D, op.D)
 				}
-			})
-			wgPack.Done()
+			}
 		})
-	}
-	wgPack.Wait(p)
+	})
 
 	// Exchange: each rank sends its packed T*L*D block per owner.
 	comm := collectives.New(pl, op.PEs)
 	comm.AllToAll(p, packed, g.GradIn, cnt, op.Config.Collective)
 
 	// Scatter-add kernel per rank over all its tables' gradient rows.
-	wgAll := sim.NewWaitGroup(e)
-	wgAll.Add(op.k)
-	for s := 0; s < op.k; s++ {
-		s := s
-		pe := op.PEs[s]
-		dev := pl.Device(pe)
-		e.Go(fmt.Sprintf("base.embgrad/rank%d", s), func(rp *sim.Proc) {
-			rows := op.T * op.GlobalBatch
-			grid := (rows + rowsPerWG - 1) / rowsPerWG
-			dev.LaunchGridLanes(rp, "emb.scatteradd", grid, 0, rowsPerWG, func(wg *gpu.WG, l int) {
-				item := l * rowsPerWG
-				n := rowsPerWG
-				if item+n > rows {
-					n = rows - item
-				}
-				g.applyRowsCost(wg, s, item/op.GlobalBatch, n)
-			})
-			rep.PEEnd[s] = rp.Now()
-			wgAll.Done()
+	p.ForkJoin(op.k, "base.embgrad", func(rp *sim.Proc, s int) {
+		rows := op.T * op.GlobalBatch
+		grid := (rows + rowsPerWG - 1) / rowsPerWG
+		pl.Device(op.PEs[s]).LaunchGridLanes(rp, "emb.scatteradd", grid, 0, rowsPerWG, func(wg *gpu.WG, l int) {
+			item := l * rowsPerWG
+			n := rowsPerWG
+			if item+n > rows {
+				n = rows - item
+			}
+			g.applyRowsCost(wg, s, item/op.GlobalBatch, n)
 		})
-	}
-	wgAll.Wait(p)
+		rep.PEEnd[s] = rp.Now()
+	})
 	rep.End = e.Now()
 	return rep
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fusedcc/internal/collectives"
 	"fusedcc/internal/gpu"
 	"fusedcc/internal/shmem"
 	"fusedcc/internal/sim"
@@ -30,59 +29,56 @@ import (
 // they ignore contention transients and scheduling jitter, and the auto
 // experiment reports the resulting mispredict rate against simulation.
 
-// kernelCost describes one grid launch for estimation: grid logical
-// items, each charging the given memory traffic, flops, and fixed busy
-// time.
-type kernelCost struct {
-	grid     int
-	wgsPerCU int // 0 = device max
-	lanes    int // lane coarsening (0 or 1 = none)
-	// Per-item costs. Gather bytes are the payload; the model divides
-	// by GatherEfficiency like the device does.
-	itemRead, itemGather, itemWrite float64
-	itemFlops                       float64
-	itemFixed                       sim.Duration
+// KernelEstimate prices one conventional grid launch on a device
+// configuration — the roofline model the operator estimators use,
+// exported so stack builders can attach analytic cost estimates to
+// custom rowwise per-rank nodes (the select pass needs them to price
+// wavefront schedules through those nodes). Launch overhead is not
+// included; add cfg.KernelLaunchOverhead per launch.
+type KernelEstimate struct {
+	// Grid is the logical work-item count.
+	Grid int
+	// WGsPerCU caps residency per CU (0 = device maximum), and Lanes
+	// is the lane coarsening of each item (0 or 1 = none).
+	WGsPerCU, Lanes int
+	// Read, Gather, Write, and Flops are per-item costs (bytes and
+	// multiply-adds); Fixed is a per-item fixed busy time. Gather bytes
+	// are the payload; the model divides by GatherEfficiency like the
+	// device does.
+	Read, Gather, Write, Flops float64
+	Fixed                      sim.Duration
 }
 
-// time returns the estimated kernel body duration (launch overhead not
-// included): the larger of the per-WG-limited pipeline time and the
-// device-level HBM/ALU roofline.
-func (kc kernelCost) time(cfg gpu.Config) sim.Duration {
-	if kc.grid <= 0 {
+// Time returns the estimated kernel body duration on cfg: the larger of
+// the per-WG-limited pipeline time and the device-level HBM/ALU
+// roofline.
+func (ke KernelEstimate) Time(cfg gpu.Config) sim.Duration {
+	if ke.Grid <= 0 {
 		return 0
 	}
-	lanes := kc.lanes
-	if lanes < 1 {
-		lanes = 1
-	}
-	perCU := kc.wgsPerCU
+	lanes := max(ke.Lanes, 1)
+	perCU := ke.WGsPerCU
 	if perCU <= 0 || perCU > cfg.MaxWGSlotsPerCU {
 		perCU = cfg.MaxWGSlotsPerCU
 	}
-	phys := cfg.CUs * perCU / lanes
-	if phys < 1 {
-		phys = 1
-	}
-	if phys > kc.grid {
-		phys = kc.grid
-	}
-	rounds := (kc.grid + phys - 1) / phys
+	phys := min(max(cfg.CUs*perCU/lanes, 1), ke.Grid)
+	rounds := (ke.Grid + phys - 1) / phys
 
-	gather := kc.itemGather
+	gather := ke.Gather
 	if cfg.GatherEfficiency > 0 {
 		gather /= cfg.GatherEfficiency
 	}
-	streamBytes := kc.itemRead + kc.itemWrite + gather
+	streamBytes := ke.Read + ke.Write + gather
 	cap := cfg.PerWGStreamBandwidth * float64(lanes)
 	perItem := sim.TransferTime(streamBytes, cap) +
-		sim.TransferTime(kc.itemFlops, cfg.FlopsPerCU*float64(lanes)) +
-		kc.itemFixed
+		sim.TransferTime(ke.Flops, cfg.FlopsPerCU*float64(lanes)) +
+		ke.Fixed
 	tWG := sim.Duration(rounds) * perItem
 
-	total := float64(kc.grid)
+	total := float64(ke.Grid)
 	tHBM := sim.TransferTime(total*streamBytes, cfg.HBMBandwidth)
-	tALU := sim.TransferTime(total*kc.itemFlops, float64(cfg.CUs)*cfg.FlopsPerCU)
-	tFix := sim.Duration(rounds) * kc.itemFixed
+	tALU := sim.TransferTime(total*ke.Flops, float64(cfg.CUs)*cfg.FlopsPerCU)
+	tFix := sim.Duration(rounds) * ke.Fixed
 	if t := tHBM + tFix; t > tWG {
 		tWG = t
 	}
@@ -90,18 +86,6 @@ func (kc kernelCost) time(cfg gpu.Config) sim.Duration {
 		tWG = t
 	}
 	return tWG
-}
-
-// chunkEstComm builds the communicator an estimate prices chunk c of a
-// chain with: head chunks pay the full library call, later chunks the
-// chunk-chain dispatch (mirroring chunkComm).
-func chunkEstComm(w *shmem.World, pes []int, c int) *collectives.Comm {
-	comm := collectives.New(w.Platform(), pes)
-	if c > 0 {
-		comm.SetProtocolOverhead(0)
-		comm.SetLaunchOverhead(ChunkDispatchOverhead)
-	}
-	return comm
 }
 
 // fusedDest is one peer's communication demand from one rank of a fused
@@ -174,13 +158,13 @@ func (op *GEMVAllReduce) EstimateComputeChunk(c, n int) sim.Duration {
 	cfg := op.World.Platform().Device(op.PEs[0]).Config()
 	rows := float64(hi-lo) / float64(thi-tlo)
 	kd := float64(op.maxK())
-	kc := kernelCost{
-		grid:      thi - tlo,
-		itemRead:  rows*kd*4 + kd*4/float64(op.tiles),
-		itemWrite: rows * 4,
-		itemFlops: 2 * rows * kd,
+	kc := KernelEstimate{
+		Grid:  thi - tlo,
+		Read:  rows*kd*4 + kd*4/float64(op.tiles),
+		Write: rows * 4,
+		Flops: 2 * rows * kd,
 	}
-	return cfg.KernelLaunchOverhead + kc.time(cfg)
+	return cfg.KernelLaunchOverhead + kc.Time(cfg)
 }
 
 // EstimateCollectiveChunk predicts RunCollectiveChunk(c, n): the library
@@ -191,7 +175,7 @@ func (op *GEMVAllReduce) EstimateCollectiveChunk(c, n int) sim.Duration {
 	if hi <= lo {
 		return 0
 	}
-	return chunkEstComm(op.World, op.PEs, c).EstimateAllReduce(hi-lo, op.Config.Collective)
+	return ChunkComm(op.World.Platform(), op.PEs, c).EstimateAllReduce(hi-lo, op.Config.Collective)
 }
 
 // EstimateFused predicts RunFused: the persistent kernel's compute
@@ -205,14 +189,14 @@ func (op *GEMVAllReduce) EstimateFused() sim.Duration {
 	kd := float64(op.maxK())
 	rows := float64(op.m) / float64(op.tiles)
 
-	comp := kernelCost{
-		grid:      op.tiles,
-		wgsPerCU:  occ,
-		itemRead:  rows * kd * 4,
-		itemFlops: 2 * rows * kd,
-		itemFixed: op.Config.Bookkeeping + sc.PutAPIOverhead,
+	comp := KernelEstimate{
+		Grid:     op.tiles,
+		WGsPerCU: occ,
+		Read:     rows * kd * 4,
+		Flops:    2 * rows * kd,
+		Fixed:    op.Config.Bookkeeping + sc.PutAPIOverhead,
 	}
-	tComp := comp.time(cfg)
+	tComp := comp.Time(cfg)
 
 	// Phase-1 drain: every rank streams each peer-owned tile straight to
 	// its owner (tiles/k tiles per destination).
@@ -225,13 +209,13 @@ func (op *GEMVAllReduce) EstimateFused() sim.Duration {
 
 	// Owner reduction: read the k staged copies of each owned tile.
 	owned := float64(op.m) / float64(op.k)
-	red := kernelCost{
-		grid:      per,
-		wgsPerCU:  occ,
-		itemRead:  float64(op.k) * rows * 4,
-		itemFlops: float64(op.k-1) * rows,
+	red := KernelEstimate{
+		Grid:     per,
+		WGsPerCU: occ,
+		Read:     float64(op.k) * rows * 4,
+		Flops:    float64(op.k-1) * rows,
 	}
-	tRed := red.time(cfg)
+	tRed := red.Time(cfg)
 
 	// Broadcast: each rank pushes its reduced shard to every peer.
 	for d := range dests {
@@ -251,7 +235,7 @@ func (op *GEMVAllReduce) EstimateFused() sim.Duration {
 // device's resident slots. Floored at 1, capped at MaxChunks.
 func (op *GEMVAllReduce) SaturationChunks() int {
 	cfg := op.World.Platform().Device(op.PEs[0]).Config()
-	return clampChunks(op.tiles/cfg.MaxWGSlots(), op.MaxChunks())
+	return min(max(op.tiles/cfg.MaxWGSlots(), 1), op.MaxChunks())
 }
 
 // --- Embedding + All-to-All ---
@@ -273,14 +257,6 @@ func (op *EmbeddingAllToAll) avgPooling() float64 {
 	return sum / float64(n)
 }
 
-// rowsPerWGEst normalizes the coarsening factor.
-func (op *EmbeddingAllToAll) rowsPerWGEst() int {
-	if op.RowsPerWG < 1 {
-		return 1
-	}
-	return op.RowsPerWG
-}
-
 // EstimateComputeChunk predicts RunComputeChunk(c, n): one pooling
 // kernel per table in the chunk's range, each paying its own launch.
 func (op *EmbeddingAllToAll) EstimateComputeChunk(c, n int) sim.Duration {
@@ -289,15 +265,15 @@ func (op *EmbeddingAllToAll) EstimateComputeChunk(c, n int) sim.Duration {
 		return 0
 	}
 	cfg := op.World.Platform().Device(op.PEs[0]).Config()
-	rpw := op.rowsPerWGEst()
+	rpw := wgRows(op.RowsPerWG)
 	pool := op.avgPooling()
-	kc := kernelCost{
-		grid:       (op.GlobalBatch + rpw - 1) / rpw,
-		lanes:      rpw,
-		itemGather: pool * float64(rpw*op.D) * 4,
-		itemWrite:  float64(rpw*op.D) * 4,
+	kc := KernelEstimate{
+		Grid:   (op.GlobalBatch + rpw - 1) / rpw,
+		Lanes:  rpw,
+		Gather: pool * float64(rpw*op.D) * 4,
+		Write:  float64(rpw*op.D) * 4,
 	}
-	perTable := cfg.KernelLaunchOverhead + kc.time(cfg)
+	perTable := cfg.KernelLaunchOverhead + kc.Time(cfg)
 	return sim.Duration(t1-t0) * perTable
 }
 
@@ -310,15 +286,15 @@ func (op *EmbeddingAllToAll) EstimateCollectiveChunk(c, n int) sim.Duration {
 		return 0
 	}
 	cnt := (t1 - t0) * op.L * op.D
-	t := chunkEstComm(op.World, op.PEs, c).EstimateAllToAll(cnt, op.Config.Collective)
+	t := ChunkComm(op.World.Platform(), op.PEs, c).EstimateAllToAll(cnt, op.Config.Collective)
 	cfg := op.World.Platform().Device(op.PEs[0]).Config()
 	blockBytes := float64(op.L*op.D) * 4
-	shuffle := kernelCost{
-		grid:      op.k * (t1 - t0),
-		itemRead:  blockBytes,
-		itemWrite: blockBytes,
+	shuffle := KernelEstimate{
+		Grid:  op.k * (t1 - t0),
+		Read:  blockBytes,
+		Write: blockBytes,
 	}
-	return t + cfg.KernelLaunchOverhead + shuffle.time(cfg)
+	return t + cfg.KernelLaunchOverhead + shuffle.Time(cfg)
 }
 
 // EstimateFused predicts RunFused: the persistent pooling kernel
@@ -327,19 +303,19 @@ func (op *EmbeddingAllToAll) EstimateFused() sim.Duration {
 	pl := op.World.Platform()
 	cfg := pl.Device(op.PEs[0]).Config()
 	sc := op.World.Config()
-	rpw := op.rowsPerWGEst()
+	rpw := wgRows(op.RowsPerWG)
 	pool := op.avgPooling()
 	occ := op.Config.fusedWGsPerCU(pl.Device(op.PEs[0]))
 
 	items := op.numSlices() * (op.SliceRows / rpw)
-	comp := kernelCost{
-		grid:       items,
-		wgsPerCU:   occ,
-		lanes:      rpw,
-		itemGather: pool * float64(rpw*op.D) * 4,
-		itemFixed:  op.Config.Bookkeeping + sc.FlagAPIOverhead,
+	comp := KernelEstimate{
+		Grid:     items,
+		WGsPerCU: occ,
+		Lanes:    rpw,
+		Gather:   pool * float64(rpw*op.D) * 4,
+		Fixed:    op.Config.Bookkeeping + sc.FlagAPIOverhead,
 	}
-	tComp := comp.time(cfg)
+	tComp := comp.Time(cfg)
 
 	// Per destination: L/SliceRows slices per table, zero-copy within
 	// the node, one put per slice across nodes.
@@ -399,13 +375,13 @@ func (op *GEMMAllToAll) EstimateComputeChunk(c, n int) sim.Duration {
 		return 0
 	}
 	cfg := op.World.Platform().Device(op.PEs[0]).Config()
-	kc := kernelCost{
-		grid:      tiles,
-		itemRead:  read / float64(tiles),
-		itemWrite: write / float64(tiles),
-		itemFlops: flops / float64(tiles),
+	kc := KernelEstimate{
+		Grid:  tiles,
+		Read:  read / float64(tiles),
+		Write: write / float64(tiles),
+		Flops: flops / float64(tiles),
 	}
-	return cfg.KernelLaunchOverhead + kc.time(cfg)
+	return cfg.KernelLaunchOverhead + kc.Time(cfg)
 }
 
 // EstimateCollectiveChunk predicts RunCollectiveChunk(c, n): the sub-block
@@ -415,7 +391,7 @@ func (op *GEMMAllToAll) EstimateCollectiveChunk(c, n int) sim.Duration {
 	if r1 <= r0 {
 		return 0
 	}
-	return chunkEstComm(op.World, op.PEs, c).EstimateAllToAll((r1-r0)*op.Gemms[0].N, op.Config.Collective)
+	return ChunkComm(op.World.Platform(), op.PEs, c).EstimateAllToAll((r1-r0)*op.Gemms[0].N, op.Config.Collective)
 }
 
 // EstimateFused predicts RunFused: the Triton persistent kernel's tile
@@ -434,15 +410,15 @@ func (op *GEMMAllToAll) EstimateFused() sim.Duration {
 	occ := op.Config.fusedWGsPerCU(pl.Device(op.PEs[0]))
 	tiles, read, flops, write := op.chunkTileStats(0, 1)
 
-	comp := kernelCost{
-		grid:      tiles,
-		wgsPerCU:  occ,
-		itemRead:  read / float64(tiles),
-		itemWrite: write / float64(tiles), // register staging for the puts
-		itemFlops: flops / float64(tiles),
-		itemFixed: op.Config.Bookkeeping + sc.PutAPIOverhead,
+	comp := KernelEstimate{
+		Grid:     tiles,
+		WGsPerCU: occ,
+		Read:     read / float64(tiles),
+		Write:    write / float64(tiles), // register staging for the puts
+		Flops:    flops / float64(tiles),
+		Fixed:    op.Config.Bookkeeping + sc.PutAPIOverhead,
 	}
-	tComp := comp.time(cfg)
+	tComp := comp.Time(cfg)
 
 	g := op.Gemms[0]
 	perDestTiles := op.rowBands() * g.TilesN()
@@ -460,16 +436,5 @@ func (op *GEMMAllToAll) EstimateFused() sim.Duration {
 // operator tile grid.
 func (op *GEMMAllToAll) SaturationChunks() int {
 	cfg := op.World.Platform().Device(op.PEs[0]).Config()
-	return clampChunks(op.opTiles()/cfg.MaxWGSlots(), op.MaxChunks())
-}
-
-// clampChunks bounds a saturation estimate to [1, max].
-func clampChunks(k, max int) int {
-	if k < 1 {
-		return 1
-	}
-	if k > max {
-		return max
-	}
-	return k
+	return min(max(op.opTiles()/cfg.MaxWGSlots(), 1), op.MaxChunks())
 }

@@ -122,97 +122,90 @@ func (op *GEMMAllToAll) RunFused(p *sim.Proc) Report {
 	// tiles destined for dst.
 	tileDone := w.MallocFlags(op.k * phys)
 
-	wgAll := sim.NewWaitGroup(e)
-	wgAll.Add(op.k)
-	for s := 0; s < op.k; s++ {
-		s := s
+	p.ForkJoin(op.k, "fused.gemm", func(rp *sim.Proc, s int) {
 		pe := op.PEs[s]
-		e.Go(fmt.Sprintf("fused.gemm/rank%d", s), func(rp *sim.Proc) {
-			g := op.Gemms[s]
-			functional := op.Recv.On(pe).Functional()
+		g := op.Gemms[s]
+		functional := op.Recv.On(pe).Functional()
 
-			// Communication-aware program order: tiles bound for the
-			// costliest links (cross-node NIC, then fabric) run first.
-			order := make([]int, 0, op.opTiles())
-			if op.Config.Schedule == CommAware {
-				for _, d := range commAwareDestOrder(pl, op.PEs, s) {
-					for t := 0; t < op.opTiles(); t++ {
-						if td, _, _, _, _ := op.tileRect(t); td == d {
-							order = append(order, t)
-						}
-					}
-				}
-			} else {
+		// Communication-aware program order: tiles bound for the
+		// costliest links (cross-node NIC, then fabric) run first.
+		order := make([]int, 0, op.opTiles())
+		if op.Config.Schedule == CommAware {
+			for _, d := range commAwareDestOrder(pl, op.PEs, s) {
 				for t := 0; t < op.opTiles(); t++ {
-					order = append(order, t)
+					if td, _, _, _, _ := op.tileRect(t); td == d {
+						order = append(order, t)
+					}
 				}
 			}
+		} else {
+			for t := 0; t < op.opTiles(); t++ {
+				order = append(order, t)
+			}
+		}
 
-			remaining := make([][]int, phys)
-			kb := triton.NewBuilder(fmt.Sprintf("fused.gemm_a2a.%d", s), pl.Device(pe), w).
-				Grid(op.opTiles()).Occupancy(occ).Order(order)
-			kb.Body(func(tc *triton.TileCtx) {
-				if remaining[tc.Phys] == nil {
-					// First program on this WG: count tiles per
-					// destination for flag raising.
-					counts := make([]int, op.k)
-					for i := tc.Phys; i < op.opTiles(); i += tc.NumPhys {
-						td, _, _, _, _ := op.tileRect(order[i])
-						counts[td]++
-					}
-					remaining[tc.Phys] = counts
-					for d := 0; d < op.k; d++ {
-						if counts[d] == 0 && d != s {
-							tc.CommFlag(op.PEs[d], tileDone, s*phys+tc.Phys, 1)
-						}
-					}
+		remaining := make([][]int, phys)
+		kb := triton.NewBuilder(fmt.Sprintf("fused.gemm_a2a.%d", s), pl.Device(pe), w).
+			Grid(op.opTiles()).Occupancy(occ).Order(order)
+		kb.Body(func(tc *triton.TileCtx) {
+			if remaining[tc.Phys] == nil {
+				// First program on this WG: count tiles per
+				// destination for flag raising.
+				counts := make([]int, op.k)
+				for i := tc.Phys; i < op.opTiles(); i += tc.NumPhys {
+					td, _, _, _, _ := op.tileRect(order[i])
+					counts[td]++
 				}
-				d, mlo, mhi, nlo, nhi := op.tileRect(tc.PID)
-				tm, tn := mhi-mlo, nhi-nlo
-				// tl.load A and B tiles, tl.dot.
-				tc.Load(float64(tm*g.K)*4 + float64(tn*g.K)*4)
-				tc.Dot(2 * float64(tm) * float64(tn) * float64(g.K))
-				var vals []float32
-				if functional {
-					vals = make([]float32, tm*tn)
-					g.ValuesRect(mlo, mhi, nlo, nhi, vals)
-				}
-				// Communicate the tile straight to its origin rank:
-				// recv[s][mlo-d*tokens ...][nlo ...].
-				dstOff := (s*op.tokens+(mlo-d*op.tokens))*g.N + nlo
-				tc.CommPutRows(op.PEs[d], op.Recv, dstOff, g.N, vals, tm, tn)
-				tc.WG().Busy(op.Config.Bookkeeping)
-				if d != s {
-					rep.RemotePuts++
-					rep.RemoteBytes += float64(tm*tn) * 4
-				}
-				remaining[tc.Phys][d]--
-				if remaining[tc.Phys][d] == 0 && d != s {
-					tc.CommFlag(op.PEs[d], tileDone, s*phys+tc.Phys, 1)
-				}
-			})
-			kb.OnRetire(func(tc *triton.TileCtx) {
-				// A WG that received no programs still must raise its
-				// flags and wait for the combine to complete.
-				if remaining[tc.Phys] == nil {
-					for d := 0; d < op.k; d++ {
-						if d != s {
-							tc.CommFlag(op.PEs[d], tileDone, s*phys+tc.Phys, 1)
-						}
+				remaining[tc.Phys] = counts
+				for d := 0; d < op.k; d++ {
+					if counts[d] == 0 && d != s {
+						tc.CommFlag(op.PEs[d], tileDone, s*phys+tc.Phys, 1)
 					}
 				}
-				for src := 0; src < op.k; src++ {
-					if src != s {
-						tc.CommWait(tileDone, src*phys+tc.Phys, 1)
-					}
-				}
-			})
-			kb.Launch(rp)
-			rep.PEEnd[s] = rp.Now()
-			wgAll.Done()
+			}
+			d, mlo, mhi, nlo, nhi := op.tileRect(tc.PID)
+			tm, tn := mhi-mlo, nhi-nlo
+			// tl.load A and B tiles, tl.dot.
+			tc.Load(float64(tm*g.K)*4 + float64(tn*g.K)*4)
+			tc.Dot(2 * float64(tm) * float64(tn) * float64(g.K))
+			var vals []float32
+			if functional {
+				vals = make([]float32, tm*tn)
+				g.ValuesRect(mlo, mhi, nlo, nhi, vals)
+			}
+			// Communicate the tile straight to its origin rank:
+			// recv[s][mlo-d*tokens ...][nlo ...].
+			dstOff := (s*op.tokens+(mlo-d*op.tokens))*g.N + nlo
+			tc.CommPutRows(op.PEs[d], op.Recv, dstOff, g.N, vals, tm, tn)
+			tc.WG().Busy(op.Config.Bookkeeping)
+			if d != s {
+				rep.RemotePuts++
+				rep.RemoteBytes += float64(tm*tn) * 4
+			}
+			remaining[tc.Phys][d]--
+			if remaining[tc.Phys][d] == 0 && d != s {
+				tc.CommFlag(op.PEs[d], tileDone, s*phys+tc.Phys, 1)
+			}
 		})
-	}
-	wgAll.Wait(p)
+		kb.OnRetire(func(tc *triton.TileCtx) {
+			// A WG that received no programs still must raise its
+			// flags and wait for the combine to complete.
+			if remaining[tc.Phys] == nil {
+				for d := 0; d < op.k; d++ {
+					if d != s {
+						tc.CommFlag(op.PEs[d], tileDone, s*phys+tc.Phys, 1)
+					}
+				}
+			}
+			for src := 0; src < op.k; src++ {
+				if src != s {
+					tc.CommWait(tileDone, src*phys+tc.Phys, 1)
+				}
+			}
+		})
+		kb.Launch(rp)
+		rep.PEEnd[s] = rp.Now()
+	})
 	rep.End = e.Now()
 	return rep
 }
@@ -257,38 +250,30 @@ func (op *GEMMAllToAll) RunComputeChunk(p *sim.Proc, c, n int) Report {
 	e := pl.E
 	r0, r1 := op.chunkRows(c, n)
 	if r1 <= r0 {
-		return emptyChunkReport(e.Now(), op.k)
+		return SpanReport(e.Now(), e.Now(), op.k)
 	}
 	rep := Report{Start: e.Now(), PEEnd: make([]sim.Time, op.k)}
 	send := op.sendBuf()
-
-	wgAll := sim.NewWaitGroup(e)
-	wgAll.Add(op.k)
-	for s := 0; s < op.k; s++ {
-		s := s
+	p.ForkJoin(op.k, "base.gemm", func(rp *sim.Proc, s int) {
 		pe := op.PEs[s]
-		e.Go(fmt.Sprintf("base.gemm/rank%d", s), func(rp *sim.Proc) {
-			g := op.Gemms[s]
-			// Operator tiles never straddle a destination block (each
-			// block is tiled independently, ragged tail clamped), so
-			// block-local row membership selects whole tiles.
-			var tiles []int
-			for t := 0; t < op.opTiles(); t++ {
-				d, mlo, _, _, _ := op.tileRect(t)
-				if lr := mlo - d*op.tokens; lr >= r0 && lr < r1 {
-					tiles = append(tiles, t)
-				}
+		g := op.Gemms[s]
+		// Operator tiles never straddle a destination block (each
+		// block is tiled independently, ragged tail clamped), so
+		// block-local row membership selects whole tiles.
+		var tiles []int
+		for t := 0; t < op.opTiles(); t++ {
+			d, mlo, _, _, _ := op.tileRect(t)
+			if lr := mlo - d*op.tokens; lr >= r0 && lr < r1 {
+				tiles = append(tiles, t)
 			}
-			out := send.On(pe)
-			pl.Device(pe).LaunchGrid(rp, "gemm", len(tiles), 0, func(wg *gpu.WG, l int) {
-				_, mlo, mhi, nlo, nhi := op.tileRect(tiles[l])
-				g.ComputeRect(wg, mlo, mhi, nlo, nhi, out)
-			})
-			rep.PEEnd[s] = rp.Now()
-			wgAll.Done()
+		}
+		out := send.On(pe)
+		pl.Device(pe).LaunchGrid(rp, "gemm", len(tiles), 0, func(wg *gpu.WG, l int) {
+			_, mlo, mhi, nlo, nhi := op.tileRect(tiles[l])
+			g.ComputeRect(wg, mlo, mhi, nlo, nhi, out)
 		})
-	}
-	wgAll.Wait(p)
+		rep.PEEnd[s] = rp.Now()
+	})
 	rep.End = e.Now()
 	return rep
 }
@@ -302,18 +287,12 @@ func (op *GEMMAllToAll) RunCollectiveChunk(p *sim.Proc, c, n int) Report {
 	pl := op.World.Platform()
 	e := pl.E
 	r0, r1 := op.chunkRows(c, n)
-	if r1 <= r0 {
-		return emptyChunkReport(e.Now(), op.k)
+	start := e.Now()
+	if r1 > r0 {
+		g0 := op.Gemms[0]
+		ChunkComm(pl, op.PEs, c).AllToAllSub(p, op.sendBuf(), op.Recv, op.tokens*g0.N, r0*g0.N, (r1-r0)*g0.N, op.Config.Collective)
 	}
-	rep := Report{Start: e.Now(), PEEnd: make([]sim.Time, op.k)}
-	g0 := op.Gemms[0]
-	comm := chunkComm(pl, op.PEs, c)
-	comm.AllToAllSub(p, op.sendBuf(), op.Recv, op.tokens*g0.N, r0*g0.N, (r1-r0)*g0.N, op.Config.Collective)
-	rep.End = e.Now()
-	for s := range rep.PEEnd {
-		rep.PEEnd[s] = rep.End
-	}
-	return rep
+	return SpanReport(start, e.Now(), op.k)
 }
 
 // RunBaseline executes the bulk-synchronous comparator: the stock tiled

@@ -86,17 +86,10 @@ func (op *GEMVAllReduce) RunFused(p *sim.Proc) Report {
 	storeDone := w.MallocFlags(op.k * phys)
 	bcastDone := w.MallocFlags(op.k * phys)
 
-	wgAll := sim.NewWaitGroup(e)
-	wgAll.Add(op.k)
-	for s := 0; s < op.k; s++ {
-		s := s
-		e.Go(fmt.Sprintf("fused.gemv/rank%d", s), func(rp *sim.Proc) {
-			op.runRank(rp, s, phys, storeDone, bcastDone, &rep)
-			rep.PEEnd[s] = rp.Now()
-			wgAll.Done()
-		})
-	}
-	wgAll.Wait(p)
+	p.ForkJoin(op.k, "fused.gemv", func(rp *sim.Proc, s int) {
+		op.runRank(rp, s, phys, storeDone, bcastDone, &rep)
+		rep.PEEnd[s] = rp.Now()
+	})
 	rep.End = e.Now()
 	return rep
 }
@@ -261,28 +254,20 @@ func (op *GEMVAllReduce) RunComputeChunk(p *sim.Proc, c, n int) Report {
 	e := pl.E
 	tlo, thi := op.chunkTiles(c, n)
 	if thi <= tlo {
-		return emptyChunkReport(e.Now(), op.k)
+		return SpanReport(e.Now(), e.Now(), op.k)
 	}
 	rep := Report{Start: e.Now(), PEEnd: make([]sim.Time, op.k)}
-	wgAll := sim.NewWaitGroup(e)
-	wgAll.Add(op.k)
-	for s := 0; s < op.k; s++ {
-		s := s
+	p.ForkJoin(op.k, "base.gemv", func(rp *sim.Proc, s int) {
 		pe := op.PEs[s]
-		e.Go(fmt.Sprintf("base.gemv/rank%d", s), func(rp *sim.Proc) {
-			g := op.Gemvs[s]
-			dev := pl.Device(pe)
-			out := op.Out.On(pe)
-			dev.LaunchGrid(rp, "gemv", thi-tlo, 0, func(wg *gpu.WG, t int) {
-				tile := tlo + t
-				lo, _ := g.TileRange(tile)
-				g.ComputeTile(wg, tile, out, lo)
-			})
-			rep.PEEnd[s] = rp.Now()
-			wgAll.Done()
+		g := op.Gemvs[s]
+		out := op.Out.On(pe)
+		pl.Device(pe).LaunchGrid(rp, "gemv", thi-tlo, 0, func(wg *gpu.WG, t int) {
+			tile := tlo + t
+			lo, _ := g.TileRange(tile)
+			g.ComputeTile(wg, tile, out, lo)
 		})
-	}
-	wgAll.Wait(p)
+		rep.PEEnd[s] = rp.Now()
+	})
 	rep.End = e.Now()
 	return rep
 }
@@ -295,17 +280,11 @@ func (op *GEMVAllReduce) RunCollectiveChunk(p *sim.Proc, c, n int) Report {
 	pl := op.World.Platform()
 	e := pl.E
 	lo, hi := op.chunkElems(c, n)
-	if hi <= lo {
-		return emptyChunkReport(e.Now(), op.k)
+	start := e.Now()
+	if hi > lo {
+		ChunkComm(pl, op.PEs, c).AllReduce(p, op.Out, lo, hi-lo, op.Config.Collective)
 	}
-	rep := Report{Start: e.Now(), PEEnd: make([]sim.Time, op.k)}
-	comm := chunkComm(pl, op.PEs, c)
-	comm.AllReduce(p, op.Out, lo, hi-lo, op.Config.Collective)
-	rep.End = e.Now()
-	for s := range rep.PEEnd {
-		rep.PEEnd[s] = rep.End
-	}
-	return rep
+	return SpanReport(start, e.Now(), op.k)
 }
 
 // RunBaseline executes the bulk-synchronous comparator: a conventional

@@ -1,10 +1,5 @@
 package core
 
-import (
-	"fusedcc/internal/gpu"
-	"fusedcc/internal/sim"
-)
-
 // Chunk-range metadata: the per-chunk dataflow contract the graph
 // partition pass needs to prove cross-pair (inter-layer) chunk
 // dependencies. Every pair operator already splits its phases into
@@ -143,31 +138,4 @@ func (op *EmbeddingAllToAll) ChunkOut(c, n int) ChunkRange {
 func (op *EmbeddingAllToAll) ChunkIn(c, n int) (ChunkRange, bool) {
 	t0, t1 := op.chunkTables(c, n)
 	return ChunkRange{Kind: RangeTables, Lo: t0, Hi: t1, Units: op.T}, true
-}
-
-// KernelEstimate prices one conventional grid launch on a device
-// configuration — the roofline model the operator estimators use,
-// exported so stack builders can attach analytic cost estimates to
-// custom rowwise per-rank nodes (the select pass needs them to price
-// wavefront schedules through those nodes). Launch overhead is not
-// included; add cfg.KernelLaunchOverhead per launch.
-type KernelEstimate struct {
-	// Grid is the logical work-item count.
-	Grid int
-	// Read, Gather, Write, and Flops are per-item costs (bytes and
-	// multiply-adds); Fixed is a per-item fixed busy time.
-	Read, Gather, Write, Flops float64
-	Fixed                      sim.Duration
-}
-
-// Time returns the estimated kernel body duration on cfg.
-func (ke KernelEstimate) Time(cfg gpu.Config) sim.Duration {
-	return kernelCost{
-		grid:       ke.Grid,
-		itemRead:   ke.Read,
-		itemGather: ke.Gather,
-		itemWrite:  ke.Write,
-		itemFlops:  ke.Flops,
-		itemFixed:  ke.Fixed,
-	}.time(cfg)
 }

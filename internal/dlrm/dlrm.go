@@ -105,6 +105,9 @@ func New(w *shmem.World, pes []int, cfg Config, opCfg core.Config) (*Model, erro
 	if cfg.TablesPerGPU <= 0 || cfg.EmbeddingDim <= 0 || cfg.GlobalBatch <= 0 {
 		return nil, fmt.Errorf("dlrm: invalid config %+v", cfg)
 	}
+	if cfg.RowsPerWG > 1 && cfg.SliceRows%cfg.RowsPerWG != 0 {
+		return nil, fmt.Errorf("dlrm: RowsPerWG %d must divide SliceRows %d", cfg.RowsPerWG, cfg.SliceRows)
+	}
 	pl := w.Platform()
 	m := &Model{World: w, PEs: pes, Cfg: cfg}
 	for grp := 0; grp < cfg.groups(); grp++ {

@@ -138,10 +138,3 @@ func AblationKernelSplit(opt Options) *Result {
 		fmt.Sprintf("fused kernel %v; decomposition pays per-shard launches and loses slice-granular overlap", fusedTime))
 	return res
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -185,21 +185,13 @@ func (d *Device) Launch(p *sim.Proc, k Kernel) {
 	d.kernelsLaunched++
 	p.Sleep(d.cfg.KernelLaunchOverhead)
 
-	wg := sim.NewWaitGroup(d.e)
-	wg.Add(k.PhysWGs)
-	for i := 0; i < k.PhysWGs; i++ {
-		i := i
-		d.e.Go(fmt.Sprintf("%s/wg%d", k.Name, i), func(proc *sim.Proc) {
-			d.slots.Acquire(proc, lanes)
-			d.activeWGs += lanes
-			w := &WG{P: proc, Dev: d, PhysID: i, Lanes: lanes}
-			k.Body(w)
-			d.activeWGs -= lanes
-			d.slots.Release(lanes)
-			wg.Done()
-		})
-	}
-	wg.Wait(p)
+	p.ForkJoin(k.PhysWGs, k.Name, func(proc *sim.Proc, i int) {
+		d.slots.Acquire(proc, lanes)
+		d.activeWGs += lanes
+		k.Body(&WG{P: proc, Dev: d, PhysID: i, Lanes: lanes})
+		d.activeWGs -= lanes
+		d.slots.Release(lanes)
+	})
 }
 
 // LaunchGrid runs a conventional (non-persistent) kernel with grid

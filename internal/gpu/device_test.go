@@ -210,40 +210,18 @@ func TestTwoKernelsContendForSlots(t *testing.T) {
 	// must wait for A to retire.
 	e := sim.NewEngine()
 	d := NewDevice(e, 0, small())
-	sa, sb := d.NewStream("a"), d.NewStream("b")
 	var endB sim.Time
-	sa.LaunchKernel(Kernel{Name: "a", PhysWGs: 8, Body: func(w *WG) { w.Busy(100 * sim.Microsecond) }})
-	sb.LaunchKernel(Kernel{Name: "b", PhysWGs: 8, Body: func(w *WG) { w.Busy(10 * sim.Microsecond) }})
-	e.Go("host", func(p *sim.Proc) {
-		sa.Sync(p)
-		sb.Sync(p)
+	e.Go("a", func(p *sim.Proc) {
+		d.Launch(p, Kernel{Name: "a", PhysWGs: 8, Body: func(w *WG) { w.Busy(100 * sim.Microsecond) }})
+	})
+	e.Go("b", func(p *sim.Proc) {
+		d.Launch(p, Kernel{Name: "b", PhysWGs: 8, Body: func(w *WG) { w.Busy(10 * sim.Microsecond) }})
 		endB = p.Now()
 	})
 	e.Run()
 	// B cannot finish before A's 100us body completes.
 	if endB < sim.Time(110*sim.Microsecond) {
 		t.Errorf("kernel B finished at %v, want >= 110us (slot contention)", endB)
-	}
-}
-
-func TestStreamFIFO(t *testing.T) {
-	e := sim.NewEngine()
-	d := NewDevice(e, 0, small())
-	s := d.NewStream("s")
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		s.Enqueue(func(p *sim.Proc) {
-			p.Sleep(sim.Duration(5-i) * sim.Microsecond) // later items sleep less
-			order = append(order, i)
-		})
-	}
-	e.Go("host", func(p *sim.Proc) { s.Sync(p) })
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("stream order = %v, want FIFO", order)
-		}
 	}
 }
 
@@ -403,11 +381,15 @@ func TestDeviceStreamKindsAndOverlap(t *testing.T) {
 	}
 	// Compute busy [0,100); comm busy [50,150): overlap is 50.
 	e.Go("comp", func(p *sim.Proc) {
-		comp.Run(p, func(p *sim.Proc) { p.Sleep(100) })
+		comp.Acquire(p)
+		p.Sleep(100)
+		comp.Release()
 	})
 	e.Go("comm", func(p *sim.Proc) {
 		p.Sleep(50)
-		comm.Run(p, func(p *sim.Proc) { p.Sleep(100) })
+		comm.Acquire(p)
+		p.Sleep(100)
+		comm.Release()
 	})
 	e.Run()
 	if got := d.StreamBusy(StreamCompute); got != 100 {
@@ -439,24 +421,5 @@ func TestStreamAcquireSerializesAcrossProcs(t *testing.T) {
 		if want := sim.Time(10 * (i + 1)); at != want {
 			t.Errorf("holder %d done at %v, want %v", i, at, want)
 		}
-	}
-}
-
-// TestStreamSyncSeesFreshEnqueues is the regression test for the
-// Enqueue-then-Sync-in-one-turn contract: Sync must block on items
-// whose process has not reached the stream yet.
-func TestStreamSyncSeesFreshEnqueues(t *testing.T) {
-	e := sim.NewEngine()
-	d := NewDevice(e, 0, small())
-	s := d.NewStream("s")
-	var syncAt sim.Time
-	e.Go("host", func(p *sim.Proc) {
-		s.Enqueue(func(p *sim.Proc) { p.Sleep(100) })
-		s.Sync(p) // same turn, no yield
-		syncAt = p.Now()
-	})
-	e.Run()
-	if syncAt != 100 {
-		t.Errorf("Sync returned at %v, want 100 (after the enqueued item)", syncAt)
 	}
 }

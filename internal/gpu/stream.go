@@ -34,25 +34,8 @@ func (k StreamKind) String() string {
 // HBM, links). Backed by a sim.Server, a stream records its busy time,
 // which the graph executor turns into per-stream occupancy statistics.
 type Stream struct {
-	dev  *Device
 	name string
 	srv  *sim.Server
-
-	// pending counts items enqueued but not yet completed, tracked
-	// synchronously at Enqueue time so Sync sees work whose process has
-	// not reached the server yet.
-	pending int
-	drained *sim.Cond
-}
-
-// NewStream creates an anonymous stream on the device (not tracked by
-// the per-kind accessors and excluded from overlap accounting).
-func (d *Device) NewStream(name string) *Stream {
-	return &Stream{
-		dev: d, name: name,
-		srv:     sim.NewServer(d.e, fmt.Sprintf("gpu%d.%s", d.id, name)),
-		drained: sim.NewCond(d.e),
-	}
 }
 
 // Stream returns the device's standing stream of the given kind,
@@ -63,9 +46,8 @@ func (d *Device) Stream(kind StreamKind) *Stream {
 		panic(fmt.Sprintf("gpu: invalid stream kind %d", int(kind)))
 	}
 	if d.streams[kind] == nil {
-		s := d.NewStream(kind.String())
-		k := kind
-		s.srv.OnBusy(func(busy bool) { d.streamTransition(k, busy) })
+		s := &Stream{name: kind.String(), srv: sim.NewServer(d.e, fmt.Sprintf("gpu%d.%s", d.id, kind))}
+		s.srv.OnBusy(func(busy bool) { d.streamTransition(kind, busy) })
 		d.streams[kind] = s
 	}
 	return d.streams[kind]
@@ -114,14 +96,6 @@ func (s *Stream) Name() string { return s.name }
 // BusyTime reports the cumulative time the stream held work.
 func (s *Stream) BusyTime() sim.Duration { return s.srv.BusyTime() }
 
-// QueueLen reports the work items currently queued behind the stream's
-// running item — the instantaneous backlog serving telemetry samples.
-func (s *Stream) QueueLen() int { return s.srv.QueueLen() }
-
-// MeanWait reports the mean time admitted items spent queued on the
-// stream before running (zero if nothing has run).
-func (s *Stream) MeanWait() sim.Duration { return s.srv.MeanWait() }
-
 // QueueWait reports the cumulative time admitted items spent queued on
 // the stream — the per-device contention signal of a loaded run.
 func (s *Stream) QueueWait() sim.Duration { return s.srv.TotalWait() }
@@ -133,36 +107,3 @@ func (s *Stream) Acquire(p *sim.Proc) { s.srv.Acquire(p) }
 
 // Release frees the stream for the next queued item.
 func (s *Stream) Release() { s.srv.Release() }
-
-// Run executes fn as one in-order stream item, blocking the caller.
-func (s *Stream) Run(p *sim.Proc, fn func(p *sim.Proc)) {
-	s.srv.Acquire(p)
-	fn(p)
-	s.srv.Release()
-}
-
-// Enqueue appends fn to the stream and returns immediately. fn runs on a
-// dedicated process in FIFO order with respect to earlier items.
-func (s *Stream) Enqueue(fn func(p *sim.Proc)) {
-	s.pending++
-	s.dev.e.Go(fmt.Sprintf("stream/%s", s.name), func(p *sim.Proc) {
-		s.Run(p, fn)
-		s.pending--
-		if s.pending == 0 {
-			s.drained.Broadcast()
-		}
-	})
-}
-
-// LaunchKernel enqueues a kernel dispatch on the stream.
-func (s *Stream) LaunchKernel(k Kernel) {
-	s.Enqueue(func(p *sim.Proc) { s.dev.Launch(p, k) })
-}
-
-// Sync blocks the calling process until the stream drains: every item
-// enqueued so far has completed (including ones whose process has not
-// started yet) and no direct Acquire holder or waiter remains.
-func (s *Stream) Sync(p *sim.Proc) {
-	s.drained.Wait(p, func() bool { return s.pending == 0 })
-	s.srv.WaitIdle(p)
-}

@@ -252,14 +252,3 @@ func (em *emitter) rowSegment(n *Node, k int) *segChain {
 	em.replaced[n] = prev
 	return seg
 }
-
-// clampChunks bounds a requested chunk count to a granularity.
-func clampChunks(chunks, max int) int {
-	if chunks > max {
-		return max
-	}
-	if chunks < 1 {
-		return 1
-	}
-	return chunks
-}

@@ -83,22 +83,17 @@ type perRankOp struct {
 func (o *perRankOp) OpName() string { return "per_rank" }
 func (o *perRankOp) Kind() NodeKind { return KindCompute }
 
-func (o *perRankOp) Run(p *sim.Proc) core.Report {
-	pl := o.g.world.Platform()
-	e := pl.E
-	rep := core.Report{Start: e.Now(), PEEnd: make([]sim.Time, len(o.g.pes))}
-	wg := sim.NewWaitGroup(e)
-	wg.Add(len(o.g.pes))
-	for rank, pe := range o.g.pes {
-		rank, pe := rank, pe
-		e.Go(fmt.Sprintf("graph.rank%d", rank), func(rp *sim.Proc) {
-			o.fn(rp, rank, pe)
-			rep.PEEnd[rank] = rp.Now()
-			wg.Done()
-		})
-	}
-	wg.Wait(p)
-	rep.End = e.Now()
+func (o *perRankOp) Run(p *sim.Proc) core.Report { return o.g.runRanks(p, o.fn) }
+
+// runRanks runs fn concurrently on every rank of the graph, each rank
+// credited its own end.
+func (g *Graph) runRanks(p *sim.Proc, fn func(rp *sim.Proc, rank, pe int)) core.Report {
+	rep := core.Report{Start: p.Now(), PEEnd: make([]sim.Time, len(g.pes))}
+	p.ForkJoin(len(g.pes), "graph.rank", func(rp *sim.Proc, rank int) {
+		fn(rp, rank, g.pes[rank])
+		rep.PEEnd[rank] = rp.Now()
+	})
+	rep.End = p.Now()
 	return rep
 }
 
@@ -145,21 +140,14 @@ func (o *symmCollectiveOp) OpName() string { return o.name }
 func (o *symmCollectiveOp) Kind() NodeKind { return KindCollective }
 
 func (o *symmCollectiveOp) Run(p *sim.Proc) core.Report {
-	pl := o.g.world.Platform()
-	rep := core.Report{Start: pl.E.Now()}
-	comm := collectives.New(pl, o.g.pes)
+	start := p.Now()
+	comm := collectives.New(o.g.world.Platform(), o.g.pes)
 	if o.name == "all_to_all" {
 		comm.AllToAll(p, o.data, o.recv, o.elems, o.algo)
 	} else {
 		comm.AllReduce(p, o.data, o.off, o.elems, o.algo)
 	}
-	rep.End = pl.E.Now()
-	// A collective occupies every rank until it completes.
-	rep.PEEnd = make([]sim.Time, len(o.g.pes))
-	for i := range rep.PEEnd {
-		rep.PEEnd[i] = rep.End
-	}
-	return rep
+	return core.SpanReport(start, p.Now(), len(o.g.pes))
 }
 
 // ---- rowwise ops (wavefront-capable per-rank nodes and exchanges) ----
@@ -181,22 +169,7 @@ func (o *rowsOp) Run(p *sim.Proc) core.Report { return o.runRows(p, 0, o.spec.Un
 
 // runRows runs rows [lo,hi) concurrently on every rank.
 func (o *rowsOp) runRows(p *sim.Proc, lo, hi int) core.Report {
-	pl := o.g.world.Platform()
-	e := pl.E
-	rep := core.Report{Start: e.Now(), PEEnd: make([]sim.Time, len(o.g.pes))}
-	wg := sim.NewWaitGroup(e)
-	wg.Add(len(o.g.pes))
-	for rank, pe := range o.g.pes {
-		rank, pe := rank, pe
-		e.Go(fmt.Sprintf("graph.rank%d", rank), func(rp *sim.Proc) {
-			o.spec.Run(rp, rank, pe, lo, hi)
-			rep.PEEnd[rank] = rp.Now()
-			wg.Done()
-		})
-	}
-	wg.Wait(p)
-	rep.End = e.Now()
-	return rep
+	return o.g.runRanks(p, func(rp *sim.Proc, rank, pe int) { o.spec.Run(rp, rank, pe, lo, hi) })
 }
 
 type rowsChunkOp struct {
@@ -229,24 +202,12 @@ func (o *symmA2ARowsOp) OpName() string              { return "all_to_all" }
 func (o *symmA2ARowsOp) Kind() NodeKind              { return KindCollective }
 func (o *symmA2ARowsOp) Run(p *sim.Proc) core.Report { return o.runRows(p, 0, 0, o.rows) }
 
-// runRows exchanges the per-block row band [lo,hi); chunk > 0 rides the
-// chunk-scheduled chain (flag-poll dispatch instead of a fresh launch
-// and rendezvous, mirroring core's chunked collective chains).
+// runRows exchanges the per-block row band [lo,hi) as the given chunk
+// of a chunk-scheduled chain (see core.ChunkComm).
 func (o *symmA2ARowsOp) runRows(p *sim.Proc, chunk, lo, hi int) core.Report {
-	pl := o.g.world.Platform()
-	rep := core.Report{Start: pl.E.Now()}
-	comm := collectives.New(pl, o.g.pes)
-	if chunk > 0 {
-		comm.SetProtocolOverhead(0)
-		comm.SetLaunchOverhead(core.ChunkDispatchOverhead)
-	}
-	comm.AllToAllSub(p, o.send, o.recv, o.rows*o.epr, lo*o.epr, (hi-lo)*o.epr, o.algo)
-	rep.End = pl.E.Now()
-	rep.PEEnd = make([]sim.Time, len(o.g.pes))
-	for i := range rep.PEEnd {
-		rep.PEEnd[i] = rep.End
-	}
-	return rep
+	start := p.Now()
+	core.ChunkComm(o.g.world.Platform(), o.g.pes, chunk).AllToAllSub(p, o.send, o.recv, o.rows*o.epr, lo*o.epr, (hi-lo)*o.epr, o.algo)
+	return core.SpanReport(start, p.Now(), len(o.g.pes))
 }
 
 type symmA2ARowsChunkOp struct {

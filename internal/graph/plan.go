@@ -196,7 +196,7 @@ func forcedPlan(g *Graph, mode Mode, chunks int) *plan {
 		op := coll.op.(*pairOp)
 		d := Decision{Pattern: op.pattern, Compute: producer.name, Collective: coll.name, Choice: mode, Chunks: 1}
 		if mode != Compiled {
-			if d.Chunks = clampChunks(chunks, op.pair.MaxChunks()); d.Chunks < 2 {
+			if d.Chunks = min(max(chunks, 1), op.pair.MaxChunks()); d.Chunks < 2 {
 				d.Choice, d.Chunks = Eager, 1
 			}
 		}
@@ -207,7 +207,7 @@ func forcedPlan(g *Graph, mode Mode, chunks int) *plan {
 			p.decisions[n.id] = Decision{Pattern: PatternGradExchange, Collective: n.name, Choice: Compiled, Chunks: 1}
 		}
 		if units, ok := rowUnits(n.op); ok && mode == Wavefront {
-			if k := clampChunks(chunks, units); k >= 2 {
+			if k := min(max(chunks, 1), units); k >= 2 {
 				p.rows[n.id] = k
 			}
 		}

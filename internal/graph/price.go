@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 
-	"fusedcc/internal/collectives"
 	"fusedcc/internal/core"
 	"fusedcc/internal/sim"
 )
@@ -286,11 +285,7 @@ func (s *wfSeg) collChunk(c, k int) sim.Duration {
 		if hi <= lo {
 			return 0
 		}
-		comm := collectives.New(s.a2a.g.world.Platform(), s.a2a.g.pes)
-		if c > 0 {
-			comm.SetProtocolOverhead(0)
-			comm.SetLaunchOverhead(core.ChunkDispatchOverhead)
-		}
+		comm := core.ChunkComm(s.a2a.g.world.Platform(), s.a2a.g.pes, c)
 		return scaleDur(comm.EstimateAllToAll((hi-lo)*s.a2a.epr, s.a2a.algo), s.dc.comm())
 	}
 	return 0

@@ -150,6 +150,9 @@ func (g *Graph) GEMVFromSpec(name string, sp GEMVSpec, deps ...Value) (Value, er
 // pair operator, applying the RowsPerWG coarsening — the single
 // construction path the facade and the graph builders share.
 func (sp EmbeddingSpec) NewOperator(w *shmem.World, pes []int, cfg core.Config) (*core.EmbeddingAllToAll, error) {
+	if sp.RowsPerWG > 1 && sp.SliceRows%sp.RowsPerWG != 0 {
+		return nil, fmt.Errorf("graph: RowsPerWG %d must divide SliceRows %d", sp.RowsPerWG, sp.SliceRows)
+	}
 	sets, err := sp.Build(w.Platform(), pes)
 	if err != nil {
 		return nil, err

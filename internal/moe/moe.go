@@ -325,10 +325,3 @@ func (l *Layer) StepReport(p *sim.Proc, mode graph.Mode) *graph.Report {
 
 // Executor returns the layer's executor, for tuning pipeline depth.
 func (l *Layer) Executor() *graph.Executor { return &l.exec }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,5 +1,7 @@
 package sim
 
+import "strconv"
+
 // Cond is a broadcast condition bound to an engine. Processes wait on a
 // predicate; whoever mutates the guarded state calls Broadcast to re-test
 // the waiters. Wakeups happen at the instant of the broadcast, preserving
@@ -171,4 +173,25 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 // Wait blocks p until the counter reaches zero.
 func (wg *WaitGroup) Wait(p *Proc) {
 	wg.cond.Wait(p, func() bool { return wg.n == 0 })
+}
+
+// ForkJoin runs body(rp, i) for i in [0,n) on n new processes named
+// name/i and blocks p until every one has returned — the fan-out of a
+// kernel over its workgroups, or of a collective over its ranks and
+// peers. The processes are spawned in index order at the current
+// instant, so they start in that order; n <= 0 spawns nothing and
+// returns at once.
+func (p *Proc) ForkJoin(n int, name string, body func(rp *Proc, i int)) {
+	if n <= 0 {
+		return
+	}
+	wg := NewWaitGroup(p.e)
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		p.e.Go(name+"/"+strconv.Itoa(i), func(rp *Proc) {
+			body(rp, i)
+			wg.Done()
+		})
+	}
+	wg.Wait(p)
 }

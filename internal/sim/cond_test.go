@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestFlagWaitGE(t *testing.T) {
 	e := NewEngine()
@@ -158,5 +161,72 @@ func TestWaitGroupAlreadyZero(t *testing.T) {
 	e.Run()
 	if !ran {
 		t.Fatal("wait on zero group must not block")
+	}
+}
+
+func TestForkJoinStartsInIndexOrder(t *testing.T) {
+	e := NewEngine()
+	var started []string
+	e.Go("host", func(p *Proc) {
+		p.ForkJoin(4, "fan", func(rp *Proc, i int) {
+			started = append(started, rp.Name())
+			rp.Sleep(Duration(4-i) * 10) // later bodies finish first
+		})
+	})
+	e.Run()
+	want := []string{"fan/0", "fan/1", "fan/2", "fan/3"}
+	if fmt.Sprint(started) != fmt.Sprint(want) {
+		t.Errorf("bodies started as %v, want %v", started, want)
+	}
+}
+
+func TestForkJoinResumesWithSlowestBody(t *testing.T) {
+	e := NewEngine()
+	var slowestEnd, resumed Time
+	e.Go("host", func(p *Proc) {
+		p.ForkJoin(3, "fan", func(rp *Proc, i int) {
+			rp.Sleep([]Duration{30, 100, 50}[i])
+			if rp.Now() > slowestEnd {
+				slowestEnd = rp.Now()
+			}
+		})
+		resumed = p.Now()
+	})
+	e.Go("bystander", func(p *Proc) { p.Sleep(500) })
+	e.Run()
+	if slowestEnd != 100 || resumed != slowestEnd {
+		t.Errorf("caller resumed at %v, slowest body ended at %v, want both 100", resumed, slowestEnd)
+	}
+}
+
+func TestForkJoinZeroReturnsAtOnce(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	e.Go("host", func(p *Proc) {
+		dispatched := e.nDispatched
+		p.ForkJoin(0, "fan", func(*Proc, int) { ran = true })
+		if e.nDispatched != dispatched || len(e.live) != 1 {
+			t.Errorf("ForkJoin(0) parked or spawned: %d events dispatched, %d procs live",
+				e.nDispatched-dispatched, len(e.live))
+		}
+	})
+	e.Run()
+	if ran {
+		t.Error("ForkJoin(0) ran a body")
+	}
+}
+
+func TestForkJoinBodyPanicNamesProcess(t *testing.T) {
+	e := NewEngine()
+	e.Go("host", func(p *Proc) {
+		p.ForkJoin(3, "fan", func(rp *Proc, i int) {
+			if i == 1 {
+				panic("boom")
+			}
+		})
+	})
+	r := runPanics(t, e.Run)
+	if got, want := fmt.Sprint(r), `sim: process "fan/1" panicked: boom`; got != want {
+		t.Errorf("panic = %q, want %q", got, want)
 	}
 }

@@ -304,24 +304,20 @@ type Server struct {
 	sem  *Semaphore
 
 	held      bool
-	waiters   int // acquirers queued or holding
-	idle      *Cond
 	busySince Time
 	busyTotal Duration
 	// onBusy, when non-nil, observes busy/idle transitions (the hook
 	// overlap accounting attaches to).
 	onBusy func(busy bool)
 
-	// Queue accounting: how long admitted holders sat waiting behind
-	// earlier acquirers. The serving layer and the contention-aware cost
-	// estimator read these to see where queueing builds under load.
-	admissions int64
-	totalWait  Duration
+	// totalWait is how long admitted holders sat queued behind earlier
+	// acquirers: where queueing builds under load.
+	totalWait Duration
 }
 
 // NewServer returns an idle server bound to e.
 func NewServer(e *Engine, name string) *Server {
-	return &Server{e: e, name: name, sem: NewSemaphore(e, 1), idle: NewCond(e)}
+	return &Server{e: e, name: name, sem: NewSemaphore(e, 1)}
 }
 
 // Name returns the server's diagnostic name.
@@ -332,16 +328,11 @@ func (s *Server) Name() string { return s.name }
 // process resumes.
 func (s *Server) OnBusy(fn func(busy bool)) { s.onBusy = fn }
 
-// Held reports whether the server is currently occupied.
-func (s *Server) Held() bool { return s.held }
-
 // Acquire takes exclusive hold of the server, blocking in FIFO order
 // behind earlier acquirers.
 func (s *Server) Acquire(p *Proc) {
-	s.waiters++
 	enqueued := s.e.now
 	s.sem.Acquire(p, 1)
-	s.admissions++
 	s.totalWait += s.e.now.Sub(enqueued)
 	s.held = true
 	s.busySince = s.e.now
@@ -350,32 +341,9 @@ func (s *Server) Acquire(p *Proc) {
 	}
 }
 
-// QueueLen reports the acquirers currently queued behind the holder
-// (zero when idle or when the holder runs alone) — the instantaneous
-// queue depth the serving layer samples.
-func (s *Server) QueueLen() int {
-	if s.held {
-		return s.waiters - 1
-	}
-	return s.waiters
-}
-
-// Admissions reports how many acquisitions have completed their wait
-// (including the current holder, if any).
-func (s *Server) Admissions() int64 { return s.admissions }
-
 // TotalWait reports the cumulative time admitted acquirers spent queued
 // before taking the server.
 func (s *Server) TotalWait() Duration { return s.totalWait }
-
-// MeanWait reports the mean queue wait per admitted acquirer (zero
-// before any admission).
-func (s *Server) MeanWait() Duration {
-	if s.admissions == 0 {
-		return 0
-	}
-	return s.totalWait / Duration(s.admissions)
-}
 
 // Release ends the current hold and admits the next waiter.
 func (s *Server) Release() {
@@ -384,20 +352,10 @@ func (s *Server) Release() {
 	}
 	s.busyTotal += s.e.now.Sub(s.busySince)
 	s.held = false
-	s.waiters--
 	if s.onBusy != nil {
 		s.onBusy(false)
 	}
 	s.sem.Release(1)
-	if s.waiters == 0 {
-		s.idle.Broadcast()
-	}
-}
-
-// WaitIdle blocks p until the server has no holder and no queued
-// acquirers — the stream-sync primitive.
-func (s *Server) WaitIdle(p *Proc) {
-	s.idle.Wait(p, func() bool { return s.waiters == 0 })
 }
 
 // BusyTime reports the cumulative held time, including the in-progress
@@ -407,14 +365,6 @@ func (s *Server) BusyTime() Duration {
 		return s.busyTotal + s.e.now.Sub(s.busySince)
 	}
 	return s.busyTotal
-}
-
-// Utilization reports busy time as a fraction of elapsed simulation time.
-func (s *Server) Utilization() float64 {
-	if s.e.now == 0 {
-		return 0
-	}
-	return float64(s.BusyTime()) / float64(s.e.now)
 }
 
 // waterfill splits total among the flows: capped flows below the fair
