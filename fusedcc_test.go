@@ -1,6 +1,7 @@
 package fusedcc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -238,4 +239,28 @@ func TestDLRMRejectsRowsPerWGNotDividingSliceRows(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "RowsPerWG 3") || !strings.Contains(err.Error(), "SliceRows 8") {
 		t.Errorf("NewDLRM error = %v, want one naming RowsPerWG 3 and SliceRows 8", err)
 	}
+}
+
+// A RowsPerWG set on the backward exchange after construction escapes
+// the construction-time check; the fused run must still name both
+// values when it rejects it.
+func TestEmbeddingGradRowsPerWGPanicNamesValues(t *testing.T) {
+	sys, err := NewScaleUp(2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := EmbeddingSpec{TablesPerGPU: 2, Rows: 64, Dim: 8, GlobalBatch: 32, AvgPooling: 4, SliceRows: 8, Seed: 1}
+	fwd, err := sys.NewEmbeddingAllToAll(spec, DefaultOperatorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewEmbeddingGradExchange(fwd)
+	g.RowsPerWG = 3
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "RowsPerWG 3 must divide SliceRows 8") {
+			t.Errorf("RunFused panic = %v, want one naming RowsPerWG 3 and SliceRows 8", r)
+		}
+	}()
+	sys.Run(func(p *Proc) { g.RunFused(p) })
 }

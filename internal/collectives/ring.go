@@ -21,12 +21,9 @@ func (c *Comm) AllReduceRing(p *sim.Proc, data *shmem.Symm, off, n int) {
 	e := c.pl.E
 	steps := 2 * (k - 1)
 	// arrived[t][r] is set when the step-t transfer into rank r lands.
-	arrived := make([][]*sim.Flag, steps)
+	arrived := make([][]sim.Flag, steps)
 	for t := range arrived {
-		arrived[t] = make([]*sim.Flag, k)
-		for r := range arrived[t] {
-			arrived[t][r] = sim.NewFlag(e)
-		}
+		arrived[t] = sim.NewFlags(e, k)
 	}
 	chunkBytes := func(idx int) float64 {
 		lo, hi := c.shard(n, idx)

@@ -88,6 +88,16 @@ func NewEmbeddingAllToAll(w *shmem.World, pes []int, sets []*kernels.EmbeddingSe
 // pooled row per logical WG.
 func wgRows(rowsPerWG int) int { return max(rowsPerWG, 1) }
 
+// sliceWGRows is wgRows for a fused run over slices of sliceRows rows:
+// it panics, naming both values, unless the coarsening divides a slice.
+func sliceWGRows(rowsPerWG, sliceRows int) int {
+	rows := wgRows(rowsPerWG)
+	if sliceRows%rows != 0 {
+		panic(fmt.Sprintf("core: RowsPerWG %d must divide SliceRows %d", rows, sliceRows))
+	}
+	return rows
+}
+
 // slicesPerTable returns B/S, the slice count per table per rank.
 func (op *EmbeddingAllToAll) slicesPerTable() int { return op.GlobalBatch / op.SliceRows }
 
@@ -170,10 +180,7 @@ func (op *EmbeddingAllToAll) RunFused(p *sim.Proc) Report {
 	e := pl.E
 	rep := Report{Start: e.Now(), PEEnd: make([]sim.Time, op.k)}
 	sliceRdy := w.MallocFlags(op.flagsPerPE())
-	rowsPerWG := wgRows(op.RowsPerWG)
-	if op.SliceRows%rowsPerWG != 0 {
-		panic(fmt.Sprintf("core: RowsPerWG %d must divide SliceRows %d", rowsPerWG, op.SliceRows))
-	}
+	rowsPerWG := sliceWGRows(op.RowsPerWG, op.SliceRows)
 	itemsPerSlice := op.SliceRows / rowsPerWG
 
 	// Simulated persistent-WG count (lane-coarsened), identical on all

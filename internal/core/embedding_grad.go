@@ -90,10 +90,7 @@ func (g *EmbeddingGradExchange) RunFused(p *sim.Proc) Report {
 	e := pl.E
 	rep := Report{Start: e.Now(), PEEnd: make([]sim.Time, op.k)}
 
-	rowsPerWG := wgRows(g.RowsPerWG)
-	if op.SliceRows%rowsPerWG != 0 {
-		panic("core: RowsPerWG must divide SliceRows")
-	}
+	rowsPerWG := sliceWGRows(g.RowsPerWG, op.SliceRows)
 	// arrived[owner]: one flag per incoming gradient slice, set when
 	// its block is visible at the owner.
 	arrived := w.MallocFlags(g.gradSliceCount())

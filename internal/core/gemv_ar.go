@@ -101,6 +101,10 @@ func (op *GEMVAllReduce) runRank(rp *sim.Proc, s, phys int, storeDone, bcastDone
 	dev := pl.Device(pe)
 	g := op.Gemvs[s]
 	functional := op.Out.On(pe).Functional()
+	var destOrder []int // shared by every WG of the rank
+	if op.Config.Schedule == CommAware {
+		destOrder = commAwareDestOrder(pl, op.PEs, s)
+	}
 
 	dev.Launch(rp, gpu.Kernel{
 		Name:     fmt.Sprintf("fused.gemv.%d", s),
@@ -116,7 +120,7 @@ func (op *GEMVAllReduce) runRank(rp *sim.Proc, s, phys int, storeDone, bcastDone
 			}
 			if op.Config.Schedule == CommAware {
 				ordered := make([]int, 0, len(myTiles))
-				for _, d := range commAwareDestOrder(pl, op.PEs, s) {
+				for _, d := range destOrder {
 					for _, t := range myTiles {
 						if op.owner(t) == d {
 							ordered = append(ordered, t)

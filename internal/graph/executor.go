@@ -332,10 +332,7 @@ func (x *Executor) Execute(p *sim.Proc, g *Graph, mode Mode) *Report {
 	// need no locking.
 	rep.PEEnd = make([]sim.Time, len(rg.pes))
 
-	done := make([]*sim.Flag, len(rg.nodes))
-	for i := range done {
-		done[i] = sim.NewFlag(e)
-	}
+	done := sim.NewFlags(e, len(rg.nodes))
 	all := sim.NewWaitGroup(e)
 	all.Add(len(rg.nodes))
 	for i, n := range rg.nodes {

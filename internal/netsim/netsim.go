@@ -90,6 +90,10 @@ func Send(p *sim.Proc, n Network, src, dst int, bytes float64) {
 // Total uncontended delivery time equals Send's (sum of hop latencies
 // plus per-hop serializations); under contention the two differ only in
 // when each hop's serialization overlaps competing flows.
+//
+// The route, hop latencies included, is fixed at send time, and the
+// message travels as one record whose two callbacks are bound once, so
+// its allocations do not grow with the hop count.
 func SendAsync(w sim.World, r Router, src, dst int, bytes float64, onDelivered func()) {
 	hops := r.Route(src, dst)
 	if len(hops) == 0 {
@@ -98,20 +102,47 @@ func SendAsync(w sim.World, r Router, src, dst int, bytes float64, onDelivered f
 		}
 		return
 	}
-	var step func(i int)
-	step = func(i int) {
-		h := hops[i]
-		h.Link.TransferAsync(bytes, 0, func() {
-			w.Post(h.From, h.To, h.Latency, func() {
-				if i+1 < len(hops) {
-					step(i + 1)
-				} else if onDelivered != nil {
-					onDelivered()
-				}
-			})
-		})
+	m := &transit{w: w, hops: hops, bytes: bytes, onDelivered: onDelivered}
+	m.serialized = m.propagate
+	m.arrived = m.arrive
+	m.send()
+}
+
+// transit is one SendAsync message in flight: its route, the hop it is
+// on, and the callbacks that move it along. Only the shard running the
+// current hop touches it.
+type transit struct {
+	w           sim.World
+	hops        []Hop
+	i           int // the hop being traversed
+	bytes       float64
+	onDelivered func()
+	serialized  func() // m.propagate, bound once
+	arrived     func() // m.arrive, bound once
+}
+
+// send serializes the message through hop i's link.
+func (m *transit) send() {
+	m.hops[m.i].Link.TransferAsync(m.bytes, 0, m.serialized)
+}
+
+// propagate runs when hop i's link has serialized the message: it pays
+// the hop latency into the next node's shard.
+func (m *transit) propagate() {
+	h := &m.hops[m.i]
+	m.w.Post(h.From, h.To, h.Latency, m.arrived)
+}
+
+// arrive runs at hop i's far end: it starts the next hop, or delivers.
+func (m *transit) arrive() {
+	m.i++
+	if m.i < len(m.hops) {
+		m.send()
+		return
 	}
-	step(0)
+	if m.onDelivered != nil {
+		m.onDelivered()
+	}
 }
 
 // PointToPoint is a full mesh of NIC-to-NIC connections: each node has a
@@ -345,18 +376,19 @@ func (t *Torus2D) Route(src, dst int) []Hop {
 	if src == dst {
 		return nil
 	}
-	var hops []Hop
 	sx, sy := t.Coord(src)
 	dx, dy := t.Coord(dst)
 	x, y := sx, sy
 	stepX := shortestStep(sx, dx, t.w)
+	stepY := shortestStep(sy, dy, t.h)
+	n := ringHops(sx, dx, t.w, stepX) + ringHops(sy, dy, t.h, stepY)
+	hops := make([]Hop, 0, n)
 	for x != dx {
 		nx := (x + stepX + t.w) % t.w
 		a, b := t.ID(x, y), t.ID(nx, y)
 		hops = append(hops, Hop{From: a, To: b, Link: t.Link(a, b), Latency: t.hopLatency(a)})
 		x = nx
 	}
-	stepY := shortestStep(sy, dy, t.h)
 	for y != dy {
 		ny := (y + stepY + t.h) % t.h
 		a, b := t.ID(x, y), t.ID(x, ny)
@@ -374,4 +406,10 @@ func shortestStep(a, b, n int) int {
 		return 1
 	}
 	return -1
+}
+
+// ringHops returns the hop count from a to b in a ring of size n, moving
+// in direction step.
+func ringHops(a, b, n, step int) int {
+	return ((b-a)*step%n + n) % n
 }

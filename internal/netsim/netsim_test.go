@@ -262,3 +262,24 @@ func TestTorusSharedLinkContention(t *testing.T) {
 		t.Errorf("independent link finished at %v, want 500ms", soloEnd)
 	}
 }
+
+func TestSendAsyncAllocsIndependentOfHops(t *testing.T) {
+	e := sim.NewEngine()
+	tor := NewTorus2D(e, 16, 8, 25e9, 700)
+	near, far := tor.ID(1, 0), tor.ID(4, 4)
+	if n := len(tor.Route(0, near)); n != 1 {
+		t.Fatalf("route 0->%d has %d hops, want 1", near, n)
+	}
+	if n := len(tor.Route(0, far)); n != 8 {
+		t.Fatalf("route 0->%d has %d hops, want 8", far, n)
+	}
+	send := func(dst int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			SendAsync(e, tor, 0, dst, 1<<20, nil)
+			e.Run()
+		})
+	}
+	if one, eight := send(near), send(far); eight > one {
+		t.Errorf("SendAsync makes %v allocations over 8 hops, %v over 1; want no growth with the hop count", eight, one)
+	}
+}

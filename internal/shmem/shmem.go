@@ -186,23 +186,21 @@ func (s *Symm) On(pe int) *gpu.Buffer { return s.bufs[pe] }
 // Flags is a symmetric array of waitable flags, one set per PE.
 type Flags struct {
 	w     *World
-	flags [][]*sim.Flag
+	flags [][]sim.Flag
 }
 
-// MallocFlags allocates count flags on every PE.
+// MallocFlags allocates count flags on every PE, one allocation per PE
+// whatever the count.
 func (w *World) MallocFlags(count int) *Flags {
-	f := &Flags{w: w, flags: make([][]*sim.Flag, w.NPEs())}
+	f := &Flags{w: w, flags: make([][]sim.Flag, w.NPEs())}
 	for pe := range f.flags {
-		f.flags[pe] = make([]*sim.Flag, count)
-		for i := range f.flags[pe] {
-			f.flags[pe][i] = sim.NewFlag(w.pl.E)
-		}
+		f.flags[pe] = sim.NewFlags(w.pl.E, count)
 	}
 	return f
 }
 
 // On returns flag idx on a PE (for host-side inspection).
-func (f *Flags) On(pe, idx int) *sim.Flag { return f.flags[pe][idx] }
+func (f *Flags) On(pe, idx int) *sim.Flag { return &f.flags[pe][idx] }
 
 // WaitGE blocks the workgroup until the *local* flag idx reaches v —
 // the roc_shmem_wait_until(..., GE, v) analogue.
@@ -274,7 +272,7 @@ func (w *World) PutNbiRows(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStride i
 func (w *World) PutFlagNbi(wg *gpu.WG, dstPE int, f *Flags, idx int, delta int64) {
 	wg.Busy(w.cfg.FlagAPIOverhead)
 	srcPE := wg.Dev.ID()
-	target := f.flags[dstPE][idx]
+	target := &f.flags[dstPE][idx]
 	if srcPE == dstPE {
 		target.Add(delta)
 		return

@@ -312,3 +312,13 @@ func TestStoreRemoteFlagAcrossNodesPanics(t *testing.T) {
 	}()
 	e.Run()
 }
+
+func TestMallocFlagsAllocsIndependentOfCount(t *testing.T) {
+	e := sim.NewEngine()
+	w := NewWorld(testPlatform(e, 1, 4), DefaultConfig())
+	one := testing.AllocsPerRun(10, func() { w.MallocFlags(1) })
+	many := testing.AllocsPerRun(10, func() { w.MallocFlags(1024) })
+	if many != one {
+		t.Errorf("MallocFlags makes %v allocations for 1024 flags per PE, %v for 1; want no growth with the count", many, one)
+	}
+}

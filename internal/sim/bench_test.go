@@ -55,6 +55,7 @@ func BenchmarkFlagPingPong(b *testing.B) {
 			f.Set(int64(2*i + 2))
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
 }
@@ -90,6 +91,7 @@ func BenchmarkResourceFlows(b *testing.B) {
 			}
 		})
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
 }

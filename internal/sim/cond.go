@@ -1,7 +1,5 @@
 package sim
 
-import "strconv"
-
 // Cond is a broadcast condition bound to an engine. Processes wait on a
 // predicate; whoever mutates the guarded state calls Broadcast to re-test
 // the waiters. Wakeups happen at the instant of the broadcast, preserving
@@ -24,28 +22,38 @@ func (c *Cond) Wait(p *Proc, pred func() bool) {
 }
 
 // Broadcast wakes every current waiter so it can re-test its predicate.
-// Safe to call from processes or engine callbacks.
+// Safe to call from processes or engine callbacks. The waiter slice is
+// kept for the next Wait, its entries cleared so it pins no process.
 func (c *Cond) Broadcast() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
+	for i, p := range c.waiters {
 		c.e.enqueue(c.e.now, p, nil)
+		c.waiters[i] = nil
 	}
+	c.waiters = c.waiters[:0]
 }
 
 // Flag is an int64 cell with waitable updates — the simulation analogue of
 // a memory word that GPU threads poll (e.g. sliceRdy flags). The zero
-// value is unusable; create flags with NewFlag.
+// value is unusable; create flags with NewFlag or NewFlags.
 type Flag struct {
 	val  int64
-	cond *Cond
+	cond Cond
 }
 
 // NewFlag returns a flag with value 0.
-func NewFlag(e *Engine) *Flag { return &Flag{cond: NewCond(e)} }
+func NewFlag(e *Engine) *Flag { return &Flag{cond: Cond{e: e}} }
+
+// NewFlags returns n flags with value 0, in one allocation.
+func NewFlags(e *Engine, n int) []Flag {
+	fs := make([]Flag, n)
+	for i := range fs {
+		fs[i].cond.e = e
+	}
+	return fs
+}
 
 // Value returns the current value.
 func (f *Flag) Value() int64 { return f.val }
@@ -150,11 +158,11 @@ func (s *Semaphore) dispatch() {
 // completion — the simulation analogue of sync.WaitGroup.
 type WaitGroup struct {
 	n    int
-	cond *Cond
+	cond Cond
 }
 
 // NewWaitGroup returns an empty wait group.
-func NewWaitGroup(e *Engine) *WaitGroup { return &WaitGroup{cond: NewCond(e)} }
+func NewWaitGroup(e *Engine) *WaitGroup { return &WaitGroup{cond: Cond{e: e}} }
 
 // Add adjusts the counter by delta.
 func (wg *WaitGroup) Add(delta int) {
@@ -188,7 +196,7 @@ func (p *Proc) ForkJoin(n int, name string, body func(rp *Proc, i int)) {
 	wg := NewWaitGroup(p.e)
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		p.e.Go(name+"/"+strconv.Itoa(i), func(rp *Proc) {
+		p.e.spawn(name, i, func(rp *Proc) {
 			body(rp, i)
 			wg.Done()
 		})

@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"iter"
+	"strconv"
 )
 
 // event is a scheduled occurrence: either waking a parked process or
@@ -23,40 +23,85 @@ type event struct {
 	fn   func() // non-nil: run this callback on the engine goroutine
 	// cancelled events stay queued but are skipped when reached.
 	cancelled bool
-	index     int // heap slot, or -1 while in the same-instant queue
+	heaped    bool // in the heap, not the same-instant queue
 }
 
+// before reports whether a is dispatched ahead of b: (time, seq) order.
+// No two events share a seq, so the order is total.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventQueue is a binary min-heap of events in (time, seq) order. The
+// order is total, so the pop sequence depends only on the set of events
+// pushed, never on how the heap arranged them.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
+func (q *eventQueue) push(ev *event) {
 	*q = append(*q, ev)
+	q.up(len(*q) - 1)
 }
-func (q *eventQueue) Pop() any {
+
+// pop removes and returns the earliest event; the queue is non-empty.
+func (q *eventQueue) pop() *event {
 	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
+	n := len(old) - 1
+	ev := old[0]
+	old[0] = old[n]
+	old[n] = nil
+	*q = old[:n]
+	if n > 0 {
+		q.down(0)
+	}
 	return ev
 }
 
+// init restores the heap order over arbitrary contents.
+func (q eventQueue) init() {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+}
+
+func (q eventQueue) up(j int) {
+	ev := q[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !ev.before(q[i]) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = ev
+}
+
+func (q eventQueue) down(i int) {
+	n := len(q)
+	ev := q[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(ev) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = ev
+}
+
 const (
-	// maxPool bounds the event free list so pathological bursts don't pin
-	// memory for the rest of a long sweep.
+	// maxPool bounds the event and flow free lists so pathological
+	// bursts don't pin memory for the rest of a long sweep.
 	maxPool = 4096
 	// compactMin is the heap size below which lazy purging is always
 	// cheap enough; compaction only triggers above it.
@@ -95,6 +140,7 @@ type Engine struct {
 	horizon Time
 
 	pool       []*event // event free list
+	flows      []*flow  // Resource flow free list
 	ncancelled int      // cancelled events still in the heap
 
 	// dirty lists the resources triggered since the last settle; each
@@ -160,7 +206,7 @@ func (e *Engine) free(ev *event) {
 	ev.proc = nil
 	ev.fn = nil
 	ev.cancelled = false
-	ev.index = -1
+	ev.heaped = false
 	if len(e.pool) < maxPool {
 		e.pool = append(e.pool, ev)
 	}
@@ -185,10 +231,10 @@ func (e *Engine) enqueueSeq(t Time, seq uint64, p *Proc, fn func()) *event {
 	ev := e.newEvent()
 	ev.at, ev.seq, ev.proc, ev.fn = t, seq, p, fn
 	if e.running && t == e.now {
-		ev.index = -1
 		e.nowq = append(e.nowq, ev)
 	} else {
-		heap.Push(&e.queue, ev)
+		ev.heaped = true
+		e.queue.push(ev)
 		if len(e.queue) > e.maxHeap {
 			e.maxHeap = len(e.queue)
 		}
@@ -204,7 +250,7 @@ func (e *Engine) cancel(ev *event) {
 		return
 	}
 	ev.cancelled = true
-	if ev.index >= 0 {
+	if ev.heaped {
 		e.ncancelled++
 		if len(e.queue) > compactMin && e.ncancelled*2 > len(e.queue) {
 			e.compact()
@@ -223,14 +269,13 @@ func (e *Engine) compact() {
 			e.free(ev)
 			continue
 		}
-		ev.index = len(live)
 		live = append(live, ev)
 	}
 	for i := len(live); i < len(e.queue); i++ {
 		e.queue[i] = nil
 	}
 	e.queue = live
-	heap.Init(&e.queue)
+	e.queue.init()
 	e.ncancelled = 0
 }
 
@@ -250,9 +295,8 @@ func (e *Engine) settle() {
 // purgeHead pops cancelled events off the heap top.
 func (e *Engine) purgeHead() {
 	for len(e.queue) > 0 && e.queue[0].cancelled {
-		ev := heap.Pop(&e.queue).(*event)
 		e.ncancelled--
-		e.free(ev)
+		e.free(e.queue.pop())
 	}
 }
 
@@ -271,8 +315,11 @@ func (e *Engine) After(d Duration, fn func()) { e.At(e.now.Add(d), fn) }
 // the same time. All Proc methods must be called from the process's
 // own body.
 type Proc struct {
-	e    *Engine
+	e *Engine
+	// name is the spawn name, or a ForkJoin child's fork name, which
+	// Name suffixes with "/" and idx.
 	name string
+	idx  int // ForkJoin child index, or -1
 	slot int // index in e.live while the process is alive, then -1
 
 	// Coroutine handles from iter.Pull, nil once the body has exited
@@ -282,8 +329,14 @@ type Proc struct {
 	yield func(struct{}) bool
 }
 
-// Name returns the diagnostic name given at spawn.
-func (p *Proc) Name() string { return p.name }
+// Name returns the diagnostic name given at spawn; a ForkJoin child is
+// named name/i.
+func (p *Proc) Name() string {
+	if p.idx < 0 {
+		return p.name
+	}
+	return p.name + "/" + strconv.Itoa(p.idx)
+}
 
 // Engine returns the owning engine.
 func (p *Proc) Engine() *Engine { return p.e }
@@ -300,8 +353,12 @@ var errStopped = errors.New("sim: process stopped")
 // processes. The body runs as an iter.Pull coroutine: dispatch resumes
 // it with next and park suspends it with yield, so a park/resume is one
 // coroutine switch on the goroutine that runs the engine.
-func (e *Engine) Go(name string, fn func(*Proc)) {
-	p := &Proc{e: e, name: name, slot: len(e.live)}
+func (e *Engine) Go(name string, fn func(*Proc)) { e.spawn(name, -1, fn) }
+
+// spawn is Go for a process named name, or name/idx when idx >= 0; the
+// name is formatted only when asked for.
+func (e *Engine) spawn(name string, idx int, fn func(*Proc)) {
+	p := &Proc{e: e, name: name, idx: idx, slot: len(e.live)}
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer p.exit()
@@ -326,7 +383,7 @@ func (p *Proc) exit() {
 	}
 	p.e.retire(p)
 	if r != nil {
-		panic(fmt.Errorf("sim: process %q panicked: %v", p.name, r))
+		panic(fmt.Errorf("sim: process %q panicked: %v", p.Name(), r))
 	}
 }
 
@@ -474,7 +531,7 @@ func (e *Engine) run(horizon Time, windowed bool) Time {
 			clean = true
 			return e.now
 		}
-		ev := heap.Pop(&e.queue).(*event)
+		ev := e.queue.pop()
 		e.now = ev.at
 		e.dispatch(ev)
 
@@ -488,7 +545,7 @@ func (e *Engine) run(horizon Time, windowed bool) Time {
 		for len(e.queue) > 0 {
 			h := e.queue[0]
 			if h.cancelled {
-				heap.Pop(&e.queue)
+				e.queue.pop()
 				e.ncancelled--
 				e.free(h)
 				continue
@@ -496,7 +553,7 @@ func (e *Engine) run(horizon Time, windowed bool) Time {
 			if h.at != e.now {
 				break
 			}
-			heap.Pop(&e.queue)
+			e.queue.pop()
 			e.dispatch(h)
 		}
 		for e.nowqHead < len(e.nowq) {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -211,6 +213,83 @@ func TestCancelledHeapCompaction(t *testing.T) {
 	e.Run()
 	if got != 40 {
 		t.Fatalf("ran %d events after cancellation, want 40", got)
+	}
+}
+
+// TestEventHeapDispatchOrder: thousands of callbacks at seeded random
+// times, some scheduling more, with enough of them cancelled to force
+// compaction before the run and more cancelled during it. Whatever
+// arrangement the heap takes, every event not cancelled must be
+// dispatched, in sorted (time, seq) order.
+func TestEventHeapDispatchOrder(t *testing.T) {
+	type key struct {
+		at  Time
+		seq uint64
+	}
+	e := NewEngine()
+	rng := xorshift(0x2545f4914f6cdd1d)
+	var (
+		evs       []*event // by schedule index
+		keys      []key
+		pending   []bool // neither dispatched nor cancelled
+		cancelled []bool
+		got       []key
+	)
+	cancel := func(i int) {
+		pending[i], cancelled[i] = false, true
+		e.cancel(evs[i])
+	}
+	var schedule func(at Time)
+	schedule = func(at Time) {
+		i := len(evs)
+		keys = append(keys, key{at, e.seq})
+		pending = append(pending, true)
+		cancelled = append(cancelled, false)
+		evs = append(evs, e.enqueue(at, nil, func() {
+			pending[i] = false
+			got = append(got, keys[i])
+			if len(evs) < 6000 && rng.intn(4) == 0 {
+				schedule(e.Now().Add(Duration(rng.intn(300))))
+			}
+			if j := rng.intn(len(evs)); pending[j] && rng.intn(3) == 0 {
+				cancel(j)
+			}
+		}))
+	}
+	const initial = 4000
+	for i := 0; i < initial; i++ {
+		schedule(Time(rng.intn(2000)))
+	}
+	for i := range evs {
+		if rng.intn(10) < 6 {
+			cancel(i)
+		}
+	}
+	// Nothing is purged before Run, so a shorter heap means compaction ran.
+	if len(e.queue) >= initial {
+		t.Fatalf("heap holds all %d events after cancelling most: compaction never ran", initial)
+	}
+	e.Run()
+
+	var want []key
+	for i, k := range keys {
+		if !cancelled[i] {
+			want = append(want, k)
+		}
+	}
+	slices.SortFunc(want, func(a, b key) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	if len(got) != len(want) {
+		t.Fatalf("dispatched %d events, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("dispatch %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -28,6 +28,7 @@ type Resource struct {
 	flows      []*flow
 	lastUpdate Time
 	timer      *event
+	onTimer    func() // r.tick, bound once
 
 	// Pending settle, recorded by reallocate: the usable capacity and
 	// the timer seq of the instant's last trigger, and whether the
@@ -48,6 +49,9 @@ type Resource struct {
 	busyTime   Duration // time with >=1 active flow
 }
 
+// flow is one transfer in a Resource. Flows are recycled through their
+// engine's free list: a blocking flow once its caller resumes, an async
+// one once its completion callback is scheduled.
 type flow struct {
 	remaining float64
 	cap       float64 // per-flow rate cap; 0 means uncapped
@@ -57,13 +61,37 @@ type flow struct {
 	onDone    func() // async completion callback, or nil
 }
 
+// newFlow takes a flow from the engine's free list, or allocates one.
+func (e *Engine) newFlow(bytes, perFlowCap float64) *flow {
+	var f *flow
+	if n := len(e.flows); n > 0 {
+		f = e.flows[n-1]
+		e.flows[n-1] = nil
+		e.flows = e.flows[:n-1]
+	} else {
+		f = &flow{}
+	}
+	f.remaining, f.cap = bytes, perFlowCap
+	return f
+}
+
+// freeFlow recycles a completed flow no resource holds any longer.
+func (e *Engine) freeFlow(f *flow) {
+	*f = flow{}
+	if len(e.flows) < maxPool {
+		e.flows = append(e.flows, f)
+	}
+}
+
 // NewResource returns a bandwidth server with the given peak capacity in
 // bytes per second. A nil eff means eff(n)=1 for all n.
 func NewResource(e *Engine, name string, bytesPerSec float64, eff func(n int) float64) *Resource {
 	if bytesPerSec <= 0 {
 		panic("sim: resource capacity must be positive: " + name)
 	}
-	return &Resource{e: e, name: name, capacity: bytesPerSec, eff: eff}
+	r := &Resource{e: e, name: name, capacity: bytesPerSec, eff: eff}
+	r.onTimer = r.tick
+	return r
 }
 
 // Name returns the resource's diagnostic name.
@@ -128,11 +156,13 @@ func (r *Resource) Transfer(p *Proc, bytes, perFlowCap float64) {
 	if bytes <= 0 {
 		return
 	}
-	f := &flow{remaining: bytes, cap: perFlowCap, p: p}
+	f := r.e.newFlow(bytes, perFlowCap)
+	f.p = p
 	r.admit(f)
 	for !f.done {
 		p.park()
 	}
+	r.e.freeFlow(f)
 }
 
 // TransferAsync moves bytes through the resource and invokes onDone (via
@@ -145,7 +175,9 @@ func (r *Resource) TransferAsync(bytes, perFlowCap float64, onDone func()) {
 		}
 		return
 	}
-	r.admit(&flow{remaining: bytes, cap: perFlowCap, onDone: onDone})
+	f := r.e.newFlow(bytes, perFlowCap)
+	f.onDone = onDone
+	r.admit(f)
 }
 
 // EstimateRate returns the rate a new flow with the given cap would
@@ -212,14 +244,19 @@ func (r *Resource) advance() {
 	r.flows = live
 }
 
+// complete finishes a flow advance has dropped from r.flows: it wakes a
+// blocking caller, which recycles the flow, or schedules an async
+// flow's callback and recycles the flow itself.
 func (r *Resource) complete(f *flow) {
 	f.done = true
 	if f.p != nil {
 		r.e.enqueue(r.e.now, f.p, nil)
+		return
 	}
 	if f.onDone != nil {
 		r.e.At(r.e.now, f.onDone)
 	}
+	r.e.freeFlow(f)
 }
 
 // reallocate records a change after advance: it cancels the armed
@@ -283,7 +320,7 @@ func (r *Resource) settle() {
 		// blocked on them surfaces as the engine's deadlock.
 		return
 	}
-	r.timer = r.e.enqueueSeq(at, r.timerSeq, nil, r.tick)
+	r.timer = r.e.enqueueSeq(at, r.timerSeq, nil, r.onTimer)
 }
 
 func (r *Resource) tick() {
