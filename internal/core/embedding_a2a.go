@@ -502,9 +502,11 @@ func (op *EmbeddingAllToAll) RunCollectiveChunk(p *sim.Proc, c, n int) Report {
 			wg.Read(blockBytes)
 			wg.Write(blockBytes)
 			if out.Functional() {
-				for lr := 0; lr < op.L; lr++ {
-					out.CopyWithin(op.dstOffset(src*op.T+t, lr), rbuf, src*cnt+t*op.L*op.D+lr*op.D, op.D)
-				}
+				wg.Then(func() {
+					for lr := 0; lr < op.L; lr++ {
+						out.CopyWithin(op.dstOffset(src*op.T+t, lr), rbuf, src*cnt+t*op.L*op.D+lr*op.D, op.D)
+					}
+				})
 			}
 		})
 		rep.PEEnd[s] = rp.Now()

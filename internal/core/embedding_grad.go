@@ -210,9 +210,11 @@ func (g *EmbeddingGradExchange) RunBaseline(p *sim.Proc) Report {
 			wg.Read(blockBytes)
 			wg.Write(blockBytes)
 			if dst.Functional() {
-				for lr := 0; lr < op.L; lr++ {
-					dst.CopyWithin(d*cnt+t*op.L*op.D+lr*op.D, src, lr*op.rowStride+(d*op.T+t)*op.D, op.D)
-				}
+				wg.Then(func() {
+					for lr := 0; lr < op.L; lr++ {
+						dst.CopyWithin(d*cnt+t*op.L*op.D+lr*op.D, src, lr*op.rowStride+(d*op.T+t)*op.D, op.D)
+					}
+				})
 			}
 		})
 	})

@@ -13,14 +13,8 @@ func ReLU(p *sim.Proc, dev *gpu.Device, buf *gpu.Buffer, off, n int) {
 		w.Read(float64(hi-lo) * 4)
 		w.Compute(float64(hi - lo))
 		w.Write(float64(hi-lo) * 4)
-		if !buf.Functional() {
-			return
-		}
-		d := buf.Slice(off+lo, hi-lo)
-		for i, v := range d {
-			if v < 0 {
-				d[i] = 0
-			}
+		if buf.Functional() {
+			w.Then(func() { relu(buf.Slice(off+lo, hi-lo)) })
 		}
 	})
 }
@@ -44,21 +38,24 @@ func ReLUStrided(p *sim.Proc, dev *gpu.Device, buf *gpu.Buffer, stride, off, cnt
 		if !buf.Functional() {
 			return
 		}
-		for i := lo; i < hi; {
-			b, r := i/cnt, i%cnt
-			n := cnt - r
-			if i+n > hi {
-				n = hi - i
+		w.Then(func() {
+			for i := lo; i < hi; {
+				b, r := i/cnt, i%cnt
+				n := min(cnt-r, hi-i)
+				relu(buf.Slice(b*stride+off+r, n))
+				i += n
 			}
-			d := buf.Slice(b*stride+off+r, n)
-			for j, v := range d {
-				if v < 0 {
-					d[j] = 0
-				}
-			}
-			i += n
-		}
+		})
 	})
+}
+
+// relu applies max(0,x) in place.
+func relu(d []float32) {
+	for i, v := range d {
+		if v < 0 {
+			d[i] = 0
+		}
+	}
 }
 
 // AddInto accumulates src into dst over n elements (dst += src) as one
@@ -69,7 +66,9 @@ func AddInto(p *sim.Proc, dev *gpu.Device, dst *gpu.Buffer, doff int, src *gpu.B
 		w.Read(2 * float64(hi-lo) * 4)
 		w.Compute(float64(hi - lo))
 		w.Write(float64(hi-lo) * 4)
-		dst.AddFrom(doff+lo, src, soff+lo, hi-lo)
+		if dst.Functional() && src.Functional() {
+			w.Then(func() { dst.AddFrom(doff+lo, src, soff+lo, hi-lo) })
+		}
 	})
 }
 

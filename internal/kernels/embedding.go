@@ -82,7 +82,7 @@ func (e *EmbeddingBag) ComputeRow(w *gpu.WG, b int, out *gpu.Buffer, outOff int)
 	e.GatherRow(w, b, nil)
 	w.Write(float64(dim) * 4)
 	if out.Functional() && e.Offsets != nil && e.Table.Weights.Functional() {
-		e.poolInto(b, out.Slice(outOff, dim))
+		w.Then(func() { e.poolInto(b, out.Slice(outOff, dim)) })
 	}
 }
 
@@ -99,9 +99,11 @@ func (e *EmbeddingBag) ComputeRows(w *gpu.WG, b0, n int, out *gpu.Buffer, outOff
 	w.Gather(pool * float64(dim) * 4)
 	w.Write(float64(n*dim) * 4)
 	if out.Functional() && e.Offsets != nil && e.Table.Weights.Functional() {
-		for i := 0; i < n; i++ {
-			e.poolInto(b0+i, out.Slice(outOff+i*dim, dim))
-		}
+		w.Then(func() {
+			for i := 0; i < n; i++ {
+				e.poolInto(b0+i, out.Slice(outOff+i*dim, dim))
+			}
+		})
 	}
 }
 

@@ -75,19 +75,21 @@ func (g *GEMM) ComputeRect(w *gpu.WG, mlo, mhi, nlo, nhi int, out *gpu.Buffer) {
 	if g.A == nil || g.B == nil || out == nil || !out.Functional() || !g.A.Functional() {
 		return
 	}
-	a, b := g.A.Data(), g.B.Data()
-	c := out.Data()
-	for m := mlo; m < mhi; m++ {
-		arow := a[m*g.K : (m+1)*g.K]
-		crow := c[m*g.N : (m+1)*g.N]
-		for n := nlo; n < nhi; n++ {
-			var acc float32
-			for k := 0; k < g.K; k++ {
-				acc += arow[k] * b[k*g.N+n]
+	w.Then(func() {
+		a, b := g.A.Data(), g.B.Data()
+		c := out.Data()
+		for m := mlo; m < mhi; m++ {
+			arow := a[m*g.K : (m+1)*g.K]
+			crow := c[m*g.N : (m+1)*g.N]
+			for n := nlo; n < nhi; n++ {
+				var acc float32
+				for k := 0; k < g.K; k++ {
+					acc += arow[k] * b[k*g.N+n]
+				}
+				crow[n] = acc
 			}
-			crow[n] = acc
 		}
-	}
+	})
 }
 
 // TileValues computes tile t's values row-major into scratch (len >=

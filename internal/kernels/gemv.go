@@ -57,16 +57,18 @@ func (g *GEMV) ComputeTile(w *gpu.WG, t int, out *gpu.Buffer, outOff int) {
 	if g.W == nil || g.X == nil || out == nil || !out.Functional() || !g.W.Functional() {
 		return
 	}
-	wdat, x := g.W.Data(), g.X.Data()
-	dst := out.Slice(outOff, rows)
-	for r := 0; r < rows; r++ {
-		var acc float32
-		row := wdat[(lo+r)*g.K : (lo+r+1)*g.K]
-		for k, xv := range x {
-			acc += row[k] * xv
+	w.Then(func() {
+		wdat, x := g.W.Data(), g.X.Data()
+		dst := out.Slice(outOff, rows)
+		for r := 0; r < rows; r++ {
+			var acc float32
+			row := wdat[(lo+r)*g.K : (lo+r+1)*g.K]
+			for k, xv := range x {
+				acc += row[k] * xv
+			}
+			dst[r] = acc
 		}
-		dst[r] = acc
-	}
+	})
 }
 
 // ComputeTileValues produces tile t register-resident: weight streaming

@@ -263,6 +263,55 @@ func TestReLUFunctional(t *testing.T) {
 	}
 }
 
+// TestGridEffectsLandAtLastCompletion: a grid kernel's functional
+// result becomes visible when the item's last charge (its Write)
+// completes, not when the body runs: a reader 1 ns before sees the old
+// values, one at the completion instant the new ones.
+func TestGridEffectsLandAtLastCompletion(t *testing.T) {
+	kernels := []struct {
+		name   string
+		launch func(p *sim.Proc, dev *gpu.Device, out *gpu.Buffer)
+	}{
+		{"relu", func(p *sim.Proc, dev *gpu.Device, out *gpu.Buffer) { ReLU(p, dev, out, 0, out.Len()) }},
+		{"gemm", func(p *sim.Proc, dev *gpu.Device, out *gpu.Buffer) {
+			a, b := dev.Alloc(4*8), dev.Alloc(8*4)
+			a.Fill(1)
+			b.Fill(1)
+			(&GEMM{M: 4, N: 4, K: 8, TileM: 4, TileN: 4, A: a, B: b, C: out}).Run(p, dev, 0)
+		}},
+	}
+	for _, k := range kernels {
+		// setup returns a fresh engine with the kernel launched at time
+		// 0 over a buffer of -1s, and the buffer.
+		setup := func() (*sim.Engine, *gpu.Buffer) {
+			e := sim.NewEngine()
+			dev := testDev(e)
+			out := dev.Alloc(16)
+			out.Fill(-1)
+			e.Go("host", func(p *sim.Proc) { k.launch(p, dev, out) })
+			return e, out
+		}
+		e, _ := setup()
+		end := e.Run() // one item: the kernel ends when its Write completes
+		e, out := setup()
+		var before, at float32
+		e.Go("reader", func(p *sim.Proc) {
+			p.Sleep(sim.Duration(end) - 1)
+			before = out.Data()[0]
+			p.Sleep(1)
+			p.Yield() // behind the completion's same-instant continuation
+			if p.Now() != end {
+				t.Fatalf("%s: reader at %v, want %v", k.name, p.Now(), end)
+			}
+			at = out.Data()[0]
+		})
+		e.Run()
+		if before != -1 || at == -1 {
+			t.Errorf("%s: out[0] = %g at 1 ns before the last completion and %g at it; want -1, then the result", k.name, before, at)
+		}
+	}
+}
+
 func TestAddIntoFunctional(t *testing.T) {
 	e := sim.NewEngine()
 	dev := testDev(e)

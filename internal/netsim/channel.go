@@ -18,6 +18,11 @@ type Channel struct {
 	src, dst int
 	overhead sim.Duration // per-message posting/doorbell cost
 
+	// The drain process's name and body, formatted and bound once: a
+	// busy channel starts a drain each time its queue refills.
+	name    string
+	drainFn func(*sim.Proc)
+
 	queue    []message
 	busy     bool
 	inflight int
@@ -39,7 +44,10 @@ func NewChannel(e *sim.Engine, net Network, src, dst int, overhead sim.Duration)
 	if src == dst {
 		panic(fmt.Sprintf("netsim: channel to self (node %d)", src))
 	}
-	return &Channel{e: e, net: net, src: src, dst: dst, overhead: overhead, idle: sim.NewCond(e)}
+	c := &Channel{e: e, net: net, src: src, dst: dst, overhead: overhead, idle: sim.NewCond(e),
+		name: fmt.Sprintf("chan.%d->%d", src, dst)}
+	c.drainFn = c.drain
+	return c
 }
 
 // Posted reports how many messages have been posted.
@@ -56,7 +64,7 @@ func (c *Channel) Post(bytes float64, onDelivered func()) {
 	c.queue = append(c.queue, message{bytes: bytes, onDelivered: onDelivered})
 	if !c.busy {
 		c.busy = true
-		c.e.Go(fmt.Sprintf("chan.%d->%d", c.src, c.dst), c.drain)
+		c.e.Go(c.name, c.drainFn)
 	}
 }
 

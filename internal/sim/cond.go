@@ -89,7 +89,8 @@ type Semaphore struct {
 }
 
 type semWaiter struct {
-	p    *Proc
+	p    *Proc  // blocked process, or nil
+	fn   func() // AcquireFunc continuation, or nil
 	n    int
 	done bool
 }
@@ -121,6 +122,19 @@ func (s *Semaphore) Acquire(p *Proc, n int) {
 	}
 }
 
+// AcquireFunc is Acquire for a chain of engine callbacks: when n
+// permits are free and nobody is queued it takes them and reports true,
+// and the caller goes on inline; otherwise it queues in FIFO order,
+// reports false, and fn runs once the permits are granted, at the
+// (time, seq) a blocked process's wake would take.
+func (s *Semaphore) AcquireFunc(n int, fn func()) bool {
+	if n <= 0 || s.TryAcquire(n) {
+		return true
+	}
+	s.queue = append(s.queue, &semWaiter{fn: fn, n: n})
+	return false
+}
+
 // TryAcquire takes n permits if immediately available and nobody is queued.
 func (s *Semaphore) TryAcquire(n int) bool {
 	if len(s.queue) == 0 && s.available >= n {
@@ -148,9 +162,7 @@ func (s *Semaphore) dispatch() {
 		s.queue = s.queue[1:]
 		s.available -= w.n
 		w.done = true
-		if w.p != nil {
-			s.e.enqueue(s.e.now, w.p, nil)
-		}
+		s.e.enqueue(s.e.now, w.p, w.fn)
 	}
 }
 

@@ -230,3 +230,66 @@ func TestForkJoinBodyPanicNamesProcess(t *testing.T) {
 		t.Errorf("panic = %q, want %q", got, want)
 	}
 }
+
+// semScenario queues four waiters behind a holder of both permits and
+// returns the admission log plus the dispatched-event count. With
+// callbacks set, waiters b and d use AcquireFunc; otherwise every
+// waiter is a process.
+func semScenario(callbacks bool) ([]string, uint64) {
+	e := NewEngine()
+	s := NewSemaphore(e, 2)
+	var log []string
+	admit := func(name string) { log = append(log, fmt.Sprintf("%d %s", e.Now(), name)) }
+	waiter := func(name string, n int, hold Duration, cb bool) {
+		if cb {
+			e.At(e.Now(), func() {
+				release := func() { s.Release(n) }
+				run := func() {
+					admit(name)
+					if e.Delay(hold, release) {
+						release()
+					}
+				}
+				if s.AcquireFunc(n, run) {
+					run()
+				}
+			})
+			return
+		}
+		e.Go(name, func(p *Proc) {
+			s.Acquire(p, n)
+			admit(name)
+			p.Sleep(hold)
+			s.Release(n)
+		})
+	}
+	waiter("a", 2, 10, false)
+	waiter("b", 1, 5, callbacks)
+	waiter("c", 2, 5, false)
+	waiter("d", 1, 5, callbacks)
+	// A same-instant event queued before the admissions' wakes.
+	e.At(10, func() { log = append(log, fmt.Sprintf("%d tick", e.Now())) })
+	e.Run()
+	return log, e.Stats().Dispatched
+}
+
+// TestSemaphoreAcquireFuncKeepsFIFO: a callback waiter queues in FIFO
+// order among blocked processes and is admitted at the (time, seq) a
+// process's wake would take, so the admission log and the event count
+// match an all-process run.
+func TestSemaphoreAcquireFuncKeepsFIFO(t *testing.T) {
+	procs, nProcs := semScenario(false)
+	cbs, nCbs := semScenario(true)
+	want := []string{"0 a", "10 tick", "10 b", "15 c", "20 d"}
+	if fmt.Sprint(procs) != fmt.Sprint(want) {
+		t.Fatalf("process waiters admitted %v, want %v", procs, want)
+	}
+	if fmt.Sprint(cbs) != fmt.Sprint(procs) || nCbs != nProcs {
+		t.Errorf("callback waiters: %v (%d events), process waiters: %v (%d events)", cbs, nCbs, procs, nProcs)
+	}
+	e := NewEngine()
+	s := NewSemaphore(e, 0)
+	if !s.AcquireFunc(0, nil) {
+		t.Error("AcquireFunc of 0 permits must succeed at once")
+	}
+}

@@ -149,6 +149,7 @@ type Engine struct {
 
 	// Runtime counters (see Stats).
 	nDispatched uint64
+	nSpawned    uint64
 	nPoolHits   uint64
 	nHandoffs   uint64
 	maxHeap     int
@@ -358,6 +359,7 @@ func (e *Engine) Go(name string, fn func(*Proc)) { e.spawn(name, -1, fn) }
 // spawn is Go for a process named name, or name/idx when idx >= 0; the
 // name is formatted only when asked for.
 func (e *Engine) spawn(name string, idx int, fn func(*Proc)) {
+	e.nSpawned++
 	p := &Proc{e: e, name: name, idx: idx, slot: len(e.live)}
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -434,22 +436,43 @@ func (p *Proc) park() {
 // exits. Resources triggered at this instant settle first, so their
 // completion timers are in the heap when it is checked.
 func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
+	at := p.e.now.Add(max(d, 0))
+	if p.e.handoff(at) {
+		return
 	}
-	e := p.e
-	at := e.now.Add(d)
-	if e.nowqHead == len(e.nowq) && at <= e.horizon {
-		e.settle()
-		e.purgeHead()
-		if len(e.queue) == 0 || e.queue[0].at > at {
-			e.now = at
-			e.nHandoffs++
-			return
-		}
-	}
-	e.enqueue(at, p, nil)
+	p.e.enqueue(at, p, nil)
 	p.park()
+}
+
+// Delay is Sleep for a chain of engine callbacks: when nothing precedes
+// the wake instant it advances the clock d in place, as Sleep's direct
+// handoff does, and reports true, and the caller goes on inline;
+// otherwise it schedules fn d from now, at the (time, seq) a sleeping
+// process's wake would take, and reports false. Call it only from an
+// engine callback.
+func (e *Engine) Delay(d Duration, fn func()) bool {
+	at := e.now.Add(max(d, 0))
+	if e.running && e.handoff(at) {
+		return true
+	}
+	e.enqueue(at, nil, fn)
+	return false
+}
+
+// handoff advances the clock to at in place when the next event the
+// engine would dispatch is the caller's own wake at at.
+func (e *Engine) handoff(at Time) bool {
+	if e.nowqHead != len(e.nowq) || at > e.horizon {
+		return false
+	}
+	e.settle()
+	e.purgeHead()
+	if len(e.queue) > 0 && e.queue[0].at <= at {
+		return false
+	}
+	e.now = at
+	e.nHandoffs++
+	return true
 }
 
 // Yield reschedules the process at the current instant, letting every

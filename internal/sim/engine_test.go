@@ -452,3 +452,82 @@ func TestDurationString(t *testing.T) {
 		}
 	}
 }
+
+// delayScenario runs a chain of sleeps, as a process (Sleep) or as an
+// engine-callback chain (Delay), among other events, and returns the log
+// and the dispatched and direct-handoff counts.
+func delayScenario(callbacks bool) ([]string, Stats) {
+	e := NewEngine()
+	var log []string
+	logf := func(format string, args ...any) {
+		log = append(log, fmt.Sprintf("%d ", e.Now())+fmt.Sprintf(format, args...))
+	}
+	ds := []Duration{0, 5, 0, 3, 10, 0, 7, 2}
+	if callbacks {
+		i := 0
+		var step func()
+		step = func() {
+			for i < len(ds) {
+				logf("step %d", i)
+				i++
+				if !e.Delay(ds[i-1], step) {
+					return
+				}
+			}
+			logf("chain done")
+		}
+		e.At(0, step)
+	} else {
+		e.Go("chain", func(p *Proc) {
+			for i, d := range ds {
+				logf("step %d", i)
+				p.Sleep(d)
+			}
+			logf("chain done")
+		})
+	}
+	e.Go("other", func(p *Proc) {
+		p.Sleep(5)
+		logf("other woke")
+		p.Sleep(20)
+		logf("other done")
+	})
+	e.At(8, func() { logf("tick") })
+	e.At(18, func() { logf("tick") })
+	e.Run()
+	return log, e.Stats()
+}
+
+// TestDelayMatchesSleep: an engine-callback chain of Delays logs the
+// same sequence as a process's Sleeps, with the same dispatched-event
+// and direct-handoff counts: Delay hands off exactly when Sleep would.
+func TestDelayMatchesSleep(t *testing.T) {
+	procLog, ps := delayScenario(false)
+	cbLog, cs := delayScenario(true)
+	if fmt.Sprint(cbLog) != fmt.Sprint(procLog) {
+		t.Fatalf("Delay chain logged\n%v\nSleep chain logged\n%v", cbLog, procLog)
+	}
+	if ps.DirectHandoffs == 0 || ps.DirectHandoffs == uint64(len(procLog)) {
+		t.Fatalf("scenario needs both handoffs and parks, got %d handoffs", ps.DirectHandoffs)
+	}
+	if cs.Dispatched != ps.Dispatched || cs.DirectHandoffs != ps.DirectHandoffs {
+		t.Errorf("Delay chain: %d events, %d handoffs; Sleep chain: %d events, %d handoffs",
+			cs.Dispatched, cs.DirectHandoffs, ps.Dispatched, ps.DirectHandoffs)
+	}
+}
+
+func TestSpawnedCountsProcesses(t *testing.T) {
+	e := NewEngine()
+	e.Go("a", func(p *Proc) {
+		p.ForkJoin(3, "kids", func(*Proc, int) {})
+	})
+	e.At(1, func() { e.Go("b", func(*Proc) {}) })
+	before := GlobalStats().Spawned
+	e.Run()
+	if got := e.Stats().Spawned; got != 5 {
+		t.Errorf("spawned %d, want 5", got)
+	}
+	if got := GlobalStats().Spawned - before; got < 5 {
+		t.Errorf("global spawn count grew by %d, want at least 5", got)
+	}
+}

@@ -9,6 +9,8 @@ import "sync/atomic"
 type Stats struct {
 	// Dispatched counts events executed.
 	Dispatched uint64 `json:"events_dispatched"`
+	// Spawned counts processes started (Go, ForkJoin children).
+	Spawned uint64 `json:"procs_spawned"`
 	// PoolHits counts event allocations served from the free list.
 	PoolHits uint64 `json:"pool_reuse_hits"`
 	// DirectHandoffs counts Sleeps that advanced the clock in place
@@ -27,6 +29,7 @@ type Stats struct {
 // globalStats accumulates counters across all engines in the process.
 var globalStats struct {
 	dispatched atomic.Uint64
+	spawned    atomic.Uint64
 	poolHits   atomic.Uint64
 	handoffs   atomic.Uint64
 	maxHeap    atomic.Uint64
@@ -38,6 +41,7 @@ var globalStats struct {
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Dispatched:     e.nDispatched,
+		Spawned:        e.nSpawned,
 		PoolHits:       e.nPoolHits,
 		DirectHandoffs: e.nHandoffs,
 		MaxHeapDepth:   uint64(e.maxHeap),
@@ -50,6 +54,7 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) flushStats() {
 	s := e.Stats()
 	globalStats.dispatched.Add(s.Dispatched - e.reported.Dispatched)
+	globalStats.spawned.Add(s.Spawned - e.reported.Spawned)
 	globalStats.poolHits.Add(s.PoolHits - e.reported.PoolHits)
 	globalStats.handoffs.Add(s.DirectHandoffs - e.reported.DirectHandoffs)
 	atomicMax(&globalStats.maxHeap, s.MaxHeapDepth)
@@ -71,6 +76,7 @@ func atomicMax(a *atomic.Uint64, v uint64) {
 func GlobalStats() Stats {
 	return Stats{
 		Dispatched:     globalStats.dispatched.Load(),
+		Spawned:        globalStats.spawned.Load(),
 		PoolHits:       globalStats.poolHits.Load(),
 		DirectHandoffs: globalStats.handoffs.Load(),
 		MaxHeapDepth:   globalStats.maxHeap.Load(),
