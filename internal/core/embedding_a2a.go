@@ -214,131 +214,225 @@ func (op *EmbeddingAllToAll) RunFused(p *sim.Proc) Report {
 // last store there (§III-B's "one ready flag per peer GPU"), avoiding a
 // fence per slice.
 func (op *EmbeddingAllToAll) runRank(rp *sim.Proc, s int, dev *gpu.Device, sliceRdy, storeDone *shmem.Flags, itemsPerSlice, rowsPerWG, phys int, rep *Report) {
-	w := op.World
-	slices := op.scheduleSlices(s)
-	trackers := make([]*Bitmask, op.numSlices())
-	for i := range trackers {
-		trackers[i] = NewBitmask(itemsPerSlice)
+	r := &embRank{
+		op: op, s: s, slices: op.scheduleSlices(s), trackers: make([]*Bitmask, op.numSlices()),
+		itemsPerSlice: itemsPerSlice, rowsPerWG: rowsPerWG, phys: phys,
+		functional: op.Out.On(op.PEs[s]).Functional(),
+		tl:         op.Config.Timeline,
+		sliceRdy:   sliceRdy, storeDone: storeDone, rep: rep,
 	}
-	totalItems := len(slices) * itemsPerSlice
-	functional := op.Out.On(op.PEs[s]).Functional()
-	tl := op.Config.Timeline
-	tracePE := tl.Enabled() && s == 0
-	crossNodeTo := func(d int) bool {
-		return !w.Platform().SameNode(op.PEs[s], op.PEs[d]) ||
-			(op.Config.DisableZeroCopy && d != s)
+	for i := range r.trackers {
+		r.trackers[i] = NewBitmask(itemsPerSlice)
 	}
-	lSlices := op.L / op.SliceRows
-
+	r.totalItems = len(r.slices) * itemsPerSlice
+	r.tracePE = r.tl.Enabled() && s == 0
 	dev.Launch(rp, gpu.Kernel{
 		Name:     fmt.Sprintf("fused.emb.%d", s),
 		PhysWGs:  phys,
 		WGsPerCU: op.Config.fusedWGsPerCU(dev),
 		Lanes:    rowsPerWG,
-		Body: func(wg *gpu.WG) {
-			var scratch []float32
-			if functional {
-				scratch = make([]float32, rowsPerWG*op.D)
-			}
-			// Outstanding same-node items per destination, for the
-			// one-flag-per-peer protocol.
-			remaining := make([]int, op.k)
-			for idx := wg.PhysID; idx < totalItems; idx += phys {
-				d := op.sliceDst(slices[idx/itemsPerSlice])
-				if !crossNodeTo(d) {
-					remaining[d]++
-				}
-			}
-			raise := func(d int) {
-				w.StoreRemoteFlag(wg, op.PEs[d], storeDone, s*phys+wg.PhysID, 1)
-			}
-			for d := 0; d < op.k; d++ {
-				if !crossNodeTo(d) && remaining[d] == 0 {
-					raise(d)
-				}
-			}
-			for idx := wg.PhysID; idx < totalItems; idx += phys {
-				sl := slices[idx/itemsPerSlice]
-				within := idx % itemsPerSlice
-				t := op.sliceTable(sl)
-				b0 := op.sliceBatch(sl) + within*rowsPerWG
-				d := op.sliceDst(sl)
-				dstPE := op.PEs[d]
-				gt := s*op.T + t
-				bag := op.Sets[s].Bags[t]
-				start := wg.P.Now()
-				crossNode := crossNodeTo(d)
-				if crossNode {
-					// Pool into the staging buffer; the slice travels
-					// later as one put.
-					bag.ComputeRows(wg, b0, rowsPerWG, op.send.On(op.PEs[s]), (t*op.GlobalBatch+b0)*op.D)
-				} else {
-					// Zero-copy: pool in registers, store directly
-					// into the destination layout (local rows are
-					// plain stores into our own Out).
-					bag.GatherRows(wg, b0, rowsPerWG, scratch)
-					w.StoreValuesRows(wg, dstPE, op.Out, op.dstOffset(gt, b0-d*op.L), op.rowStride, scratch, rowsPerWG, op.D)
-				}
-				if tracePE {
-					tl.Add(wg.PhysID, trace.Compute, start, wg.P.Now(), fmt.Sprintf("slice%d", sl))
-				}
-				wg.Busy(op.Config.Bookkeeping)
-				last := trackers[sl].Set(within)
-				if crossNode {
-					if last {
-						// Last finisher communicates the slice.
-						fi := op.flagIndex(s, t, op.sliceBatch(sl), d)
-						sb := op.sliceBatch(sl)
-						w.PutNbiRows(wg, dstPE, op.Out,
-							op.dstOffset(gt, sb-d*op.L), op.rowStride,
-							op.send.On(op.PEs[s]), (t*op.GlobalBatch+sb)*op.D, op.D,
-							op.SliceRows, op.D)
-						w.Fence(wg)
-						w.PutFlagNbi(wg, dstPE, sliceRdy, fi, 1)
-						rep.RemotePuts++
-						rep.RemoteBytes += float64(op.SliceRows*op.D) * 4
-						if tracePE {
-							tl.Add(wg.PhysID, trace.PutIssue, wg.P.Now(), wg.P.Now(), fmt.Sprintf("slice%d->%d", sl, d))
-						}
-					}
-				} else {
-					if d != s {
-						rep.RemotePuts++
-						rep.RemoteBytes += float64(rowsPerWG*op.D) * 4
-					}
-					if tracePE && last && d == s {
-						tl.Add(wg.PhysID, trace.LocalDone, wg.P.Now(), wg.P.Now(), fmt.Sprintf("slice%d", sl))
-					}
-					remaining[d]--
-					if remaining[d] == 0 {
-						raise(d) // fences this WG's stores to d, then flags
-					}
-				}
-			}
-			// Tail: the kernel retires only when every slice of the
-			// output is ready. Cross-node producers are tracked by
-			// sliceRdy flags (slice granularity), same-node producers by
-			// their per-WG storeDone flags; each persistent WG polls a
-			// distinct subset of both.
-			waitStart := wg.P.Now()
-			for src := 0; src < op.k; src++ {
-				if !w.Platform().SameNode(op.PEs[src], op.PEs[s]) ||
-					(op.Config.DisableZeroCopy && src != s) {
-					base := src * op.T * lSlices
-					for f := wg.PhysID; f < op.T*lSlices; f += phys {
-						sliceRdy.WaitGE(wg, base+f, 1)
-					}
-				} else {
-					for f := wg.PhysID; f < phys; f += phys {
-						storeDone.WaitGE(wg, src*phys+f, 1)
-					}
-				}
-			}
-			if tracePE && wg.P.Now() > waitStart {
-				tl.Add(wg.PhysID, trace.WaitSpan, waitStart, wg.P.Now(), "sliceRdy")
-			}
-		},
+		Body:     r.start,
 	})
+}
+
+// embRank is what every workgroup of rank s's fused kernel shares: the
+// slice schedule and the per-slice WG_Done bitmasks.
+type embRank struct {
+	op                             *EmbeddingAllToAll
+	s                              int
+	slices                         []int
+	trackers                       []*Bitmask
+	totalItems                     int
+	itemsPerSlice, rowsPerWG, phys int
+	functional, tracePE            bool
+	tl                             *trace.Timeline
+	sliceRdy, storeDone            *shmem.Flags
+	rep                            *Report
+}
+
+// crossNodeTo reports whether rank s's slices for rank d travel as puts
+// (another node, or zero-copy disabled) rather than native stores.
+func (r *embRank) crossNodeTo(d int) bool {
+	op := r.op
+	return !op.World.Platform().SameNode(op.PEs[r.s], op.PEs[d]) ||
+		(op.Config.DisableZeroCopy && d != r.s)
+}
+
+// embWG is one physical workgroup of a rank's fused kernel. Each step
+// finishes the item pooled in the step before — the WG_Done bit is set
+// when its bookkeeping completes, so the last finisher of a slice is
+// found at that instant — and pools the next item; once the items are
+// done, each step waits for one source rank's slices of the output.
+type embWG struct {
+	*embRank
+	wg        *gpu.WG
+	scratch   []float32
+	remaining []int // per same-node destination: items not yet stored
+	idx       int   // the next item to pool
+	pending   bool  // the item at idx-phys is pooled, not yet finished
+	src       int   // the next source rank the tail waits for
+	// Timeline stamps (rank 0 only): the pending item's pooling start
+	// and the tail wait's start.
+	start, waitStart sim.Time
+}
+
+// start is the kernel body: it counts workgroup wg's same-node items,
+// raises the flags of the peers it stores nothing to, and records its
+// first step.
+func (r *embRank) start(wg *gpu.WG) func() bool {
+	op := r.op
+	x := &embWG{embRank: r, wg: wg, idx: wg.PhysID}
+	if r.functional {
+		x.scratch = make([]float32, r.rowsPerWG*op.D)
+	}
+	// Outstanding same-node items per destination, for the
+	// one-flag-per-peer protocol.
+	x.remaining = make([]int, op.k)
+	for idx := wg.PhysID; idx < r.totalItems; idx += r.phys {
+		if d := op.sliceDst(r.slices[idx/r.itemsPerSlice]); !r.crossNodeTo(d) {
+			x.remaining[d]++
+		}
+	}
+	for d := 0; d < op.k; d++ {
+		if !r.crossNodeTo(d) && x.remaining[d] == 0 {
+			x.raise(d)
+		}
+	}
+	x.step()
+	return x.step
+}
+
+// raise fences this workgroup's stores to d, then flags them.
+func (x *embWG) raise(d int) {
+	x.op.World.StoreRemoteFlag(x.wg, x.op.PEs[d], x.storeDone, x.s*x.phys+x.wg.PhysID, 1)
+}
+
+// step records the workgroup's next step (see embWG).
+func (x *embWG) step() bool {
+	if x.pending {
+		x.finish(x.idx - x.phys)
+	}
+	if x.pending = x.idx < x.totalItems; x.pending {
+		x.pool(x.idx)
+		x.idx += x.phys
+		return true
+	}
+	if x.src == x.op.k {
+		return false
+	}
+	x.tail(x.src)
+	x.src++
+	return true
+}
+
+// item returns item idx's slice, index within the slice, table, first
+// global batch row and destination rank.
+func (x *embWG) item(idx int) (sl, within, t, b0, d int) {
+	op := x.op
+	sl = x.slices[idx/x.itemsPerSlice]
+	within = idx % x.itemsPerSlice
+	t = op.sliceTable(sl)
+	b0 = op.sliceBatch(sl) + within*x.rowsPerWG
+	return sl, within, t, b0, op.sliceDst(sl)
+}
+
+// pool records item idx's pooling and its bookkeeping.
+func (x *embWG) pool(idx int) {
+	op, wg := x.op, x.wg
+	sl, _, t, b0, d := x.item(idx)
+	gt := x.s*op.T + t
+	bag := op.Sets[x.s].Bags[t]
+	if x.tracePE {
+		wg.Then(func() { x.start = wg.Now() })
+	}
+	if x.crossNodeTo(d) {
+		// Pool into the staging buffer; the slice travels later as
+		// one put.
+		bag.ComputeRows(wg, b0, x.rowsPerWG, op.send.On(op.PEs[x.s]), (t*op.GlobalBatch+b0)*op.D)
+	} else {
+		// Zero-copy: pool in registers, store directly into the
+		// destination layout (local rows are plain stores into our
+		// own Out).
+		bag.GatherRows(wg, b0, x.rowsPerWG, x.scratch)
+		op.World.StoreValuesRows(wg, op.PEs[d], op.Out, op.dstOffset(gt, b0-d*op.L), op.rowStride, x.scratch, x.rowsPerWG, op.D)
+	}
+	if x.tracePE {
+		wg.Then(func() { x.tl.Add(wg.PhysID, trace.Compute, x.start, wg.Now(), fmt.Sprintf("slice%d", sl)) })
+	}
+	wg.Busy(op.Config.Bookkeeping)
+}
+
+// finish sets item idx's WG_Done bit, now that its bookkeeping has
+// completed, and records what follows: the last finisher of a
+// cross-node slice communicates it; a same-node item counts toward its
+// destination's storeDone flag.
+func (x *embWG) finish(idx int) {
+	op, wg := x.op, x.wg
+	sl, within, t, _, d := x.item(idx)
+	last := x.trackers[sl].Set(within)
+	if !x.crossNodeTo(d) {
+		if d != x.s {
+			x.rep.RemotePuts++
+			x.rep.RemoteBytes += float64(x.rowsPerWG*op.D) * 4
+		}
+		if x.tracePE && last && d == x.s {
+			x.tl.Add(wg.PhysID, trace.LocalDone, wg.Now(), wg.Now(), fmt.Sprintf("slice%d", sl))
+		}
+		x.remaining[d]--
+		if x.remaining[d] == 0 {
+			x.raise(d)
+		}
+		return
+	}
+	if !last {
+		return
+	}
+	// Last finisher communicates the slice.
+	dstPE := op.PEs[d]
+	gt := x.s*op.T + t
+	sb := op.sliceBatch(sl)
+	op.World.PutNbiRows(wg, dstPE, op.Out,
+		op.dstOffset(gt, sb-d*op.L), op.rowStride,
+		op.send.On(op.PEs[x.s]), (t*op.GlobalBatch+sb)*op.D, op.D,
+		op.SliceRows, op.D)
+	op.World.Fence(wg)
+	op.World.PutFlagNbi(wg, dstPE, x.sliceRdy, op.flagIndex(x.s, t, sb, d), 1)
+	x.rep.RemotePuts++
+	x.rep.RemoteBytes += float64(op.SliceRows*op.D) * 4
+	if x.tracePE {
+		wg.Then(func() { x.tl.Add(wg.PhysID, trace.PutIssue, wg.Now(), wg.Now(), fmt.Sprintf("slice%d->%d", sl, d)) })
+	}
+}
+
+// tail records source rank src's part of the wait that keeps the
+// kernel from retiring before every slice of the output is ready.
+// Cross-node producers are tracked by sliceRdy flags (slice
+// granularity), same-node producers by their per-WG storeDone flags;
+// each persistent WG polls a distinct subset of both.
+func (x *embWG) tail(src int) {
+	op, wg := x.op, x.wg
+	if x.tracePE && src == 0 {
+		wg.Then(func() { x.waitStart = wg.Now() })
+	}
+	if !op.World.Platform().SameNode(op.PEs[src], op.PEs[x.s]) ||
+		(op.Config.DisableZeroCopy && src != x.s) {
+		lSlices := op.L / op.SliceRows
+		base := src * op.T * lSlices
+		for f := wg.PhysID; f < op.T*lSlices; f += x.phys {
+			x.sliceRdy.WaitGE(wg, base+f, 1)
+		}
+	} else {
+		for f := wg.PhysID; f < x.phys; f += x.phys {
+			x.storeDone.WaitGE(wg, src*x.phys+f, 1)
+		}
+	}
+	if x.tracePE && src == op.k-1 {
+		wg.Then(func() {
+			if wg.Now() > x.waitStart {
+				x.tl.Add(wg.PhysID, trace.WaitSpan, x.waitStart, wg.Now(), "sliceRdy")
+			}
+		})
+	}
 }
 
 // RunKernelSplit executes the decomposition alternative of Wang et

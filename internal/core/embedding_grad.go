@@ -104,6 +104,10 @@ func (g *EmbeddingGradExchange) RunFused(p *sim.Proc) Report {
 	return rep
 }
 
+// sendItem is one gradient slice a rank sends: owner's table t, the
+// rank's local batch slice.
+type sendItem struct{ owner, t, slice int }
+
 func (g *EmbeddingGradExchange) runRank(rp *sim.Proc, s int, arrived *shmem.Flags, rowsPerWG, lSlices int, rep *Report) {
 	op := g.Fwd
 	w := op.World
@@ -113,7 +117,6 @@ func (g *EmbeddingGradExchange) runRank(rp *sim.Proc, s int, arrived *shmem.Flag
 	// Send items: for each owner rank o and each of o's tables, my L
 	// local gradient rows form lSlices slices. Comm-aware order:
 	// remote owners first, self last.
-	type sendItem struct{ owner, t, slice int }
 	var sends []sendItem
 	for off := 1; off <= op.k; off++ {
 		o := (s + off) % op.k
@@ -134,53 +137,63 @@ func (g *EmbeddingGradExchange) runRank(rp *sim.Proc, s int, arrived *shmem.Flag
 		phys = total
 	}
 
+	// Phase 1 streams gradient slices out. Each slice is a strided read
+	// from GradOut and one non-blocking put (or a local copy for this
+	// rank's own tables). Phase 2 scatter-adds incoming slices: each
+	// persistent WG owns a strided subset, and a slice is applied the
+	// moment its arrival flag is raised, so early arrivals (the local
+	// contribution, then near sources) overlap the still in-flight
+	// remote gradients. Each item is one step.
+	send := func(wg *gpu.WG, it sendItem) {
+		gt := it.owner*op.T + it.t
+		rows := op.SliceRows
+		b0 := s*op.L + it.slice*op.SliceRows // global batch row
+		srcOff := it.slice*op.SliceRows*op.rowStride + gt*op.D
+		fi := it.t*slicesPerTable + b0/op.SliceRows
+		wg.Read(float64(rows*op.D) * 4)
+		wg.Busy(op.Config.Bookkeeping)
+		if it.owner == s {
+			w.StoreRemoteRows(wg, pe, g.GradIn, g.GradInAt(true, it.t, b0), op.D, g.GradOut.On(pe), srcOff, op.rowStride, rows, op.D)
+			w.StoreRemoteFlag(wg, pe, arrived, fi, 1)
+			return
+		}
+		dstPE := op.PEs[it.owner]
+		w.PutNbiRows(wg, dstPE, g.GradIn,
+			g.GradInAt(true, it.t, b0), op.D,
+			g.GradOut.On(pe), srcOff, op.rowStride,
+			rows, op.D)
+		w.Fence(wg)
+		w.PutFlagNbi(wg, dstPE, arrived, fi, 1)
+		rep.RemotePuts++
+		rep.RemoteBytes += float64(rows*op.D) * 4
+	}
+	apply := func(wg *gpu.WG, i int) {
+		arrived.WaitGE(wg, i, 1)
+		g.applyRowsCost(wg, s, i/slicesPerTable, op.SliceRows)
+		wg.Busy(op.Config.Bookkeeping)
+	}
 	dev.Launch(rp, gpu.Kernel{
 		Name:     fmt.Sprintf("fused.embgrad.%d", s),
 		PhysWGs:  phys,
 		WGsPerCU: op.Config.fusedWGsPerCU(dev),
 		Lanes:    rowsPerWG,
-		Body: func(wg *gpu.WG) {
-			// Phase 1: stream gradient slices out. Each slice is a
-			// strided read from GradOut and one non-blocking put (or a
-			// local copy for this rank's own tables).
-			for idx := wg.PhysID; idx < len(sends); idx += phys {
-				it := sends[idx]
-				gt := it.owner*op.T + it.t
-				rows := op.SliceRows
-				b0 := s*op.L + it.slice*op.SliceRows // global batch row
-				srcOff := it.slice*op.SliceRows*op.rowStride + gt*op.D
-				fi := it.t*slicesPerTable + b0/op.SliceRows
-				wg.Read(float64(rows*op.D) * 4)
-				wg.Busy(op.Config.Bookkeeping)
-				if it.owner == s {
-					wg.Write(float64(rows*op.D) * 4)
-					dbuf := g.GradIn.On(pe)
-					for r := 0; r < rows; r++ {
-						dbuf.CopyWithin(g.GradInAt(true, it.t, b0+r), g.GradOut.On(pe), srcOff+r*op.rowStride, op.D)
-					}
-					w.StoreRemoteFlag(wg, pe, arrived, fi, 1)
-					continue
+		Body: func(wg *gpu.WG) func() bool {
+			idx, i := wg.PhysID, wg.PhysID // the next send and apply items
+			step := func() bool {
+				switch {
+				case idx < len(sends):
+					send(wg, sends[idx])
+					idx += phys
+				case i < applies:
+					apply(wg, i)
+					i += phys
+				default:
+					return false
 				}
-				dstPE := op.PEs[it.owner]
-				w.PutNbiRows(wg, dstPE, g.GradIn,
-					g.GradInAt(true, it.t, b0), op.D,
-					g.GradOut.On(pe), srcOff, op.rowStride,
-					rows, op.D)
-				w.Fence(wg)
-				w.PutFlagNbi(wg, dstPE, arrived, fi, 1)
-				rep.RemotePuts++
-				rep.RemoteBytes += float64(rows*op.D) * 4
+				return true
 			}
-			// Phase 2: scatter-add incoming slices. Each persistent WG
-			// owns a strided subset; a slice is applied the moment its
-			// arrival flag is raised, so early arrivals (the local
-			// contribution, then near sources) overlap the still
-			// in-flight remote gradients.
-			for i := wg.PhysID; i < applies; i += phys {
-				arrived.WaitGE(wg, i, 1)
-				g.applyRowsCost(wg, s, i/slicesPerTable, op.SliceRows)
-				wg.Busy(op.Config.Bookkeeping)
-			}
+			step()
+			return step
 		},
 	})
 }

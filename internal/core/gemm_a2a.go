@@ -171,7 +171,7 @@ func (op *GEMMAllToAll) RunFused(p *sim.Proc) Report {
 			var vals []float32
 			if functional {
 				vals = make([]float32, tm*tn)
-				g.ValuesRect(mlo, mhi, nlo, nhi, vals)
+				tc.WG().Then(func() { g.ValuesRect(mlo, mhi, nlo, nhi, vals) })
 			}
 			// Communicate the tile straight to its origin rank:
 			// recv[s][mlo-d*tokens ...][nlo ...].

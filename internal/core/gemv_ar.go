@@ -94,130 +94,229 @@ func (op *GEMVAllReduce) RunFused(p *sim.Proc) Report {
 	return rep
 }
 
+// runRank launches rank s's persistent kernel and blocks until it ends.
 func (op *GEMVAllReduce) runRank(rp *sim.Proc, s, phys int, storeDone, bcastDone *shmem.Flags, rep *Report) {
-	w := op.World
-	pl := w.Platform()
 	pe := op.PEs[s]
-	dev := pl.Device(pe)
-	g := op.Gemvs[s]
-	functional := op.Out.On(pe).Functional()
-	var destOrder []int // shared by every WG of the rank
-	if op.Config.Schedule == CommAware {
-		destOrder = commAwareDestOrder(pl, op.PEs, s)
+	dev := op.World.Platform().Device(pe)
+	r := &gemvRank{
+		op: op, s: s, phys: phys, pe: pe, g: op.Gemvs[s],
+		functional: op.Out.On(pe).Functional(),
+		storeDone:  storeDone, bcastDone: bcastDone, rep: rep,
 	}
-
+	if op.Config.Schedule == CommAware {
+		r.destOrder = commAwareDestOrder(op.World.Platform(), op.PEs, s)
+	}
 	dev.Launch(rp, gpu.Kernel{
 		Name:     fmt.Sprintf("fused.gemv.%d", s),
 		PhysWGs:  phys,
 		WGsPerCU: op.Config.fusedWGsPerCU(dev),
-		Body: func(wg *gpu.WG) {
-			me := wg.PhysID
-			// My tiles, ordered by descending owner link cost
-			// (comm-aware) or natural (oblivious).
-			var myTiles []int
-			for t := me; t < op.tiles; t += phys {
-				myTiles = append(myTiles, t)
-			}
-			if op.Config.Schedule == CommAware {
-				ordered := make([]int, 0, len(myTiles))
-				for _, d := range destOrder {
-					for _, t := range myTiles {
-						if op.owner(t) == d {
-							ordered = append(ordered, t)
-						}
-					}
-				}
-				myTiles = ordered
-			}
-			// Per-destination outstanding-tile counts for flag raising.
-			remaining := make([]int, op.k)
-			for _, t := range myTiles {
-				remaining[op.owner(t)]++
-			}
-			raise := func(d int) {
-				if d == s {
-					return // own staging needs no flag
-				}
-				w.SendFlag(wg, op.PEs[d], storeDone, s*phys+me, 1)
-			}
-			for d := 0; d < op.k; d++ {
-				if remaining[d] == 0 {
-					raise(d)
-				}
-			}
-			var scratch []float32
-			if functional {
-				scratch = make([]float32, g.TileM)
-			}
-			// Compute phase: partial tiles stream straight into the
-			// owner's staging slot [s][tile rows] — zero copy within the
-			// node, channel puts across nodes.
-			for _, t := range myTiles {
-				d := op.owner(t)
-				lo, hi := g.TileRange(t)
-				g.ComputeTileValues(wg, t, scratch)
-				w.SendValues(wg, op.PEs[d], op.tmp, s*op.m+lo, scratch, hi-lo)
-				wg.Busy(op.Config.Bookkeeping)
-				remaining[d]--
-				if remaining[d] == 0 {
-					raise(d)
-				}
-				if d != s {
-					rep.RemotePuts++
-					rep.RemoteBytes += float64(hi-lo) * 4
-				}
-			}
-			// Reduce phase: wait for the counterpart WGs on every peer,
-			// then reduce my owned tiles and broadcast the results.
-			for src := 0; src < op.k; src++ {
-				if src != s {
-					storeDone.WaitGE(wg, src*phys+me, 1)
-				}
-			}
-			for _, t := range myTiles {
-				if op.owner(t) != s {
-					continue
-				}
-				lo, hi := g.TileRange(t)
-				rows := hi - lo
-				// Read the k staged copies, add, producing the final
-				// tile in registers.
-				wg.Read(float64(op.k*rows) * 4)
-				wg.Compute(float64((op.k - 1) * rows))
-				if functional {
-					tmpBuf := op.tmp.On(pe)
-					for r := 0; r < rows; r++ {
-						var acc float32
-						for src := 0; src < op.k; src++ {
-							acc += tmpBuf.Data()[src*op.m+lo+r]
-						}
-						scratch[r] = acc
-					}
-				}
-				// All-gather: send the reduced tile into every rank's
-				// output (own included).
-				for off := 0; off < op.k; off++ {
-					d := (s + off) % op.k
-					w.SendValues(wg, op.PEs[d], op.Out, lo, scratch, rows)
-					if d != s {
-						rep.RemoteBytes += float64(rows) * 4
-					}
-				}
-			}
-			for d := 0; d < op.k; d++ {
-				if d != s {
-					w.SendFlag(wg, op.PEs[d], bcastDone, s*phys+me, 1)
-				}
-			}
-			// Tail: output complete once every counterpart WG has
-			// broadcast its reduced tiles here.
-			for src := 0; src < op.k; src++ {
-				if src != s {
-					bcastDone.WaitGE(wg, src*phys+me, 1)
-				}
-			}
-		},
+		Body:     r.start,
 	})
+}
+
+// gemvRank is what every workgroup of rank s's fused kernel shares.
+type gemvRank struct {
+	op                   *GEMVAllReduce
+	s, phys, pe          int
+	g                    *kernels.GEMV
+	functional           bool
+	destOrder            []int // comm-aware owner order, or nil
+	storeDone, bcastDone *shmem.Flags
+	rep                  *Report
+}
+
+// gemvWG is one physical workgroup of a rank's fused kernel. Its steps
+// are small, so its charge buffer stays small: a flag for each owner it
+// sends no tile, one step per partial tile, the wait for its
+// counterparts' partial tiles, per owned tile a step that reduces it and
+// one per peer it is broadcast to, a broadcast flag per peer, and the
+// wait for the peers' broadcasts.
+type gemvWG struct {
+	*gemvRank
+	wg        *gpu.WG
+	tiles     []int // in issue order
+	remaining []int // per owner: partial tiles not yet sent
+	scratch   []float32
+	phase     gemvPhase
+	next      int // the phase's next tile index or destination rank
+	off       int // gemvReduce: the next broadcast offset of tiles[next-1], or 0
+}
+
+// gemvPhase is the part of the kernel a workgroup's next step records.
+type gemvPhase uint8
+
+const (
+	gemvRaise   gemvPhase = iota // flags of owners sent nothing
+	gemvCompute                  // partial tiles into the owners' staging
+	gemvReduce                   // owned tiles reduced and broadcast
+	gemvBcast                    // broadcast flags
+	gemvDone                     // peers' broadcasts waited for
+)
+
+// start is the kernel body: it sets up workgroup wg's tiles and records
+// its first step.
+func (r *gemvRank) start(wg *gpu.WG) func() bool {
+	op := r.op
+	x := &gemvWG{gemvRank: r, wg: wg}
+	// My tiles, ordered by descending owner link cost (comm-aware) or
+	// natural (oblivious).
+	for t := wg.PhysID; t < op.tiles; t += r.phys {
+		x.tiles = append(x.tiles, t)
+	}
+	if r.destOrder != nil {
+		ordered := make([]int, 0, len(x.tiles))
+		for _, d := range r.destOrder {
+			for _, t := range x.tiles {
+				if op.owner(t) == d {
+					ordered = append(ordered, t)
+				}
+			}
+		}
+		x.tiles = ordered
+	}
+	// Per-destination outstanding-tile counts for flag raising.
+	x.remaining = make([]int, op.k)
+	for _, t := range x.tiles {
+		x.remaining[op.owner(t)]++
+	}
+	if r.functional {
+		x.scratch = make([]float32, r.g.TileM)
+	}
+	x.step()
+	return x.step
+}
+
+// raise tells owner d that this workgroup's partial tiles have all
+// landed in its staging.
+func (x *gemvWG) raise(d int) {
+	if d == x.s {
+		return // own staging needs no flag
+	}
+	x.op.World.SendFlag(x.wg, x.op.PEs[d], x.storeDone, x.s*x.phys+x.wg.PhysID, 1)
+}
+
+// waitAll waits for flag src*phys+me of f from every peer src.
+func (x *gemvWG) waitAll(f *shmem.Flags) {
+	for src := 0; src < x.op.k; src++ {
+		if src != x.s {
+			f.WaitGE(x.wg, src*x.phys+x.wg.PhysID, 1)
+		}
+	}
+}
+
+// step records the workgroup's next step (see gemvWG).
+func (x *gemvWG) step() bool {
+	op := x.op
+	switch x.phase {
+	case gemvRaise:
+		for x.next < op.k {
+			d := x.next
+			x.next++
+			if x.remaining[d] == 0 && d != x.s {
+				x.raise(d)
+				return true
+			}
+		}
+		x.phase, x.next = gemvCompute, 0
+		fallthrough
+	case gemvCompute:
+		if x.next < len(x.tiles) {
+			x.compute(x.tiles[x.next])
+			x.next++
+			return true
+		}
+		// Reduce phase: wait for the counterpart WGs on every peer
+		// before reducing.
+		x.waitAll(x.storeDone)
+		x.phase, x.next = gemvReduce, 0
+		return true
+	case gemvReduce:
+		if x.off > 0 {
+			x.broadcast(x.tiles[x.next-1], (x.s+x.off)%op.k)
+			x.off = (x.off + 1) % op.k
+			return true
+		}
+		for x.next < len(x.tiles) {
+			t := x.tiles[x.next]
+			x.next++
+			if op.owner(t) == x.s {
+				x.reduce(t)
+				x.broadcast(t, x.s)
+				x.off = 1 % op.k
+				return true
+			}
+		}
+		x.phase, x.next = gemvBcast, 0
+		fallthrough
+	case gemvBcast:
+		for x.next < op.k {
+			d := x.next
+			x.next++
+			if d != x.s {
+				op.World.SendFlag(x.wg, op.PEs[d], x.bcastDone, x.s*x.phys+x.wg.PhysID, 1)
+				return true
+			}
+		}
+		// Tail: output complete once every counterpart WG has
+		// broadcast its reduced tiles here.
+		x.waitAll(x.bcastDone)
+		x.phase = gemvDone
+		return true
+	}
+	return false
+}
+
+// compute records partial tile t, streamed straight into its owner's
+// staging slot [s][tile rows] — zero copy within the node, channel puts
+// across nodes.
+func (x *gemvWG) compute(t int) {
+	op, wg := x.op, x.wg
+	d := op.owner(t)
+	lo, hi := x.g.TileRange(t)
+	x.g.ComputeTileValues(wg, t, x.scratch)
+	op.World.SendValues(wg, op.PEs[d], op.tmp, x.s*op.m+lo, x.scratch, hi-lo)
+	wg.Busy(op.Config.Bookkeeping)
+	x.remaining[d]--
+	if x.remaining[d] == 0 {
+		x.raise(d)
+	}
+	if d != x.s {
+		x.rep.RemotePuts++
+		x.rep.RemoteBytes += float64(hi-lo) * 4
+	}
+}
+
+// reduce records owned tile t's reduction: read the k staged copies and
+// add them into the final tile in registers.
+func (x *gemvWG) reduce(t int) {
+	op, wg := x.op, x.wg
+	lo, hi := x.g.TileRange(t)
+	rows := hi - lo
+	wg.Read(float64(op.k*rows) * 4)
+	wg.Compute(float64((op.k - 1) * rows))
+	if x.functional {
+		tmp, scratch := op.tmp.On(x.pe).Data(), x.scratch
+		wg.Then(func() {
+			for r := 0; r < rows; r++ {
+				var acc float32
+				for src := 0; src < op.k; src++ {
+					acc += tmp[src*op.m+lo+r]
+				}
+				scratch[r] = acc
+			}
+		})
+	}
+}
+
+// broadcast records the all-gather of reduced tile t into rank d's
+// output.
+func (x *gemvWG) broadcast(t, d int) {
+	op := x.op
+	lo, hi := x.g.TileRange(t)
+	op.World.SendValues(x.wg, op.PEs[d], op.Out, lo, x.scratch, hi-lo)
+	if d != x.s {
+		x.rep.RemoteBytes += float64(hi-lo) * 4
+	}
 }
 
 // MaxChunks returns the finest pipelining granularity the operator

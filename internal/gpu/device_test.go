@@ -29,10 +29,10 @@ func TestLaunchPaysOverheadAndRunsAllWGs(t *testing.T) {
 	d := NewDevice(e, 0, small())
 	ran := 0
 	e.Go("host", func(p *sim.Proc) {
-		d.Launch(p, Kernel{Name: "k", PhysWGs: 8, Body: func(w *WG) {
+		d.Launch(p, Kernel{Name: "k", PhysWGs: 8, Body: once(func(w *WG) {
 			ran++
 			w.Busy(5 * sim.Microsecond)
-		}})
+		})})
 	})
 	end := e.Run()
 	if ran != 8 {
@@ -56,7 +56,7 @@ func TestLaunchRejectsOversubscription(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDevice(e, 0, small())
 	e.Go("host", func(p *sim.Proc) {
-		d.Launch(p, Kernel{Name: "k", PhysWGs: 9, Body: func(w *WG) {}})
+		d.Launch(p, Kernel{Name: "k", PhysWGs: 9, Body: once(func(w *WG) {})})
 	})
 	e.Run()
 }
@@ -68,9 +68,9 @@ func TestComputeThroughput(t *testing.T) {
 	var dur sim.Duration
 	e.Go("host", func(p *sim.Proc) {
 		start := p.Now()
-		d.Launch(p, Kernel{Name: "k", PhysWGs: 1, Body: func(w *WG) {
+		d.Launch(p, Kernel{Name: "k", PhysWGs: 1, Body: once(func(w *WG) {
 			w.Compute(1e6)
-		}})
+		})})
 		dur = p.Now().Sub(start) - 10*sim.Microsecond
 	})
 	e.Run()
@@ -86,9 +86,9 @@ func TestComputeScalesAcrossWGs(t *testing.T) {
 	var dur sim.Duration
 	e.Go("host", func(p *sim.Proc) {
 		start := p.Now()
-		d.Launch(p, Kernel{Name: "k", PhysWGs: 4, Body: func(w *WG) {
+		d.Launch(p, Kernel{Name: "k", PhysWGs: 4, Body: once(func(w *WG) {
 			w.Compute(1e6)
-		}})
+		})})
 		dur = p.Now().Sub(start) - 10*sim.Microsecond
 	})
 	e.Run()
@@ -104,9 +104,9 @@ func TestReadBoundedByPerWGStream(t *testing.T) {
 	d := NewDevice(e, 0, small())
 	var end sim.Time
 	e.Go("host", func(p *sim.Proc) {
-		d.Launch(p, Kernel{Name: "k", PhysWGs: 1, Body: func(w *WG) {
+		d.Launch(p, Kernel{Name: "k", PhysWGs: 1, Body: once(func(w *WG) {
 			w.Read(0.5e9)
-		}})
+		})})
 		end = p.Now()
 	})
 	e.Run()
@@ -121,9 +121,9 @@ func TestGatherBurnsExtraBandwidth(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDevice(e, 0, small())
 	e.Go("host", func(p *sim.Proc) {
-		d.Launch(p, Kernel{Name: "k", PhysWGs: 1, Body: func(w *WG) {
+		d.Launch(p, Kernel{Name: "k", PhysWGs: 1, Body: once(func(w *WG) {
 			w.Gather(1e6)
-		}})
+		})})
 	})
 	e.Run()
 	if got := d.HBM().TotalBytes(); math.Abs(got-2e6) > 1 {
@@ -138,9 +138,9 @@ func TestHBMSharedAcrossWGs(t *testing.T) {
 	d := NewDevice(e, 0, small())
 	var end sim.Time
 	e.Go("host", func(p *sim.Proc) {
-		d.Launch(p, Kernel{Name: "k", PhysWGs: 8, Body: func(w *WG) {
+		d.Launch(p, Kernel{Name: "k", PhysWGs: 8, Body: once(func(w *WG) {
 			w.Read(0.125e9)
-		}})
+		})})
 		end = p.Now()
 	})
 	e.Run()
@@ -212,10 +212,10 @@ func TestTwoKernelsContendForSlots(t *testing.T) {
 	d := NewDevice(e, 0, small())
 	var endB sim.Time
 	e.Go("a", func(p *sim.Proc) {
-		d.Launch(p, Kernel{Name: "a", PhysWGs: 8, Body: func(w *WG) { w.Busy(100 * sim.Microsecond) }})
+		d.Launch(p, Kernel{Name: "a", PhysWGs: 8, Body: once(func(w *WG) { w.Busy(100 * sim.Microsecond) })})
 	})
 	e.Go("b", func(p *sim.Proc) {
-		d.Launch(p, Kernel{Name: "b", PhysWGs: 8, Body: func(w *WG) { w.Busy(10 * sim.Microsecond) }})
+		d.Launch(p, Kernel{Name: "b", PhysWGs: 8, Body: once(func(w *WG) { w.Busy(10 * sim.Microsecond) })})
 		endB = p.Now()
 	})
 	e.Run()
@@ -302,6 +302,14 @@ func TestMI210Defaults(t *testing.T) {
 	}
 }
 
+// once is a persistent kernel body with a single step: body records it.
+func once(body func(w *WG)) func(w *WG) func() bool {
+	return func(w *WG) func() bool {
+		body(w)
+		return nil
+	}
+}
+
 func abs(d sim.Duration) sim.Duration {
 	if d < 0 {
 		return -d
@@ -352,9 +360,9 @@ func TestLanesCountTowardGatherKnee(t *testing.T) {
 		e := sim.NewEngine()
 		d := NewDevice(e, 0, cfg)
 		e.Go("host", func(p *sim.Proc) {
-			d.Launch(p, Kernel{Name: "k", PhysWGs: 1, Lanes: lanes, Body: func(w *WG) {
+			d.Launch(p, Kernel{Name: "k", PhysWGs: 1, Lanes: lanes, Body: once(func(w *WG) {
 				w.Gather(1e6 * float64(lanes))
-			}})
+			})})
 		})
 		return e.Run()
 	}

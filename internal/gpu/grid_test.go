@@ -81,13 +81,13 @@ func gridGoldenScenario() []string {
 
 	e.Go("persist", func(p *sim.Proc) {
 		for round, lanes := range []int{1, 2} {
-			d.Launch(p, Kernel{Name: "persist", PhysWGs: 6 / lanes, Lanes: lanes, Body: func(w *WG) {
+			d.Launch(p, Kernel{Name: "persist", PhysWGs: 6 / lanes, Lanes: lanes, Body: once(func(w *WG) {
 				log("persist.%d wg %d", round, w.PhysID)
 				w.Busy(sim.Duration(3000 + 500*w.PhysID))
 				w.Read(float64(1+w.PhysID) * 16384)
 				w.Gather(float64(1+w.PhysID%3) * 8192 * float64(lanes))
 				w.Busy(sim.Duration(2000 * (1 + w.PhysID%2)))
-			}})
+			})})
 			log("persist.%d end", round)
 			p.Sleep(40 * sim.Microsecond)
 		}
@@ -129,23 +129,29 @@ func TestGridGolden(t *testing.T) {
 	}
 }
 
-// TestGridSpawnsNoProcs: a grid kernel's workgroups are callback
-// chains, a persistent kernel's are processes.
+// TestGridSpawnsNoProcs: grid and persistent kernels' workgroups are
+// callback chains, so neither launch spawns a process, not even for a
+// persistent workgroup that blocks on a flag.
 func TestGridSpawnsNoProcs(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDevice(e, 0, small())
+	flag := sim.NewFlag(e)
 	var grid, persistent uint64
 	e.Go("host", func(p *sim.Proc) {
 		before := e.Stats().Spawned
 		d.LaunchGrid(p, "grid", 20, 0, func(w *WG, l int) { w.Read(4096) })
 		grid = e.Stats().Spawned - before
 		before = e.Stats().Spawned
-		d.Launch(p, Kernel{Name: "persistent", PhysWGs: 6, Body: func(w *WG) { w.Read(4096) }})
+		d.Launch(p, Kernel{Name: "persistent", PhysWGs: 6, Body: once(func(w *WG) {
+			w.Read(4096)
+			w.Add(flag, 1)
+			w.WaitGE(flag, 6)
+		})})
 		persistent = e.Stats().Spawned - before
 	})
 	e.Run()
-	if grid != 0 || persistent != 6 {
-		t.Errorf("LaunchGrid spawned %d procs, Launch of 6 WGs %d; want 0 and 6", grid, persistent)
+	if grid != 0 || persistent != 0 {
+		t.Errorf("LaunchGrid spawned %d procs, Launch of 6 WGs %d; want 0 and 0", grid, persistent)
 	}
 }
 

@@ -109,7 +109,8 @@ func (e *EmbeddingBag) ComputeRows(w *gpu.WG, b0, n int, out *gpu.Buffer, outOff
 
 // GatherRows pools n consecutive rows starting at b0 register-resident
 // (grouped GatherRow): only the gather is charged; scratch (len >=
-// n*Dim) receives the pooled rows in functional mode.
+// n*Dim) receives the pooled rows in functional mode, through w.Then
+// once the gather completes.
 func (e *EmbeddingBag) GatherRows(w *gpu.WG, b0, n int, scratch []float32) {
 	dim := e.Table.Dim
 	pool := 0.0
@@ -120,20 +121,23 @@ func (e *EmbeddingBag) GatherRows(w *gpu.WG, b0, n int, scratch []float32) {
 	if scratch == nil || e.Offsets == nil || !e.Table.Weights.Functional() {
 		return
 	}
-	for i := 0; i < n; i++ {
-		e.poolInto(b0+i, scratch[i*dim:(i+1)*dim])
-	}
+	w.Then(func() {
+		for i := 0; i < n; i++ {
+			e.poolInto(b0+i, scratch[i*dim:(i+1)*dim])
+		}
+	})
 }
 
 // GatherRow pools output row b, leaving the result register-resident:
 // only the table gather is charged, no output store. The fused zero-copy
 // operators use this and then stream the result directly to its
 // destination. In functional mode the pooled row is written into scratch
-// (len >= Dim) when scratch is non-nil.
+// (len >= Dim) when scratch is non-nil, through w.Then once the gather
+// completes.
 func (e *EmbeddingBag) GatherRow(w *gpu.WG, b int, scratch []float32) {
 	w.Gather(e.bagSize(b) * float64(e.Table.Dim) * 4)
-	if scratch != nil {
-		e.poolInto(b, scratch[:e.Table.Dim])
+	if scratch != nil && e.Offsets != nil && e.Table.Weights.Functional() {
+		w.Then(func() { e.poolInto(b, scratch[:e.Table.Dim]) })
 	}
 }
 

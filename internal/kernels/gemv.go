@@ -73,9 +73,9 @@ func (g *GEMV) ComputeTile(w *gpu.WG, t int, out *gpu.Buffer, outOff int) {
 
 // ComputeTileValues produces tile t register-resident: weight streaming
 // and FMA work are charged but no output store. In functional mode the
-// tile values are written into scratch (len >= tile rows). The fused
-// zero-copy operator uses this and streams the result straight to the
-// reducing peer.
+// tile values are written into scratch (len >= tile rows) through
+// w.Then, once the charges complete. The fused zero-copy operator uses
+// this and streams the result straight to the reducing peer.
 func (g *GEMV) ComputeTileValues(w *gpu.WG, t int, scratch []float32) {
 	lo, hi := g.TileRange(t)
 	rows := hi - lo
@@ -84,15 +84,17 @@ func (g *GEMV) ComputeTileValues(w *gpu.WG, t int, scratch []float32) {
 	if scratch == nil || g.W == nil || g.X == nil || !g.W.Functional() {
 		return
 	}
-	wdat, x := g.W.Data(), g.X.Data()
-	for r := 0; r < rows; r++ {
-		var acc float32
-		row := wdat[(lo+r)*g.K : (lo+r+1)*g.K]
-		for k, xv := range x {
-			acc += row[k] * xv
+	w.Then(func() {
+		wdat, x := g.W.Data(), g.X.Data()
+		for r := 0; r < rows; r++ {
+			var acc float32
+			row := wdat[(lo+r)*g.K : (lo+r+1)*g.K]
+			for k, xv := range x {
+				acc += row[k] * xv
+			}
+			scratch[r] = acc
 		}
-		scratch[r] = acc
-	}
+	})
 }
 
 // Run executes the whole GEMV as one conventional kernel writing into Y.

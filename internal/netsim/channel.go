@@ -11,22 +11,39 @@ import (
 // are transferred one at a time in post order; completion callbacks fire
 // at delivery time on the receiver's clock. Propagation latency is
 // pipelined: the next message may start its serialization while an
-// earlier one is still in flight.
+// earlier one is still in flight, but no message is delivered before
+// one posted earlier, even when the path's latency drops in between.
+//
+// The drain that serializes the queue is a chain of engine callbacks,
+// not a process: each step takes the (time, seq) a draining process's
+// step would take.
 type Channel struct {
 	e        *sim.Engine
 	net      Network
 	src, dst int
 	overhead sim.Duration // per-message posting/doorbell cost
 
-	// The drain process's name and body, formatted and bound once: a
-	// busy channel starts a drain each time its queue refills.
-	name    string
-	drainFn func(*sim.Proc)
+	// The drain's callbacks, bound once.
+	nextFn, serializeFn, crossFn, deliverFn func()
 
-	queue    []message
-	busy     bool
+	queue    []message // posted, not yet serializing, from head on
+	head     int
+	busy     bool // a drain is running
 	inflight int
 	idle     *sim.Cond
+
+	// The message serializing: its path, the next link to cross and the
+	// propagation latency after the last.
+	cur   message
+	links []*sim.Resource
+	hop   int
+	lat   sim.Duration
+
+	// flying holds the delivery callbacks of serialized messages not yet
+	// delivered, in delivery order; lastDelivery is when the latest of
+	// them lands.
+	flying       []func()
+	lastDelivery sim.Time
 
 	posted    int
 	delivered int
@@ -44,9 +61,8 @@ func NewChannel(e *sim.Engine, net Network, src, dst int, overhead sim.Duration)
 	if src == dst {
 		panic(fmt.Sprintf("netsim: channel to self (node %d)", src))
 	}
-	c := &Channel{e: e, net: net, src: src, dst: dst, overhead: overhead, idle: sim.NewCond(e),
-		name: fmt.Sprintf("chan.%d->%d", src, dst)}
-	c.drainFn = c.drain
+	c := &Channel{e: e, net: net, src: src, dst: dst, overhead: overhead, idle: sim.NewCond(e)}
+	c.nextFn, c.serializeFn, c.crossFn, c.deliverFn = c.next, c.serialize, c.cross, c.deliver
 	return c
 }
 
@@ -58,45 +74,79 @@ func (c *Channel) Delivered() int { return c.delivered }
 
 // Post enqueues a message of the given size. onDelivered (optional) runs
 // when the last byte arrives at dst. Post never blocks the caller — this
-// is the non-blocking put primitive the fused kernels rely on.
+// is the non-blocking put primitive the fused kernels rely on. An idle
+// channel starts its drain at the current instant.
 func (c *Channel) Post(bytes float64, onDelivered func()) {
 	c.posted++
 	c.queue = append(c.queue, message{bytes: bytes, onDelivered: onDelivered})
 	if !c.busy {
 		c.busy = true
-		c.e.Go(c.name, c.drainFn)
+		c.e.At(c.e.Now(), c.nextFn)
 	}
 }
 
 // Quiet blocks p until every message posted so far has been delivered.
 func (c *Channel) Quiet(p *sim.Proc) {
 	c.idle.Wait(p, func() bool {
-		return len(c.queue) == 0 && c.inflight == 0
+		return c.head == len(c.queue) && c.inflight == 0
 	})
 }
 
-func (c *Channel) drain(p *sim.Proc) {
-	for len(c.queue) > 0 {
-		m := c.queue[0]
-		c.queue = c.queue[1:]
-		c.inflight++
-		p.Sleep(c.overhead)
-		links, lat := c.net.Path(c.src, c.dst)
-		for _, l := range links {
-			l.Transfer(p, m.bytes, 0)
-		}
-		// Serialization done; delivery lands after propagation. Ordering
-		// is preserved because latency is constant per channel.
-		done := m.onDelivered
-		c.e.After(lat, func() {
-			c.delivered++
-			c.inflight--
-			if done != nil {
-				done()
-			}
-			c.idle.Broadcast()
-		})
+// next starts serializing the queue's head message after the posting
+// overhead, or ends the drain when the queue is empty.
+func (c *Channel) next() {
+	if c.head == len(c.queue) {
+		c.queue, c.head = c.queue[:0], 0
+		c.busy = false
+		c.idle.Broadcast()
+		return
 	}
-	c.busy = false
+	c.cur = c.queue[c.head]
+	c.queue[c.head] = message{}
+	c.head++
+	c.inflight++
+	if c.e.Delay(c.overhead, c.serializeFn) {
+		c.serialize()
+	}
+}
+
+// serialize routes the current message, reading the path's latency now,
+// and starts it across the first link.
+func (c *Channel) serialize() {
+	c.links, c.lat = c.net.Path(c.src, c.dst)
+	c.hop = 0
+	c.cross()
+}
+
+// cross puts the current message through its path's links one at a time
+// (a zero-size message crosses at once, as a blocking transfer would),
+// then schedules its delivery after the propagation latency — no
+// earlier than the previous message's — and drains on.
+func (c *Channel) cross() {
+	for c.hop < len(c.links) {
+		l := c.links[c.hop]
+		c.hop++
+		if c.cur.bytes > 0 {
+			l.TransferAsync(c.cur.bytes, 0, c.crossFn)
+			return
+		}
+	}
+	c.lastDelivery = max(c.e.Now().Add(c.lat), c.lastDelivery)
+	c.flying = append(c.flying, c.cur.onDelivered)
+	c.cur = message{}
+	c.e.At(c.lastDelivery, c.deliverFn)
+	c.next()
+}
+
+// deliver lands the oldest message in flight.
+func (c *Channel) deliver() {
+	done := c.flying[0]
+	c.flying[0] = nil
+	c.flying = c.flying[1:]
+	c.delivered++
+	c.inflight--
+	if done != nil {
+		done()
+	}
 	c.idle.Broadcast()
 }

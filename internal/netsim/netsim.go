@@ -223,11 +223,24 @@ func (pp *PointToPoint) Path(src, dst int) ([]*sim.Resource, sim.Duration) {
 type Torus2D struct {
 	w, h   int
 	hopLat sim.Duration
-	links  map[[2]int]*sim.Resource // [from][to] node ids
+	// links[n][dir] is node n's directed link to its neighbor in
+	// direction dir (see torusDir). On a 2-wide ring the two directions
+	// of that dimension reach the same neighbor and share one link.
+	links [][4]*sim.Resource
 	// latScale degrades the hop latency of links owned (injected) by a
 	// node (zero value = 1); entries are >= 1.
 	latScale []float64
 }
+
+// torusDir indexes a node's four neighbor links.
+type torusDir int
+
+const (
+	xPlus torusDir = iota
+	xMinus
+	yPlus
+	yMinus
+)
 
 // NewTorus2D builds the torus. bytesPerSec is per directed link
 // (Table II: 200 Gb/s = 25 GB/s), hopLat per traversed hop (700 ns).
@@ -240,23 +253,40 @@ func NewTorus2D(wld sim.World, w, h int, bytesPerSec float64, hopLat sim.Duratio
 	if bytesPerSec <= 0 {
 		panic("netsim: torus link bandwidth must be positive")
 	}
-	t := &Torus2D{w: w, h: h, hopLat: hopLat, links: make(map[[2]int]*sim.Resource)}
-	add := func(a, b int) {
-		key := [2]int{a, b}
-		if _, ok := t.links[key]; !ok {
-			t.links[key] = sim.NewResource(wld.EngineFor(a), fmt.Sprintf("torus.%d->%d", a, b), bytesPerSec, nil)
-		}
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			n := t.ID(x, y)
-			add(n, t.ID((x+1)%w, y))
-			add(n, t.ID((x-1+w)%w, y))
-			add(n, t.ID(x, (y+1)%h))
-			add(n, t.ID(x, (y-1+h)%h))
+	t := &Torus2D{w: w, h: h, hopLat: hopLat, links: make([][4]*sim.Resource, w*h)}
+	for n := range t.links {
+		for dir, m := range t.neighbors(n) {
+			if alias, ok := t.alias(torusDir(dir)); ok {
+				t.links[n][dir] = t.links[n][alias]
+				continue
+			}
+			t.links[n][dir] = sim.NewResource(wld.EngineFor(n), fmt.Sprintf("torus.%d->%d", n, m), bytesPerSec, nil)
 		}
 	}
 	return t
+}
+
+// neighbors returns node n's neighbor in each direction.
+func (t *Torus2D) neighbors(n int) [4]int {
+	x, y := t.Coord(n)
+	return [4]int{
+		xPlus:  t.ID((x+1)%t.w, y),
+		xMinus: t.ID((x-1+t.w)%t.w, y),
+		yPlus:  t.ID(x, (y+1)%t.h),
+		yMinus: t.ID(x, (y-1+t.h)%t.h),
+	}
+}
+
+// alias reports the direction whose link dir shares: the positive one of
+// a 2-wide ring's dimension.
+func (t *Torus2D) alias(dir torusDir) (torusDir, bool) {
+	switch {
+	case dir == xMinus && t.w == 2:
+		return xPlus, true
+	case dir == yMinus && t.h == 2:
+		return yPlus, true
+	}
+	return 0, false
 }
 
 // Nodes implements Network.
@@ -273,28 +303,25 @@ func (t *Torus2D) Coord(id int) (x, y int) { return id % t.w, id / t.w }
 
 // Link exposes the directed neighbor link a->b.
 func (t *Torus2D) Link(a, b int) *sim.Resource {
-	l, ok := t.links[[2]int{a, b}]
-	if !ok {
-		panic(fmt.Sprintf("netsim: %d->%d is not a torus neighbor link", a, b))
+	if a >= 0 && a < len(t.links) {
+		for dir, m := range t.neighbors(a) {
+			if m == b {
+				return t.links[a][dir]
+			}
+		}
 	}
-	return l
+	panic(fmt.Sprintf("netsim: %d->%d is not a torus neighbor link", a, b))
 }
 
 // Links implements LinkEnumerator: every directed neighbor link in
-// deterministic (row-major source, +x/-x/+y/-y) order.
+// deterministic (row-major source, +x/-x/+y/-y) order, each shared link
+// once.
 func (t *Torus2D) Links() []DirectedLink {
-	ls := make([]DirectedLink, 0, len(t.links))
-	seen := map[[2]int]bool{}
-	for y := 0; y < t.h; y++ {
-		for x := 0; x < t.w; x++ {
-			n := t.ID(x, y)
-			for _, m := range []int{t.ID((x+1)%t.w, y), t.ID((x-1+t.w)%t.w, y), t.ID(x, (y+1)%t.h), t.ID(x, (y-1+t.h)%t.h)} {
-				key := [2]int{n, m}
-				if n == m || seen[key] {
-					continue // 2-wide rings alias +x/-x
-				}
-				seen[key] = true
-				ls = append(ls, DirectedLink{From: n, To: m, Res: t.links[key]})
+	ls := make([]DirectedLink, 0, len(t.links)*4)
+	for n := range t.links {
+		for dir, m := range t.neighbors(n) {
+			if _, ok := t.alias(torusDir(dir)); !ok {
+				ls = append(ls, DirectedLink{From: n, To: m, Res: t.links[n][dir]})
 			}
 		}
 	}
@@ -345,33 +372,22 @@ func (t *Torus2D) RingY(id int) []int {
 // Path implements Network with dimension-ordered routing and shortest
 // wraparound direction per dimension.
 func (t *Torus2D) Path(src, dst int) ([]*sim.Resource, sim.Duration) {
-	if src == dst {
+	hops := t.Route(src, dst)
+	if len(hops) == 0 {
 		return nil, 0
 	}
-	var links []*sim.Resource
+	links := make([]*sim.Resource, len(hops))
 	var lat sim.Duration
-	sx, sy := t.Coord(src)
-	dx, dy := t.Coord(dst)
-	x, y := sx, sy
-	stepX := shortestStep(sx, dx, t.w)
-	for x != dx {
-		nx := (x + stepX + t.w) % t.w
-		links = append(links, t.Link(t.ID(x, y), t.ID(nx, y)))
-		lat += t.hopLatency(t.ID(x, y))
-		x = nx
-	}
-	stepY := shortestStep(sy, dy, t.h)
-	for y != dy {
-		ny := (y + stepY + t.h) % t.h
-		links = append(links, t.Link(t.ID(x, y), t.ID(x, ny)))
-		lat += t.hopLatency(t.ID(x, y))
-		y = ny
+	for i, h := range hops {
+		links[i] = h.Link
+		lat += h.Latency
 	}
 	return links, lat
 }
 
-// Route implements Router: the dimension-ordered hop sequence matching
-// Path, each hop on its directed neighbor link.
+// Route implements Router: the dimension-ordered hop sequence, X then Y
+// in each dimension's shorter direction, each hop on its directed
+// neighbor link.
 func (t *Torus2D) Route(src, dst int) []Hop {
 	if src == dst {
 		return nil
@@ -383,16 +399,23 @@ func (t *Torus2D) Route(src, dst int) []Hop {
 	stepY := shortestStep(sy, dy, t.h)
 	n := ringHops(sx, dx, t.w, stepX) + ringHops(sy, dy, t.h, stepY)
 	hops := make([]Hop, 0, n)
+	dirX, dirY := xPlus, yPlus
+	if stepX < 0 {
+		dirX = xMinus
+	}
+	if stepY < 0 {
+		dirY = yMinus
+	}
 	for x != dx {
 		nx := (x + stepX + t.w) % t.w
-		a, b := t.ID(x, y), t.ID(nx, y)
-		hops = append(hops, Hop{From: a, To: b, Link: t.Link(a, b), Latency: t.hopLatency(a)})
+		a := t.ID(x, y)
+		hops = append(hops, Hop{From: a, To: t.ID(nx, y), Link: t.links[a][dirX], Latency: t.hopLatency(a)})
 		x = nx
 	}
 	for y != dy {
 		ny := (y + stepY + t.h) % t.h
-		a, b := t.ID(x, y), t.ID(x, ny)
-		hops = append(hops, Hop{From: a, To: b, Link: t.Link(a, b), Latency: t.hopLatency(a)})
+		a := t.ID(x, y)
+		hops = append(hops, Hop{From: a, To: t.ID(x, ny), Link: t.links[a][dirY], Latency: t.hopLatency(a)})
 		y = ny
 	}
 	return hops

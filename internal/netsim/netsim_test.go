@@ -283,3 +283,97 @@ func TestSendAsyncAllocsIndependentOfHops(t *testing.T) {
 		t.Errorf("SendAsync makes %v allocations over 8 hops, %v over 1; want no growth with the hop count", eight, one)
 	}
 }
+
+// TestChannelKeepsOrderWhenLatencyDrops: a message posted just after a
+// latency fault ends serializes at the nominal latency, but it must
+// still land after the data posted during the fault — the data-before-
+// flag order the fused kernels rely on.
+func TestChannelKeepsOrderWhenLatencyDrops(t *testing.T) {
+	e := sim.NewEngine()
+	net := NewPointToPoint(e, 2, 20e9, 2*sim.Microsecond)
+	net.SetLatencyScale(0, 8)
+	ch := NewChannel(e, net, 0, 1, 300*sim.Nanosecond)
+	var order []string
+	var at []sim.Time
+	land := func(name string) func() {
+		return func() {
+			order = append(order, name)
+			at = append(at, e.Now())
+		}
+	}
+	ch.Post(4096, land("put"))
+	e.At(sim.Time(sim.Microsecond), func() {
+		net.SetLatencyScale(0, 1)
+		ch.Post(8, land("flag"))
+	})
+	e.Run()
+	// The put pays the degraded 16 µs on top of its serialization.
+	if len(order) != 2 || order[0] != "put" || at[0] < sim.Time(16*sim.Microsecond) || at[1] < at[0] {
+		t.Fatalf("delivered %v at %v, want the put first, after 16µs, and the flag no earlier", order, at)
+	}
+}
+
+// TestChannelSpawnsNoProcs: a channel drains as engine callbacks.
+func TestChannelSpawnsNoProcs(t *testing.T) {
+	e := sim.NewEngine()
+	ch := NewChannel(e, NewPointToPoint(e, 2, 1e9, sim.Microsecond), 0, 1, 100)
+	for i := 0; i < 3; i++ {
+		ch.Post(1e3, nil)
+	}
+	e.At(sim.Time(50*sim.Microsecond), func() { ch.Post(1e3, nil) })
+	e.Run()
+	if ch.Delivered() != 4 || e.Stats().Spawned != 0 {
+		t.Errorf("delivered %d of 4 messages, spawned %d procs; want 4 and 0", ch.Delivered(), e.Stats().Spawned)
+	}
+}
+
+// TestTorusLinksByDirection: every directed link is reachable by Link,
+// listed once by Links in row-major source, +x/-x/+y/-y order (a 2-wide
+// ring's two directions share one link), and ridden by Route; a
+// non-neighbor pair panics.
+func TestTorusLinksByDirection(t *testing.T) {
+	e := sim.NewEngine()
+	tor := NewTorus2D(e, 3, 2, 1e9, 700)
+	var got []string
+	for _, l := range tor.Links() {
+		if tor.Link(l.From, l.To) != l.Res {
+			t.Errorf("Link(%d,%d) is not the listed %s", l.From, l.To, l.Res.Name())
+		}
+		got = append(got, l.Res.Name())
+	}
+	want := []string{
+		"torus.0->1", "torus.0->2", "torus.0->3",
+		"torus.1->2", "torus.1->0", "torus.1->4",
+		"torus.2->0", "torus.2->1", "torus.2->5",
+		"torus.3->4", "torus.3->5", "torus.3->0",
+		"torus.4->5", "torus.4->3", "torus.4->1",
+		"torus.5->3", "torus.5->4", "torus.5->2",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Links = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Links = %v, want %v", got, want)
+		}
+	}
+	for src := 0; src < tor.Nodes(); src++ {
+		for dst := 0; dst < tor.Nodes(); dst++ {
+			for _, h := range tor.Route(src, dst) {
+				if h.Link != tor.Link(h.From, h.To) {
+					t.Errorf("route %d->%d hop %d->%d rides %s", src, dst, h.From, h.To, h.Link.Name())
+				}
+			}
+		}
+	}
+	for _, pair := range [][2]int{{0, 4}, {0, 0}, {-1, 0}, {6, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Link(%d,%d) did not panic", pair[0], pair[1])
+				}
+			}()
+			tor.Link(pair[0], pair[1])
+		}()
+	}
+}

@@ -1,8 +1,16 @@
 // Package shmem provides GPU-initiated intra-kernel communication in the
 // style of ROC_SHMEM / NVSHMEM (paper §II-B): a symmetric heap across
-// processing elements (PEs, one per GPU), non-blocking puts, fences,
-// quiet, and waitable flags — all callable from inside simulated kernels
-// through a workgroup context.
+// processing elements (PEs, one per GPU), non-blocking puts, fences and
+// waitable flags — all callable from inside simulated kernels through a
+// workgroup context.
+//
+// Like every workgroup operation (see gpu.WG), a primitive records its
+// work on the workgroup rather than doing it at the call: its API cost
+// is a charge, and its side effects (posting a put, issuing stores,
+// raising a flag) and its waits (fences, flag waits) take effect when
+// the workgroup's earlier charges complete. Values handed over in
+// registers are read at that instant too, so they may be produced by an
+// earlier WG.Then.
 //
 // Two data paths exist, matching the paper:
 //
@@ -10,8 +18,9 @@
 //     per-PE-pair channel (an RDMA queue pair over the NIC). Delivery is
 //     asynchronous; ordering within a pair makes put-fence-flag correct.
 //   - Scale-up (same node): StoreRemote streams native stores over the
-//     fabric directly into the peer's memory, blocking the issuing
-//     workgroup — the zero-copy path with no intermediate buffering.
+//     fabric directly into the peer's memory, asynchronously; a store
+//     fence waits for them — the zero-copy path with no intermediate
+//     buffering.
 package shmem
 
 import (
@@ -48,11 +57,14 @@ func DefaultConfig() Config {
 
 // World is a communication world spanning every GPU of a platform.
 type World struct {
-	pl     *platform.Platform
-	cfg    Config
-	chans  map[[2]int]*netsim.Channel
-	fnets  map[int]*fabricNet     // per node, lazily built
-	stores map[storeKey]*sim.Flag // outstanding native stores per (pair, WG)
+	pl    *platform.Platform
+	cfg   Config
+	chans map[[2]int]*netsim.Channel
+	fnets map[int]*fabricNet // per node, lazily built
+	// stores[srcPE*NPEs+dstPE][phys] counts physical WG phys's
+	// outstanding native stores from srcPE to dstPE; counters are built
+	// lazily and live as long as the world.
+	stores [][]*sim.Flag
 }
 
 // NewWorld attaches a world to a platform.
@@ -62,7 +74,7 @@ func NewWorld(pl *platform.Platform, cfg Config) *World {
 		cfg:    cfg,
 		chans:  make(map[[2]int]*netsim.Channel),
 		fnets:  make(map[int]*fabricNet),
-		stores: make(map[storeKey]*sim.Flag),
+		stores: make([][]*sim.Flag, pl.NDevices()*pl.NDevices()),
 	}
 }
 
@@ -205,34 +217,72 @@ func (f *Flags) On(pe, idx int) *sim.Flag { return &f.flags[pe][idx] }
 // WaitGE blocks the workgroup until the *local* flag idx reaches v —
 // the roc_shmem_wait_until(..., GE, v) analogue.
 func (f *Flags) WaitGE(wg *gpu.WG, idx int, v int64) {
-	f.flags[wg.Dev.ID()][idx].WaitGE(wg.P, v)
+	wg.WaitGE(&f.flags[wg.Dev.ID()][idx], v)
+}
+
+// landing returns the function that copies rows of rowLen elements from
+// src at srcOff (srcStride apart) to dst at dstOff (dstStride apart), or
+// nil when either side is timing-only and there is nothing to copy.
+func landing(dst *gpu.Buffer, dstOff, dstStride int, src *gpu.Buffer, srcOff, srcStride, rows, rowLen int) func() {
+	if !dst.Functional() || !src.Functional() {
+		return nil
+	}
+	return func() {
+		for r := 0; r < rows; r++ {
+			dst.CopyWithin(dstOff+r*dstStride, src, srcOff+r*srcStride, rowLen)
+		}
+	}
+}
+
+// valueLanding returns the function that lands a snapshot of register
+// values as rows in dst, and the function that takes the snapshot from
+// vals; both are nil when there is nothing to copy (timing mode).
+func valueLanding(dst *gpu.Buffer, dstOff, dstStride int, vals []float32, rows, rowLen int) (snapshot, land func()) {
+	if vals == nil || !dst.Functional() {
+		return nil, nil
+	}
+	var snap []float32
+	snapshot = func() { snap = append(snap[:0], vals[:rows*rowLen]...) }
+	land = func() {
+		for r := 0; r < rows; r++ {
+			copy(dst.Data()[dstOff+r*dstStride:dstOff+r*dstStride+rowLen], snap[r*rowLen:(r+1)*rowLen])
+		}
+	}
+	return snapshot, land
+}
+
+// then records fn on wg unless it is nil.
+func then(wg *gpu.WG, fn func()) {
+	if fn != nil {
+		wg.Then(fn)
+	}
+}
+
+// post records a put of bytes from wg's PE to dstPE on the pair's
+// ordered channel, issued once wg's earlier charges complete: the
+// transfer engine reads the source out of local memory, and at delivery
+// the destination memory is written and land (optional) runs.
+func (w *World) post(wg *gpu.WG, dstPE int, bytes float64, land func()) {
+	srcPE := wg.Dev.ID()
+	wg.Then(func() {
+		w.pl.Device(srcPE).HBM().TransferAsync(bytes, 0, nil)
+		w.channel(srcPE, dstPE).Post(bytes, func() {
+			w.pl.Device(dstPE).HBM().TransferAsync(bytes, 0, nil)
+			if land != nil {
+				land()
+			}
+		})
+	})
 }
 
 // PutNbi issues a non-blocking put of n float32 from a local buffer into
-// dst's instance of the symmetric allocation. The call returns after the
-// API overhead; the transfer proceeds on the pair's ordered channel and
-// the data lands at delivery time. Source data is read at delivery (the
-// producer must not overwrite it before a Fence/Quiet, as on hardware).
+// dst's instance of the symmetric allocation. The workgroup is charged
+// the API overhead; the transfer proceeds on the pair's ordered channel
+// and the data lands at delivery time. Source data is read at delivery
+// (the producer must not overwrite it before a flag that orders it, as
+// on hardware).
 func (w *World) PutNbi(wg *gpu.WG, dstPE int, dst *Symm, dstOff int, src *gpu.Buffer, srcOff, n int) {
-	wg.Busy(w.cfg.PutAPIOverhead)
-	if n <= 0 {
-		return
-	}
-	srcPE := wg.Dev.ID()
-	if srcPE == dstPE {
-		dst.On(dstPE).CopyWithin(dstOff, src, srcOff, n)
-		return
-	}
-	dbuf := dst.On(dstPE)
-	bytes := float64(n) * 4
-	// The transfer engine reads the staging buffer and the delivery
-	// writes destination memory — intermediate-buffering traffic the
-	// zero-copy store path avoids.
-	w.pl.Device(srcPE).HBM().TransferAsync(bytes, 0, nil)
-	w.channel(srcPE, dstPE).Post(bytes, func() {
-		w.pl.Device(dstPE).HBM().TransferAsync(bytes, 0, nil)
-		dbuf.CopyWithin(dstOff, src, srcOff, n)
-	})
+	w.PutNbiRows(wg, dstPE, dst, dstOff, 0, src, srcOff, 0, 1, n)
 }
 
 // PutNbiRows is PutNbi for a strided block: rows of rowLen elements,
@@ -246,23 +296,15 @@ func (w *World) PutNbiRows(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStride i
 	if rows <= 0 || rowLen <= 0 {
 		return
 	}
-	srcPE := wg.Dev.ID()
-	apply := func() {
-		dbuf := dst.On(dstPE)
-		for r := 0; r < rows; r++ {
-			dbuf.CopyWithin(dstOff+r*dstStride, src, srcOff+r*srcStride, rowLen)
-		}
-	}
-	if srcPE == dstPE {
-		apply()
+	land := landing(dst.On(dstPE), dstOff, dstStride, src, srcOff, srcStride, rows, rowLen)
+	if wg.Dev.ID() == dstPE {
+		then(wg, land)
 		return
 	}
-	bytes := float64(rows*rowLen) * 4
-	w.pl.Device(srcPE).HBM().TransferAsync(bytes, 0, nil)
-	w.channel(srcPE, dstPE).Post(bytes, func() {
-		w.pl.Device(dstPE).HBM().TransferAsync(bytes, 0, nil)
-		apply()
-	})
+	// The transfer engine reads the staging buffer and the delivery
+	// writes destination memory — intermediate-buffering traffic the
+	// zero-copy store path avoids.
+	w.post(wg, dstPE, float64(rows*rowLen)*4, land)
 }
 
 // PutFlagNbi posts a flag update on the same ordered channel as data
@@ -274,73 +316,60 @@ func (w *World) PutFlagNbi(wg *gpu.WG, dstPE int, f *Flags, idx int, delta int64
 	srcPE := wg.Dev.ID()
 	target := &f.flags[dstPE][idx]
 	if srcPE == dstPE {
-		target.Add(delta)
+		wg.Add(target, delta)
 		return
 	}
-	w.channel(srcPE, dstPE).Post(8, func() { target.Add(delta) })
+	wg.Then(func() { w.channel(srcPE, dstPE).Post(8, func() { target.Add(delta) }) })
 }
 
 // Fence orders prior puts to dstPE before subsequent ones. Channels
 // already deliver in order, so the fence costs only its API overhead.
 func (w *World) Fence(wg *gpu.WG) { wg.Busy(w.cfg.FlagAPIOverhead) }
 
-// Quiet blocks the workgroup until every put it issued (on any channel
-// originating at its PE) has been delivered.
-func (w *World) Quiet(wg *gpu.WG) {
-	srcPE := wg.Dev.ID()
-	for dst := 0; dst < w.NPEs(); dst++ {
-		if c, ok := w.chans[[2]int{srcPE, dst}]; ok {
-			c.Quiet(wg.P)
-		}
-	}
-}
-
-// remoteStore issues bytes of native stores from wg toward a same-node
+// remoteStore records bytes of native stores from wg toward a same-node
 // peer. Stores retire through write-combining buffers: the workgroup is
 // charged only a small issue cost and proceeds; the bytes stream over
 // the fabric asynchronously (at the lane-scaled per-WG store rate,
-// sharing the link fairly) and apply lands when the last byte arrives.
-// Visibility is established by StoreFence / StoreRemoteFlag, which wait
-// for the pair's outstanding stores — the fence-the-stores-then-flag
-// idiom of the zero-copy fused kernels (§III-B).
-func (w *World) remoteStore(wg *gpu.WG, dstPE int, bytes float64, apply func()) {
+// sharing the link fairly) and land (optional) runs when the last byte
+// arrives. Visibility is established by StoreFence / StoreRemoteFlag,
+// which wait for the pair's outstanding stores — the
+// fence-the-stores-then-flag idiom of the zero-copy fused kernels
+// (§III-B).
+func (w *World) remoteStore(wg *gpu.WG, dstPE int, bytes float64, land func()) {
 	srcPE := wg.Dev.ID()
 	if !w.pl.SameNode(srcPE, dstPE) {
 		panic(fmt.Sprintf("shmem: native store across nodes (%d->%d); use PutNbi", srcPE, dstPE))
 	}
 	wg.Busy(w.cfg.FlagAPIOverhead) // store-issue cost
 	cnt := w.storeInFlight(srcPE, dstPE, wg.PhysID)
-	cnt.Add(1)
 	fab := w.pl.FabricOf(srcPE)
-	lanes := wg.Lanes
-	if lanes < 1 {
-		lanes = 1
-	}
-	rate := fab.Config().PerWGStoreBandwidth * float64(lanes)
+	rate := fab.Config().PerWGStoreBandwidth * float64(wg.Lanes)
 	link := fab.Link(w.pl.LocalIdx(srcPE), w.pl.LocalIdx(dstPE))
 	dstHBM := w.pl.Device(dstPE).HBM()
-	w.pl.E.After(fab.Config().StoreLatency, func() {
+	lat := fab.Config().StoreLatency
+	wg.Add(cnt, 1)
+	wg.After(lat, func() {
 		link.TransferAsync(bytes, rate, func() {
 			dstHBM.TransferAsync(bytes, 0, nil)
-			if apply != nil {
-				apply()
+			if land != nil {
+				land()
 			}
 			cnt.Add(-1)
 		})
 	})
 }
 
-// storeKey identifies one workgroup's store stream to one peer.
-type storeKey struct{ srcPE, dstPE, phys int }
-
-// storeInFlight returns the outstanding-store counter for a workgroup's
-// stream to a peer.
+// storeInFlight returns the outstanding-store counter of physical WG
+// phys's stream from srcPE to dstPE.
 func (w *World) storeInFlight(srcPE, dstPE, phys int) *sim.Flag {
-	key := storeKey{srcPE, dstPE, phys}
-	cnt, ok := w.stores[key]
-	if !ok {
+	pair := &w.stores[srcPE*w.NPEs()+dstPE]
+	if phys >= len(*pair) {
+		*pair = append(*pair, make([]*sim.Flag, phys+1-len(*pair))...)
+	}
+	cnt := (*pair)[phys]
+	if cnt == nil {
 		cnt = sim.NewFlag(w.pl.E)
-		w.stores[key] = cnt
+		(*pair)[phys] = cnt
 	}
 	return cnt
 }
@@ -353,9 +382,7 @@ func (w *World) StoreFence(wg *gpu.WG, dstPE int) {
 	if srcPE == dstPE {
 		return
 	}
-	if cnt, ok := w.stores[storeKey{srcPE, dstPE, wg.PhysID}]; ok {
-		cnt.WaitEQ(wg.P, 0)
-	}
+	wg.WaitEQ(w.storeInFlight(srcPE, dstPE, wg.PhysID), 0)
 }
 
 // StoreRemote streams n float32 as native stores from the workgroup
@@ -365,19 +392,7 @@ func (w *World) StoreFence(wg *gpu.WG, dstPE int) {
 // remoteStore). Cross-node stores are impossible on real hardware and
 // panic here.
 func (w *World) StoreRemote(wg *gpu.WG, dstPE int, dst *Symm, dstOff int, src *gpu.Buffer, srcOff, n int) {
-	if n <= 0 {
-		return
-	}
-	bytes := float64(n) * 4
-	if wg.Dev.ID() == dstPE {
-		wg.Write(bytes)
-		dst.On(dstPE).CopyWithin(dstOff, src, srcOff, n)
-		return
-	}
-	dbuf := dst.On(dstPE)
-	w.remoteStore(wg, dstPE, bytes, func() {
-		dbuf.CopyWithin(dstOff, src, srcOff, n)
-	})
+	w.StoreRemoteRows(wg, dstPE, dst, dstOff, 0, src, srcOff, 0, 1, n)
 }
 
 // StoreRemoteRows is StoreRemote for a strided block (see PutNbiRows).
@@ -386,18 +401,13 @@ func (w *World) StoreRemoteRows(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStr
 		return
 	}
 	bytes := float64(rows*rowLen) * 4
-	dbuf := dst.On(dstPE)
-	apply := func() {
-		for r := 0; r < rows; r++ {
-			dbuf.CopyWithin(dstOff+r*dstStride, src, srcOff+r*srcStride, rowLen)
-		}
-	}
+	land := landing(dst.On(dstPE), dstOff, dstStride, src, srcOff, srcStride, rows, rowLen)
 	if wg.Dev.ID() == dstPE {
 		wg.Write(bytes)
-		apply()
+		then(wg, land)
 		return
 	}
-	w.remoteStore(wg, dstPE, bytes, apply)
+	w.remoteStore(wg, dstPE, bytes, land)
 }
 
 // StoreValues writes caller-provided values (register-resident results)
@@ -411,31 +421,21 @@ func (w *World) StoreValues(wg *gpu.WG, dstPE int, dst *Symm, dstOff int, vals [
 // StoreValuesRows stores register-resident values as rows of rowLen
 // elements landing dstStride apart in dstPE's instance. vals holds
 // rows*rowLen elements row-major (nil in timing mode); they are
-// snapshotted at issue, so the caller may reuse the scratch space.
+// snapshotted when the workgroup's earlier charges complete, so an
+// earlier Then may produce them and a later one may reuse the scratch.
 func (w *World) StoreValuesRows(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStride int, vals []float32, rows, rowLen int) {
 	if rows <= 0 || rowLen <= 0 {
 		return
 	}
 	bytes := float64(rows*rowLen) * 4
-	dbuf := dst.On(dstPE)
-	var snap []float32
-	if vals != nil && dbuf.Functional() {
-		snap = append([]float32(nil), vals[:rows*rowLen]...)
-	}
-	apply := func() {
-		if snap == nil {
-			return
-		}
-		for r := 0; r < rows; r++ {
-			copy(dbuf.Data()[dstOff+r*dstStride:dstOff+r*dstStride+rowLen], snap[r*rowLen:(r+1)*rowLen])
-		}
-	}
+	snapshot, land := valueLanding(dst.On(dstPE), dstOff, dstStride, vals, rows, rowLen)
+	then(wg, snapshot)
 	if wg.Dev.ID() == dstPE {
 		wg.Write(bytes)
-		apply()
+		then(wg, land)
 		return
 	}
-	w.remoteStore(wg, dstPE, bytes, apply)
+	w.remoteStore(wg, dstPE, bytes, land)
 }
 
 // StoreRemoteFlag sets a flag on a same-node peer with a native store,
@@ -448,7 +448,7 @@ func (w *World) StoreRemoteFlag(wg *gpu.WG, dstPE int, f *Flags, idx int, delta 
 		panic(fmt.Sprintf("shmem: StoreRemoteFlag across nodes (%d->%d)", srcPE, dstPE))
 	}
 	w.StoreFence(wg, dstPE)
-	f.flags[dstPE][idx].Add(delta)
+	wg.Add(&f.flags[dstPE][idx], delta)
 }
 
 // PutValuesRowsNbi posts register-resident values toward dstPE on the
@@ -456,41 +456,24 @@ func (w *World) StoreRemoteFlag(wg *gpu.WG, dstPE int, f *Flags, idx int, delta 
 // apart in dst's instance. The values are staged through a send buffer
 // (charged as a workgroup write) and travel as one message — the
 // scale-out counterpart of StoreValuesRows for results that exist only
-// in registers. vals may be nil in timing mode; it is snapshotted at
-// issue.
+// in registers. vals may be nil in timing mode; it is snapshotted once
+// the API overhead is paid.
 func (w *World) PutValuesRowsNbi(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStride int, vals []float32, rows, rowLen int) {
 	if rows <= 0 || rowLen <= 0 {
 		return
 	}
 	wg.Busy(w.cfg.PutAPIOverhead)
 	bytes := float64(rows*rowLen) * 4
-	dbuf := dst.On(dstPE)
-	var snap []float32
-	if vals != nil && dbuf.Functional() {
-		snap = append([]float32(nil), vals[:rows*rowLen]...)
-	}
-	apply := func() {
-		if snap == nil {
-			return
-		}
-		for r := 0; r < rows; r++ {
-			copy(dbuf.Data()[dstOff+r*dstStride:dstOff+r*dstStride+rowLen], snap[r*rowLen:(r+1)*rowLen])
-		}
-	}
-	srcPE := wg.Dev.ID()
-	if srcPE == dstPE {
-		wg.Write(bytes)
-		apply()
+	snapshot, land := valueLanding(dst.On(dstPE), dstOff, dstStride, vals, rows, rowLen)
+	then(wg, snapshot)
+	// Stage the registers into the send buffer (locally, the stores
+	// themselves), then let the transfer engine read it back out.
+	wg.Write(bytes)
+	if wg.Dev.ID() == dstPE {
+		then(wg, land)
 		return
 	}
-	// Stage the registers into the send buffer, then let the transfer
-	// engine read it back out.
-	wg.Write(bytes)
-	w.pl.Device(srcPE).HBM().TransferAsync(bytes, 0, nil)
-	w.channel(srcPE, dstPE).Post(bytes, func() {
-		w.pl.Device(dstPE).HBM().TransferAsync(bytes, 0, nil)
-		apply()
-	})
+	w.post(wg, dstPE, bytes, land)
 }
 
 // SendValuesRows delivers register-resident values to any PE over the

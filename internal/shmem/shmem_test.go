@@ -36,9 +36,14 @@ func testPlatform(e *sim.Engine, nodes, gpusPerNode int) *platform.Platform {
 	return pl
 }
 
+// launch1WG launches a one-workgroup kernel on dev whose single step
+// body records.
 func launch1WG(pl *platform.Platform, dev int, body func(w *gpu.WG)) {
 	pl.E.Go("host", func(p *sim.Proc) {
-		pl.Device(dev).Launch(p, gpu.Kernel{Name: "k", PhysWGs: 1, Body: body})
+		pl.Device(dev).Launch(p, gpu.Kernel{Name: "k", PhysWGs: 1, Body: func(w *gpu.WG) func() bool {
+			body(w)
+			return nil
+		}})
 	})
 }
 
@@ -71,8 +76,6 @@ func TestPutNbiDeliversDataCrossNode(t *testing.T) {
 	}
 	launch1WG(pl, 0, func(wg *gpu.WG) {
 		w.PutNbi(wg, 1, dst, 0, src, 0, 8)
-		w.Quiet(wg)
-		// After quiet the data is visible remotely.
 	})
 	e.Run()
 	got := dst.On(1).Data()
@@ -103,7 +106,7 @@ func TestPutFlagOrderedAfterData(t *testing.T) {
 	})
 	launch1WG(pl, 1, func(wg *gpu.WG) {
 		fl.WaitGE(wg, 0, 1)
-		seen = dst.On(1).Data()[1023]
+		wg.Then(func() { seen = dst.On(1).Data()[1023] })
 	})
 	e.Run()
 	if seen != 7 {
@@ -120,9 +123,11 @@ func TestPutNbiSamePEIsImmediate(t *testing.T) {
 	src.Fill(3)
 	launch1WG(pl, 0, func(wg *gpu.WG) {
 		w.PutNbi(wg, 0, dst, 0, src, 0, 4)
-		if dst.On(0).Data()[3] != 3 {
-			t.Error("same-PE put must apply immediately")
-		}
+		wg.Then(func() {
+			if dst.On(0).Data()[3] != 3 {
+				t.Error("same-PE put must apply once its API overhead is paid")
+			}
+		})
 	})
 	e.Run()
 }
@@ -136,16 +141,18 @@ func TestStoreRemoteZeroCopySameNode(t *testing.T) {
 	src.Fill(5)
 	var issueDur, fenceAt sim.Duration
 	launch1WG(pl, 0, func(wg *gpu.WG) {
-		start := wg.P.Now()
+		start := wg.Now()
 		w.StoreRemote(wg, 1, dst, 0, src, 0, 256)
-		issueDur = wg.P.Now().Sub(start)
+		wg.Then(func() { issueDur = wg.Now().Sub(start) })
 		// Fire-and-forget: the WG resumes immediately; visibility
 		// requires a fence.
 		w.StoreFence(wg, 1)
-		fenceAt = wg.P.Now().Sub(start)
-		if dst.On(1).Data()[255] != 5 {
-			t.Error("store not visible after fence")
-		}
+		wg.Then(func() {
+			fenceAt = wg.Now().Sub(start)
+			if dst.On(1).Data()[255] != 5 {
+				t.Error("store not visible after fence")
+			}
+		})
 	})
 	e.Run()
 	if issueDur > sim.Microsecond {
@@ -175,24 +182,6 @@ func TestStoreRemoteCrossNodePanics(t *testing.T) {
 	e.Run()
 }
 
-func TestQuietWaitsAllChannels(t *testing.T) {
-	e := sim.NewEngine()
-	pl := testPlatform(e, 3, 1)
-	w := NewWorld(pl, DefaultConfig())
-	dst := w.Malloc(1 << 16)
-	src := pl.Device(0).Alloc(1 << 16)
-	src.Fill(1)
-	launch1WG(pl, 0, func(wg *gpu.WG) {
-		w.PutNbi(wg, 1, dst, 0, src, 0, 1<<16)
-		w.PutNbi(wg, 2, dst, 0, src, 0, 1<<16)
-		w.Quiet(wg)
-		if dst.On(1).Data()[0] != 1 || dst.On(2).Data()[0] != 1 {
-			t.Error("quiet returned before all deliveries")
-		}
-	})
-	e.Run()
-}
-
 func TestIntraNodePutUsesFabricChannel(t *testing.T) {
 	e := sim.NewEngine()
 	pl := testPlatform(e, 1, 2)
@@ -208,7 +197,7 @@ func TestIntraNodePutUsesFabricChannel(t *testing.T) {
 	})
 	launch1WG(pl, 1, func(wg *gpu.WG) {
 		fl.WaitGE(wg, 0, 1)
-		seen = dst.On(1).Data()[0]
+		wg.Then(func() { seen = dst.On(1).Data()[0] })
 	})
 	e.Run()
 	if seen != 9 {

@@ -1,12 +1,19 @@
 package sim
 
-// Cond is a broadcast condition bound to an engine. Processes wait on a
-// predicate; whoever mutates the guarded state calls Broadcast to re-test
-// the waiters. Wakeups happen at the instant of the broadcast, preserving
-// determinism (waiters are released in wait order).
+// Cond is a broadcast condition bound to an engine. Processes and
+// callback chains wait on a predicate; whoever mutates the guarded state
+// calls Broadcast to re-test the waiters. Wakeups happen at the instant
+// of the broadcast, preserving determinism (waiters of both kinds are
+// released in one FIFO, in wait order).
 type Cond struct {
 	e       *Engine
-	waiters []*Proc
+	waiters []waiter
+}
+
+// waiter is a blocked process, or the continuation of a callback chain.
+type waiter struct {
+	p  *Proc
+	fn func()
 }
 
 // NewCond returns a condition bound to e.
@@ -16,9 +23,15 @@ func NewCond(e *Engine) *Cond { return &Cond{e: e} }
 // after every Broadcast; it must be a pure function of simulation state.
 func (c *Cond) Wait(p *Proc, pred func() bool) {
 	for !pred() {
-		c.waiters = append(c.waiters, p)
+		c.waiters = append(c.waiters, waiter{p: p})
 		p.park()
 	}
+}
+
+// waitFunc queues fn behind the current waiters: the next Broadcast
+// schedules it at the (time, seq) a woken process's wake would take.
+func (c *Cond) waitFunc(fn func()) {
+	c.waiters = append(c.waiters, waiter{fn: fn})
 }
 
 // Broadcast wakes every current waiter so it can re-test its predicate.
@@ -28,9 +41,9 @@ func (c *Cond) Broadcast() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	for i, p := range c.waiters {
-		c.e.enqueue(c.e.now, p, nil)
-		c.waiters[i] = nil
+	for i, w := range c.waiters {
+		c.e.enqueue(c.e.now, w.p, w.fn)
+		c.waiters[i] = waiter{}
 	}
 	c.waiters = c.waiters[:0]
 }
@@ -78,6 +91,30 @@ func (f *Flag) WaitGE(p *Proc, v int64) {
 // WaitEQ blocks until the flag value equals v.
 func (f *Flag) WaitEQ(p *Proc, v int64) {
 	f.cond.Wait(p, func() bool { return f.val == v })
+}
+
+// WaitGEFunc is WaitGE for a chain of engine callbacks: when the value
+// is >= v it reports true, and the caller goes on inline; otherwise it
+// queues fn in the same FIFO as waiting processes and reports false, and
+// fn runs at the next update, at the (time, seq) a woken process would
+// take. Like a woken process, fn must test again: it calls WaitGEFunc
+// once more and waits on while the value is still below v.
+func (f *Flag) WaitGEFunc(v int64, fn func()) bool {
+	if f.val >= v {
+		return true
+	}
+	f.cond.waitFunc(fn)
+	return false
+}
+
+// WaitEQFunc is WaitEQ for a chain of engine callbacks, as WaitGEFunc
+// is for WaitGE.
+func (f *Flag) WaitEQFunc(v int64, fn func()) bool {
+	if f.val == v {
+		return true
+	}
+	f.cond.waitFunc(fn)
+	return false
 }
 
 // Semaphore is a counting resource with FIFO admission, used e.g. for
@@ -196,9 +233,9 @@ func (wg *WaitGroup) Wait(p *Proc) {
 }
 
 // ForkJoin runs body(rp, i) for i in [0,n) on n new processes named
-// name/i and blocks p until every one has returned — the fan-out of a
-// kernel over its workgroups, or of a collective over its ranks and
-// peers. The processes are spawned in index order at the current
+// name/i and blocks p until every one has returned — the fan-out of an
+// operator over its ranks, or of a collective over its ranks and peers.
+// The processes are spawned in index order at the current
 // instant, so they start in that order; n <= 0 spawns nothing and
 // returns at once.
 func (p *Proc) ForkJoin(n int, name string, body func(rp *Proc, i int)) {

@@ -293,3 +293,71 @@ func TestSemaphoreAcquireFuncKeepsFIFO(t *testing.T) {
 		t.Error("AcquireFunc of 0 permits must succeed at once")
 	}
 }
+
+// flagScenario queues five waiters on one flag: GE thresholds that a
+// sequence of updates passes one at a time (one update passes none, so
+// every waiter wakes, tests and waits again), an EQ waiter, and a waiter
+// whose condition holds at once. It returns the wake log plus the
+// dispatched-event count. With callbacks set, waiters b, d and e use
+// WaitGEFunc/WaitEQFunc; otherwise every waiter is a process.
+func flagScenario(callbacks bool) ([]string, uint64) {
+	e := NewEngine()
+	f := NewFlag(e)
+	var log []string
+	woke := func(name string) { log = append(log, fmt.Sprintf("%d %s", e.Now(), name)) }
+	waiter := func(name string, eq bool, v int64, start Duration, cb bool) {
+		if cb {
+			e.At(e.Now(), func() {
+				var wait func()
+				wait = func() {
+					if eq && f.WaitEQFunc(v, wait) || !eq && f.WaitGEFunc(v, wait) {
+						woke(name)
+					}
+				}
+				if e.Delay(start, wait) {
+					wait()
+				}
+			})
+			return
+		}
+		e.Go(name, func(p *Proc) {
+			p.Sleep(start)
+			if eq {
+				f.WaitEQ(p, v)
+			} else {
+				f.WaitGE(p, v)
+			}
+			woke(name)
+		})
+	}
+	waiter("a", false, 2, 0, false)
+	waiter("b", false, 1, 0, callbacks)
+	waiter("c", false, 3, 0, false)
+	waiter("d", true, 2, 0, callbacks)
+	waiter("e", false, 1, 25, callbacks)
+	e.Go("updates", func(p *Proc) {
+		for _, delta := range []int64{0, 1, 1, 1} {
+			p.Sleep(10)
+			f.Add(delta)
+			log = append(log, fmt.Sprintf("%d add %d", e.Now(), delta))
+		}
+	})
+	e.Run()
+	return log, e.Stats().Dispatched
+}
+
+// TestFlagWaitFuncKeepsFIFO: callback waiters share one FIFO with
+// blocked processes, are woken at the (time, seq) a process's wake would
+// take, and end their wait at the instant WaitGE or WaitEQ would, so the
+// wake log and the event count match an all-process run.
+func TestFlagWaitFuncKeepsFIFO(t *testing.T) {
+	procs, nProcs := flagScenario(false)
+	cbs, nCbs := flagScenario(true)
+	want := []string{"10 add 0", "20 add 1", "20 b", "25 e", "30 add 1", "30 a", "30 d", "40 add 1", "40 c"}
+	if fmt.Sprint(procs) != fmt.Sprint(want) {
+		t.Fatalf("process waiters woke %v, want %v", procs, want)
+	}
+	if fmt.Sprint(cbs) != fmt.Sprint(procs) || nCbs != nProcs {
+		t.Errorf("callback waiters: %v (%d events), process waiters: %v (%d events)", cbs, nCbs, procs, nProcs)
+	}
+}

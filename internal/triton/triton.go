@@ -8,7 +8,10 @@
 // primitives (Load, Dot, Store) and communication through the comm
 // extensions (CommPutRows, CommFlag, CommWait). Programs are multiplexed
 // onto persistent physical workgroups; the Order hook reorders program
-// execution (communication-aware scheduling).
+// execution (communication-aware scheduling). Like any workgroup body
+// (see gpu.WG), a program records its work rather than running it, and
+// reads state other workgroups write (data behind a CommWait) through
+// tc.WG().Then.
 package triton
 
 import (
@@ -19,7 +22,11 @@ import (
 	"fusedcc/internal/sim"
 )
 
-// Builder assembles a tile kernel for one device.
+// Builder assembles a tile kernel for one device. The kernel launches
+// as a persistent gpu.Kernel: each physical workgroup runs its programs
+// (every NumPhys-th entry of the order, from its own index) as
+// successive steps, each recorded once the previous program's charges
+// have completed, then OnRetire's hook as its last step.
 type Builder struct {
 	name     string
 	dev      *gpu.Device
@@ -83,15 +90,25 @@ func (b *Builder) Launch(p *sim.Proc) {
 		Name:     b.name,
 		PhysWGs:  phys,
 		WGsPerCU: perCU,
-		Body: func(wg *gpu.WG) {
+		Body: func(wg *gpu.WG) func() bool {
 			tc := &TileCtx{wg: wg, world: b.world, Phys: wg.PhysID, NumPhys: phys}
-			for i := wg.PhysID; i < b.grid; i += phys {
-				tc.PID = order[i]
-				b.body(tc)
+			i, retired := wg.PhysID, b.onRetire == nil
+			step := func() bool {
+				switch {
+				case i < b.grid:
+					tc.PID = order[i]
+					i += phys
+					b.body(tc)
+				case !retired:
+					retired = true
+					b.onRetire(tc)
+				default:
+					return false
+				}
+				return true
 			}
-			if b.onRetire != nil {
-				b.onRetire(tc)
-			}
+			step()
+			return step
 		},
 	})
 }
@@ -120,15 +137,18 @@ func (tc *TileCtx) Load(bytes float64) { tc.wg.Read(bytes) }
 func (tc *TileCtx) Dot(flops float64) { tc.wg.Compute(flops) }
 
 // Store writes vals (rows x rowLen, row-major; nil in timing mode) into
-// a local buffer with the given stride (tl.store).
+// a local buffer with the given stride (tl.store), once the write
+// completes.
 func (tc *TileCtx) Store(dst *gpu.Buffer, dstOff, dstStride int, vals []float32, rows, rowLen int) {
 	tc.wg.Write(float64(rows*rowLen) * 4)
 	if vals == nil || !dst.Functional() {
 		return
 	}
-	for r := 0; r < rows; r++ {
-		copy(dst.Data()[dstOff+r*dstStride:dstOff+r*dstStride+rowLen], vals[r*rowLen:(r+1)*rowLen])
-	}
+	tc.wg.Then(func() {
+		for r := 0; r < rows; r++ {
+			copy(dst.Data()[dstOff+r*dstStride:dstOff+r*dstStride+rowLen], vals[r*rowLen:(r+1)*rowLen])
+		}
+	})
 }
 
 // comm returns the world or panics (extension not linked).
@@ -154,7 +174,8 @@ func (tc *TileCtx) CommFlag(dstPE int, f *shmem.Flags, idx int, delta int64) {
 	tc.comm().SendFlag(tc.wg, dstPE, f, idx, delta)
 }
 
-// CommWait blocks until the local flag idx reaches v.
+// CommWait blocks the program, once its earlier charges complete, until
+// the local flag idx reaches v.
 func (tc *TileCtx) CommWait(f *shmem.Flags, idx int, v int64) {
 	f.WaitGE(tc.wg, idx, v)
 }

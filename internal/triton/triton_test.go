@@ -129,10 +129,12 @@ func TestCommPrimitivesMoveDataAcrossGPUs(t *testing.T) {
 			Grid(1).
 			Body(func(tc *TileCtx) {
 				tc.CommWait(fl, 0, 1)
-				d := recv.On(1).Data()
-				if d[4] != 1 || d[7] != 4 {
-					t.Errorf("tile not delivered: %v", d[4:8])
-				}
+				tc.WG().Then(func() {
+					d := recv.On(1).Data()
+					if d[4] != 1 || d[7] != 4 {
+						t.Errorf("tile not delivered: %v", d[4:8])
+					}
+				})
 			}).
 			Launch(p)
 	})
