@@ -503,9 +503,10 @@ func (o SweepOptions) internal() experiments.Options {
 }
 
 // EngineStats are process-wide simulation-engine runtime counters
-// (events dispatched, event-pool reuse, direct sleep handoffs, heap
-// high-water, conservative windows and barrier stalls), aggregated over
-// every engine and shard the process ran.
+// (events dispatched, procs spawned, event-pool reuse, heap high-water,
+// conservative windows and barrier stalls), aggregated over every
+// engine and shard the process ran. DirectHandoffs is always 0: every
+// wake is a dispatched event.
 type EngineStats = sim.Stats
 
 // GlobalEngineStats snapshots the process-wide engine counters — the

@@ -25,11 +25,11 @@ type Config struct {
 	StoreLatency sim.Duration
 	// PerWGStoreBandwidth caps the store rate of a single workgroup.
 	PerWGStoreBandwidth float64
-	// CopyEfficiency derates blit-kernel/DMA copies (Copy, CopyAsync)
-	// relative to the raw link: copy engines and protocol handshakes
-	// keep library collectives below peak link bandwidth. Fine-grained
-	// stores from compute workgroups (Store) are not derated. Zero
-	// means 1.0.
+	// CopyEfficiency derates blit-kernel/DMA copies (Copy) relative to
+	// the raw link: copy engines and protocol handshakes keep library
+	// collectives below peak link bandwidth. Fine-grained stores from
+	// compute workgroups, which the shmem layer puts on the link, are
+	// not derated. Zero means 1.0.
 	CopyEfficiency float64
 }
 
@@ -52,8 +52,8 @@ func (c Config) copyRate() float64 {
 }
 
 // Fabric is a fully-connected intra-node interconnect over n endpoints.
+// It is a netsim.Network too, so ordered channels run over it.
 type Fabric struct {
-	e     *sim.Engine
 	cfg   Config
 	n     int
 	links [][]*sim.Resource // [src][dst], nil on the diagonal
@@ -67,7 +67,7 @@ func New(e *sim.Engine, n int, cfg Config) *Fabric {
 	if cfg.LinkBandwidth <= 0 {
 		panic("fabric: LinkBandwidth must be positive")
 	}
-	f := &Fabric{e: e, cfg: cfg, n: n, links: make([][]*sim.Resource, n)}
+	f := &Fabric{cfg: cfg, n: n, links: make([][]*sim.Resource, n)}
 	for s := 0; s < n; s++ {
 		f.links[s] = make([]*sim.Resource, n)
 		for d := 0; d < n; d++ {
@@ -96,19 +96,14 @@ func (f *Fabric) Link(src, dst int) *sim.Resource {
 	return l
 }
 
-// Store streams bytes from src to dst as remote stores issued by lanes
-// parallel workgroups, blocking the calling process until the stream
-// drains. The lane-scaled per-WG store bandwidth cap and the link's
-// fair sharing both apply.
-func (f *Fabric) Store(p *sim.Proc, src, dst int, bytes float64, lanes int) {
-	if src == dst || bytes <= 0 {
-		return // local stores are accounted by the GPU memory model
+// Path implements netsim.Network: the direct link from src to dst and
+// the store latency, or (nil, 0) when src == dst. The slice aliases the
+// fabric's link table, so callers must not write to it.
+func (f *Fabric) Path(src, dst int) ([]*sim.Resource, sim.Duration) {
+	if src == dst {
+		return nil, 0
 	}
-	if lanes < 1 {
-		lanes = 1
-	}
-	p.Sleep(f.cfg.StoreLatency)
-	f.Link(src, dst).Transfer(p, bytes, f.cfg.PerWGStoreBandwidth*float64(lanes))
+	return f.links[src][dst : dst+1 : dst+1], f.cfg.StoreLatency
 }
 
 // Copy streams bytes from src to dst as a blit-kernel / DMA copy — the
@@ -119,20 +114,4 @@ func (f *Fabric) Copy(p *sim.Proc, src, dst int, bytes float64) {
 	}
 	p.Sleep(f.cfg.StoreLatency)
 	f.Link(src, dst).Transfer(p, bytes, f.cfg.copyRate())
-}
-
-// CopyAsync is Copy with completion delivered via callback, for DMA
-// engines that keep several transfers in flight.
-func (f *Fabric) CopyAsync(src, dst int, bytes float64, onDone func()) {
-	if src == dst || bytes <= 0 {
-		if onDone != nil {
-			f.e.At(f.e.Now(), onDone)
-		}
-		return
-	}
-	link := f.Link(src, dst)
-	rate := f.cfg.copyRate()
-	f.e.After(f.cfg.StoreLatency, func() {
-		link.TransferAsync(bytes, rate, onDone)
-	})
 }

@@ -10,21 +10,6 @@ func cfg() Config {
 	return Config{LinkBandwidth: 1e9, StoreLatency: 100, PerWGStoreBandwidth: 0.25e9}
 }
 
-func TestStoreRespectsPerWGCap(t *testing.T) {
-	e := sim.NewEngine()
-	f := New(e, 2, cfg())
-	var end sim.Time
-	e.Go("wg", func(p *sim.Proc) {
-		f.Store(p, 0, 1, 0.25e9, 1)
-		end = p.Now()
-	})
-	e.Run()
-	want := sim.Time(sim.Second + 100) // capped at 0.25 GB/s + latency
-	if d := end - want; d < -10 || d > 10 {
-		t.Errorf("store done at %v, want ~%v", end, want)
-	}
-}
-
 func TestCopyUsesFullLink(t *testing.T) {
 	e := sim.NewEngine()
 	f := New(e, 2, cfg())
@@ -55,55 +40,24 @@ func TestLinksAreIndependentPerDirection(t *testing.T) {
 	}
 }
 
-func TestConcurrentStoresShareLink(t *testing.T) {
-	// 8 WGs each storing 0.125 GB: caps allow 0.25 each => demand 2 GB/s
-	// on a 1 GB/s link => fair share 0.125 GB/s each => ~1s.
-	e := sim.NewEngine()
-	f := New(e, 2, cfg())
-	var end sim.Time
-	done := 0
-	for i := 0; i < 8; i++ {
-		e.Go("wg", func(p *sim.Proc) {
-			f.Store(p, 0, 1, 0.125e9, 1)
-			done++
-			end = p.Now()
-		})
-	}
-	e.Run()
-	if done != 8 {
-		t.Fatalf("done = %d", done)
-	}
-	want := sim.Time(sim.Second + 100)
-	if d := end - want; d < -1000 || d > 1000 {
-		t.Errorf("contended stores done at %v, want ~%v", end, want)
-	}
-}
+// pathSink keeps Path's result live, so an allocating Path cannot be
+// optimized onto the stack.
+var pathSink []*sim.Resource
 
-func TestSelfStoreIsFree(t *testing.T) {
-	e := sim.NewEngine()
-	f := New(e, 2, cfg())
-	e.Go("wg", func(p *sim.Proc) {
-		f.Store(p, 1, 1, 1e12, 1)
-		if p.Now() != 0 {
-			t.Errorf("self store advanced time to %v", p.Now())
-		}
-	})
-	e.Run()
-}
-
-func TestCopyAsync(t *testing.T) {
+// TestPathIsTheDirectLink: a fabric routes a channel over the one
+// direct link and the store latency, without allocating a path.
+func TestPathIsTheDirectLink(t *testing.T) {
 	e := sim.NewEngine()
 	f := New(e, 3, cfg())
-	fired := 0
-	f.CopyAsync(0, 2, 0.5e9, func() { fired++ })
-	f.CopyAsync(1, 1, 123, func() { fired++ }) // self: immediate
-	end := e.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
+	links, lat := f.Path(0, 2)
+	if len(links) != 1 || links[0] != f.Link(0, 2) || lat != cfg().StoreLatency {
+		t.Fatalf("Path(0, 2) = %v, %v; want [%s], %v", links, lat, f.Link(0, 2).Name(), cfg().StoreLatency)
 	}
-	want := sim.Time(500*sim.Millisecond + 100)
-	if d := end - want; d < -10 || d > 10 {
-		t.Errorf("async copy done at %v, want ~%v", end, want)
+	if links, lat := f.Path(1, 1); links != nil || lat != 0 {
+		t.Errorf("self path = %v, %v; want nil, 0", links, lat)
+	}
+	if n := testing.AllocsPerRun(100, func() { pathSink, _ = f.Path(2, 1) }); n != 0 {
+		t.Errorf("Path allocates %v objects per call, want 0", n)
 	}
 }
 

@@ -377,8 +377,9 @@ func (w *WG) nextStep() bool {
 // until one is in flight or a wait is queued, recording the next step
 // each time the current one's charges are done, and retires once there
 // is no step left. Every step takes the event a process would have
-// taken: a queued slot admission, a completion and a flag wake take the
-// seq of the blocked process's wake, a Busy takes Sleep's, and a charge
+// taken, because a blocked process's wake is the same callback form: a
+// queued slot admission, a completion and a flag wake are scheduled
+// where they would wake it, a Busy is After as Sleep is, and a charge
 // that need not block (a wait whose condition holds, a Then, a flag
 // update) runs inline, as the process would have run on.
 func (w *WG) run() {
@@ -414,9 +415,7 @@ func (w *WG) run() {
 			case chargeCompute:
 				d.alu.TransferAsync(c.amount, w.computeCap(), w.resume)
 			case chargeBusy:
-				if d.e.Delay(sim.Duration(c.amount), w.resume) {
-					continue
-				}
+				d.e.After(sim.Duration(c.amount), w.resume)
 			case chargeThen:
 				c.fn()
 				continue

@@ -105,9 +105,7 @@ func (c *Channel) next() {
 	c.queue[c.head] = message{}
 	c.head++
 	c.inflight++
-	if c.e.Delay(c.overhead, c.serializeFn) {
-		c.serialize()
-	}
+	c.e.After(c.overhead, c.serializeFn)
 }
 
 // serialize routes the current message, reading the path's latency now,

@@ -19,10 +19,9 @@ import (
 // Network is a topology that can route bytes between nodes: the
 // blocking, whole-path view that Send and Channel use.
 type Network interface {
-	// Nodes returns the endpoint count.
-	Nodes() int
 	// Path returns the directed link sequence from src to dst and the
-	// total propagation latency. src == dst returns (nil, 0).
+	// total propagation latency. src == dst returns (nil, 0). The slice
+	// may alias the topology's own tables: callers only read it.
 	Path(src, dst int) ([]*sim.Resource, sim.Duration)
 }
 
@@ -174,7 +173,7 @@ func NewPointToPoint(e *sim.Engine, nodes int, bytesPerSec float64, latency sim.
 	return pp
 }
 
-// Nodes implements Network.
+// Nodes returns the endpoint count.
 func (pp *PointToPoint) Nodes() int { return pp.nodes }
 
 // NIC exposes node i's injection resource.
@@ -210,12 +209,12 @@ func (pp *PointToPoint) srcLatency(src int) sim.Duration {
 	return sim.Duration(float64(pp.latency) * pp.latScale[src])
 }
 
-// Path implements Network.
+// Path implements Network: src's NIC, without allocating.
 func (pp *PointToPoint) Path(src, dst int) ([]*sim.Resource, sim.Duration) {
 	if src == dst {
 		return nil, 0
 	}
-	return []*sim.Resource{pp.nics[src]}, pp.srcLatency(src)
+	return pp.nics[src : src+1 : src+1], pp.srcLatency(src)
 }
 
 // Torus2D is a width x height torus with directed neighbor links and
@@ -289,7 +288,7 @@ func (t *Torus2D) alias(dir torusDir) (torusDir, bool) {
 	return 0, false
 }
 
-// Nodes implements Network.
+// Nodes returns the endpoint count.
 func (t *Torus2D) Nodes() int { return t.w * t.h }
 
 // Dims returns the torus dimensions.

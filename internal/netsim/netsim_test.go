@@ -31,6 +31,24 @@ func TestPointToPointSelfPathEmpty(t *testing.T) {
 	}
 }
 
+// pathSink keeps Path's result live, so an allocating Path cannot be
+// optimized onto the stack.
+var pathSink []*sim.Resource
+
+// TestPointToPointPathAllocatesNothing: a channel reads one path per
+// message, so the NIC path is a view of the NIC table.
+func TestPointToPointPathAllocatesNothing(t *testing.T) {
+	e := sim.NewEngine()
+	net := NewPointToPoint(e, 3, 1e9, 2*sim.Microsecond)
+	links, lat := net.Path(2, 0)
+	if len(links) != 1 || links[0] != net.NIC(2) || lat != 2*sim.Microsecond {
+		t.Fatalf("Path(2, 0) = %v, %v; want [nic2.tx], 2us", links, lat)
+	}
+	if n := testing.AllocsPerRun(100, func() { pathSink, _ = net.Path(1, 2) }); n != 0 {
+		t.Errorf("Path allocates %v objects per call, want 0", n)
+	}
+}
+
 func TestPointToPointSharedNIC(t *testing.T) {
 	// Two concurrent sends from node 0 share its NIC.
 	e := sim.NewEngine()

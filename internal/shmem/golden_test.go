@@ -16,7 +16,7 @@ import (
 // shmem primitive takes effect, that moves any step by a nanosecond,
 // changes a delivered value, or dispatches one event more or less,
 // changes it.
-const persistentGoldenDigest uint64 = 0xc7cc8e3641f5b3ad
+const persistentGoldenDigest uint64 = 0x33db601dfa35895a
 
 // persistentGoldenScenario runs one persistent kernel per PE of a 2x2
 // hybrid cluster, each workgroup sending to a same-node and a

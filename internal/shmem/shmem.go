@@ -26,7 +26,6 @@ package shmem
 import (
 	"fmt"
 
-	"fusedcc/internal/fabric"
 	"fusedcc/internal/gpu"
 	"fusedcc/internal/netsim"
 	"fusedcc/internal/platform"
@@ -60,7 +59,6 @@ type World struct {
 	pl    *platform.Platform
 	cfg   Config
 	chans map[[2]int]*netsim.Channel
-	fnets map[int]*fabricNet // per node, lazily built
 	// stores[srcPE*NPEs+dstPE][phys] counts physical WG phys's
 	// outstanding native stores from srcPE to dstPE; counters are built
 	// lazily and live as long as the world.
@@ -73,7 +71,6 @@ func NewWorld(pl *platform.Platform, cfg Config) *World {
 		pl:     pl,
 		cfg:    cfg,
 		chans:  make(map[[2]int]*netsim.Channel),
-		fnets:  make(map[int]*fabricNet),
 		stores: make([][]*sim.Flag, pl.NDevices()*pl.NDevices()),
 	}
 }
@@ -128,21 +125,9 @@ func (r Route) String() string {
 	}
 }
 
-// fabricNet adapts an intra-node fabric to the netsim.Network interface
-// so the same ordered-channel machinery drives intra-node DMA puts.
-type fabricNet struct{ f *fabric.Fabric }
-
-func (fn *fabricNet) Nodes() int { return fn.f.Size() }
-func (fn *fabricNet) Path(src, dst int) ([]*sim.Resource, sim.Duration) {
-	if src == dst {
-		return nil, 0
-	}
-	return []*sim.Resource{fn.f.Link(src, dst)}, fn.f.Config().StoreLatency
-}
-
 // channel returns (building lazily) the ordered channel from srcPE to
 // dstPE. Cross-node pairs ride the NIC network; same-node pairs ride the
-// fabric through the adapter.
+// node's fabric, which is a netsim.Network itself.
 func (w *World) channel(srcPE, dstPE int) *netsim.Channel {
 	key := [2]int{srcPE, dstPE}
 	if c, ok := w.chans[key]; ok {
@@ -150,17 +135,11 @@ func (w *World) channel(srcPE, dstPE int) *netsim.Channel {
 	}
 	var c *netsim.Channel
 	if w.pl.SameNode(srcPE, dstPE) {
-		node := w.pl.NodeOf(srcPE)
-		fn, ok := w.fnets[node]
-		if !ok {
-			f := w.pl.FabricOf(srcPE)
-			if f == nil {
-				panic(fmt.Sprintf("shmem: no fabric for same-node put %d->%d", srcPE, dstPE))
-			}
-			fn = &fabricNet{f: f}
-			w.fnets[node] = fn
+		f := w.pl.FabricOf(srcPE)
+		if f == nil {
+			panic(fmt.Sprintf("shmem: no fabric for same-node put %d->%d", srcPE, dstPE))
 		}
-		c = netsim.NewChannel(w.pl.E, fn, w.pl.LocalIdx(srcPE), w.pl.LocalIdx(dstPE), w.cfg.ChannelOverhead)
+		c = netsim.NewChannel(w.pl.E, f, w.pl.LocalIdx(srcPE), w.pl.LocalIdx(dstPE), w.cfg.ChannelOverhead)
 	} else {
 		net := w.pl.Network()
 		if net == nil {
@@ -408,14 +387,6 @@ func (w *World) StoreRemoteRows(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStr
 		return
 	}
 	w.remoteStore(wg, dstPE, bytes, land)
-}
-
-// StoreValues writes caller-provided values (register-resident results)
-// directly to dstPE's instance of the symmetric allocation: the
-// zero-copy store path for results that never touch local memory.
-// vals may be nil in timing mode; n elements are charged either way.
-func (w *World) StoreValues(wg *gpu.WG, dstPE int, dst *Symm, dstOff int, vals []float32, n int) {
-	w.StoreValuesRows(wg, dstPE, dst, dstOff, 0, vals, 1, n)
 }
 
 // StoreValuesRows stores register-resident values as rows of rowLen

@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkSleepSingleProc measures the sleep→wake round trip of one
-// process — the engine's hottest path (kernel bodies are long runs of
-// Busy/Sleep calls). One op is one Sleep.
+// process: an After of its wake, a park, and the dispatch that resumes
+// it. One op is one Sleep.
 func BenchmarkSleepSingleProc(b *testing.B) {
 	e := NewEngine()
 	e.Go("sleeper", func(p *Proc) {
@@ -20,8 +20,7 @@ func BenchmarkSleepSingleProc(b *testing.B) {
 }
 
 // BenchmarkSleepManyProcs measures interleaved sleeps across 8 processes
-// with overlapping wake times, forcing the park/resume protocol (no
-// process can take a direct-handoff shortcut past the others).
+// with overlapping wake times, so the heap holds several pending wakes.
 func BenchmarkSleepManyProcs(b *testing.B) {
 	const procs = 8
 	e := NewEngine()
@@ -132,9 +131,9 @@ func BenchmarkResourceSameInstantAdmits(b *testing.B) {
 }
 
 // BenchmarkSpawnExit measures proc creation and teardown: a wave of 256
-// processes that each sleep once and exit. The shared wake instant keeps
-// every one off the direct-handoff path, so each proc costs one spawn,
-// one park/resume and one exit. One op is one wave.
+// processes that each sleep once and exit, so each proc costs one spawn
+// (its coroutine and wake callback), one park/resume and one exit. One
+// op is one wave.
 func BenchmarkSpawnExit(b *testing.B) {
 	const procs = 256
 	e := NewEngine()

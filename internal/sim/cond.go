@@ -3,17 +3,11 @@ package sim
 // Cond is a broadcast condition bound to an engine. Processes and
 // callback chains wait on a predicate; whoever mutates the guarded state
 // calls Broadcast to re-test the waiters. Wakeups happen at the instant
-// of the broadcast, preserving determinism (waiters of both kinds are
-// released in one FIFO, in wait order).
+// of the broadcast, preserving determinism: every waiter is a callback
+// (a blocked process's is its wake), released in one FIFO in wait order.
 type Cond struct {
 	e       *Engine
-	waiters []waiter
-}
-
-// waiter is a blocked process, or the continuation of a callback chain.
-type waiter struct {
-	p  *Proc
-	fn func()
+	waiters []func()
 }
 
 // NewCond returns a condition bound to e.
@@ -23,15 +17,15 @@ func NewCond(e *Engine) *Cond { return &Cond{e: e} }
 // after every Broadcast; it must be a pure function of simulation state.
 func (c *Cond) Wait(p *Proc, pred func() bool) {
 	for !pred() {
-		c.waiters = append(c.waiters, waiter{p: p})
+		c.waitFunc(p.wake)
 		p.park()
 	}
 }
 
-// waitFunc queues fn behind the current waiters: the next Broadcast
-// schedules it at the (time, seq) a woken process's wake would take.
+// waitFunc queues fn behind the current waiters; the next Broadcast
+// schedules it.
 func (c *Cond) waitFunc(fn func()) {
-	c.waiters = append(c.waiters, waiter{fn: fn})
+	c.waiters = append(c.waiters, fn)
 }
 
 // Broadcast wakes every current waiter so it can re-test its predicate.
@@ -41,9 +35,9 @@ func (c *Cond) Broadcast() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	for i, w := range c.waiters {
-		c.e.enqueue(c.e.now, w.p, w.fn)
-		c.waiters[i] = waiter{}
+	for i, fn := range c.waiters {
+		c.e.At(c.e.now, fn)
+		c.waiters[i] = nil
 	}
 	c.waiters = c.waiters[:0]
 }
@@ -96,9 +90,9 @@ func (f *Flag) WaitEQ(p *Proc, v int64) {
 // WaitGEFunc is WaitGE for a chain of engine callbacks: when the value
 // is >= v it reports true, and the caller goes on inline; otherwise it
 // queues fn in the same FIFO as waiting processes and reports false, and
-// fn runs at the next update, at the (time, seq) a woken process would
-// take. Like a woken process, fn must test again: it calls WaitGEFunc
-// once more and waits on while the value is still below v.
+// fn runs at the next update. Like a woken process, fn must test again:
+// it calls WaitGEFunc once more and waits on while the value is still
+// below v.
 func (f *Flag) WaitGEFunc(v int64, fn func()) bool {
 	if f.val >= v {
 		return true
@@ -126,10 +120,8 @@ type Semaphore struct {
 }
 
 type semWaiter struct {
-	p    *Proc  // blocked process, or nil
-	fn   func() // AcquireFunc continuation, or nil
-	n    int
-	done bool
+	fn func() // run once the permits are granted
+	n  int
 }
 
 // NewSemaphore returns a semaphore holding n permits.
@@ -145,16 +137,7 @@ func (s *Semaphore) Available() int { return s.available }
 
 // Acquire takes n permits, blocking in FIFO order until they are free.
 func (s *Semaphore) Acquire(p *Proc, n int) {
-	if n <= 0 {
-		return
-	}
-	if len(s.queue) == 0 && s.available >= n {
-		s.available -= n
-		return
-	}
-	w := &semWaiter{p: p, n: n}
-	s.queue = append(s.queue, w)
-	for !w.done {
+	if !s.AcquireFunc(n, p.wake) {
 		p.park()
 	}
 }
@@ -162,8 +145,7 @@ func (s *Semaphore) Acquire(p *Proc, n int) {
 // AcquireFunc is Acquire for a chain of engine callbacks: when n
 // permits are free and nobody is queued it takes them and reports true,
 // and the caller goes on inline; otherwise it queues in FIFO order,
-// reports false, and fn runs once the permits are granted, at the
-// (time, seq) a blocked process's wake would take.
+// reports false, and fn runs once the permits are granted.
 func (s *Semaphore) AcquireFunc(n int, fn func()) bool {
 	if n <= 0 || s.TryAcquire(n) {
 		return true
@@ -198,8 +180,7 @@ func (s *Semaphore) dispatch() {
 		s.queue[0] = nil // the backing array must not pin the admitted waiter
 		s.queue = s.queue[1:]
 		s.available -= w.n
-		w.done = true
-		s.e.enqueue(s.e.now, w.p, w.fn)
+		s.e.At(s.e.now, w.fn)
 	}
 }
 

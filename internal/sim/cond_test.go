@@ -246,9 +246,7 @@ func semScenario(callbacks bool) ([]string, uint64) {
 				release := func() { s.Release(n) }
 				run := func() {
 					admit(name)
-					if e.Delay(hold, release) {
-						release()
-					}
+					e.After(hold, release)
 				}
 				if s.AcquireFunc(n, run) {
 					run()
@@ -314,9 +312,7 @@ func flagScenario(callbacks bool) ([]string, uint64) {
 						woke(name)
 					}
 				}
-				if e.Delay(start, wait) {
-					wait()
-				}
+				e.After(start, wait)
 			})
 			return
 		}
@@ -359,5 +355,70 @@ func TestFlagWaitFuncKeepsFIFO(t *testing.T) {
 	}
 	if fmt.Sprint(cbs) != fmt.Sprint(procs) || nCbs != nProcs {
 		t.Errorf("callback waiters: %v (%d events), process waiters: %v (%d events)", cbs, nCbs, procs, nProcs)
+	}
+}
+
+// transferScenario runs four waiters through two transfers each on one
+// resource, with per-flow caps, staggered starts and a tick queued
+// before a completion of its instant, and returns the completion log
+// plus the dispatched-event count. With callbacks set, waiters b and d
+// chain TransferAsync callbacks; otherwise every waiter is a process
+// that blocks in Transfer.
+func transferScenario(callbacks bool) ([]string, uint64) {
+	e := NewEngine()
+	r := NewResource(e, "link", 1*gb, nil)
+	var log []string
+	done := func(name string, k int) {
+		log = append(log, fmt.Sprintf("%d %s%d flows=%d", e.Now(), name, k, r.ActiveFlows()))
+	}
+	waiter := func(name string, bytes, perFlowCap float64, start Duration, cb bool) {
+		if cb {
+			e.At(e.Now(), func() {
+				k := 0
+				var next func()
+				next = func() {
+					if k > 0 {
+						done(name, k)
+					}
+					if k < 2 {
+						k++
+						r.TransferAsync(bytes, perFlowCap, next)
+					}
+				}
+				e.After(start, next)
+			})
+			return
+		}
+		e.Go(name, func(p *Proc) {
+			p.Sleep(start)
+			for k := 1; k <= 2; k++ {
+				r.Transfer(p, bytes, perFlowCap)
+				done(name, k)
+			}
+		})
+	}
+	waiter("a", 1000, 0, 0, false)
+	waiter("b", 1000, 0.25*gb, 0, callbacks)
+	waiter("c", 2000, 0, 100, false)
+	waiter("d", 500, 0.5*gb, 100, callbacks)
+	e.At(4000, func() { log = append(log, fmt.Sprintf("%d tick", e.Now())) })
+	e.Run()
+	return log, e.Stats().Dispatched
+}
+
+// TestTransferMatchesTransferAsync: a blocking Transfer is TransferAsync
+// with the process's wake as the callback, so callback chains and
+// blocked processes sharing a resource complete in the same order, at
+// the same instants, with the same event count as an all-process run.
+func TestTransferMatchesTransferAsync(t *testing.T) {
+	procs, nProcs := transferScenario(false)
+	cbs, nCbs := transferScenario(true)
+	want := []string{"2100 d1 flows=3", "3800 a1 flows=3", "4000 tick", "4000 b1 flows=3", "4100 d2 flows=3",
+		"6567 a2 flows=2", "6667 c1 flows=1", "8000 b2 flows=1", "9001 c2 flows=0"}
+	if fmt.Sprint(procs) != fmt.Sprint(want) {
+		t.Fatalf("process transfers completed %v, want %v", procs, want)
+	}
+	if fmt.Sprint(cbs) != fmt.Sprint(procs) || nCbs != nProcs {
+		t.Errorf("callback chains: %v (%d events), processes: %v (%d events)", cbs, nCbs, procs, nProcs)
 	}
 }

@@ -7,20 +7,18 @@ import (
 	"strconv"
 )
 
-// event is a scheduled occurrence: either waking a parked process or
-// invoking a callback while no process runs. Events are pooled: the
-// engine owns every event it hands out and recycles it after dispatch,
-// so holders (e.g. Resource timers) must drop their reference no later
-// than cancellation.
+// event is a scheduled callback; waking a parked process is one too
+// (its Proc.wake). Events are pooled: the engine owns every event it
+// hands out and recycles it after dispatch, so holders (e.g. Resource
+// timers) must drop their reference no later than cancellation.
 type event struct {
 	at Time
 	// seq breaks ties: FIFO among equal times. It is taken from the
 	// engine's counter when the event is scheduled, except for a
 	// Resource timer, which carries the seq reserved at its resource's
 	// last trigger of the instant (see Resource.reallocate).
-	seq  uint64
-	proc *Proc  // non-nil: wake this process
-	fn   func() // non-nil: run this callback on the engine goroutine
+	seq uint64
+	fn  func() // run on the engine goroutine
 	// cancelled events stay queued but are skipped when reached.
 	cancelled bool
 	heaped    bool // in the heap, not the same-instant queue
@@ -135,10 +133,6 @@ type Engine struct {
 	nowq     []*event
 	nowqHead int
 
-	// horizon is the active RunUntil bound; Proc.Sleep's direct-handoff
-	// fast path must not advance the clock past it.
-	horizon Time
-
 	pool       []*event // event free list
 	flows      []*flow  // Resource flow free list
 	ncancelled int      // cancelled events still in the heap
@@ -151,7 +145,6 @@ type Engine struct {
 	nDispatched uint64
 	nSpawned    uint64
 	nPoolHits   uint64
-	nHandoffs   uint64
 	maxHeap     int
 	reported    Stats // portion already flushed to the global accumulator
 
@@ -204,7 +197,6 @@ func (e *Engine) newEvent() *event {
 
 // free recycles a dispatched or purged event.
 func (e *Engine) free(ev *event) {
-	ev.proc = nil
 	ev.fn = nil
 	ev.cancelled = false
 	ev.heaped = false
@@ -213,24 +205,24 @@ func (e *Engine) free(ev *event) {
 	}
 }
 
-// enqueue schedules an occurrence at time t (clamped to now) under a
-// fresh seq and returns the pooled event, which stays valid until
-// dispatched or cancelled.
-func (e *Engine) enqueue(t Time, p *Proc, fn func()) *event {
+// enqueue schedules fn at time t (clamped to now) under a fresh seq
+// and returns the pooled event, which stays valid until dispatched or
+// cancelled.
+func (e *Engine) enqueue(t Time, fn func()) *event {
 	seq := e.seq
 	e.seq++
-	return e.enqueueSeq(t, seq, p, fn)
+	return e.enqueueSeq(t, seq, fn)
 }
 
 // enqueueSeq is enqueue under a seq reserved earlier from e.seq. A
 // reserved seq may only be used for a future instant: the same-instant
 // queue relies on its seqs rising in append order.
-func (e *Engine) enqueueSeq(t Time, seq uint64, p *Proc, fn func()) *event {
+func (e *Engine) enqueueSeq(t Time, seq uint64, fn func()) *event {
 	if t < e.now {
 		t = e.now
 	}
 	ev := e.newEvent()
-	ev.at, ev.seq, ev.proc, ev.fn = t, seq, p, fn
+	ev.at, ev.seq, ev.fn = t, seq, fn
 	if e.running && t == e.now {
 		e.nowq = append(e.nowq, ev)
 	} else {
@@ -282,8 +274,7 @@ func (e *Engine) compact() {
 
 // settle water-fills every resource triggered since the last settle
 // and arms its completion timer. The run loop settles once per instant,
-// after the instant's events have all run; Sleep's direct handoff
-// settles before it looks at the heap; a trigger with the engine
+// after the instant's events have all run; a trigger with the engine
 // stopped settles at once.
 func (e *Engine) settle() {
 	for i, r := range e.dirty {
@@ -304,7 +295,7 @@ func (e *Engine) purgeHead() {
 // At schedules fn to run on the engine goroutine at time t (>= now).
 // Callbacks must not block; they may spawn processes and signal conditions.
 func (e *Engine) At(t Time, fn func()) {
-	e.enqueue(t, nil, fn)
+	e.enqueue(t, fn)
 }
 
 // After schedules fn to run d from now.
@@ -315,8 +306,12 @@ func (e *Engine) After(d Duration, fn func()) { e.At(e.now.Add(d), fn) }
 // when it parks. The engine and its processes therefore never run at
 // the same time. All Proc methods must be called from the process's
 // own body.
+//
+// Every blocking primitive is its callback form with wake as the
+// callback, followed by one park: the engine knows only callbacks.
 type Proc struct {
-	e *Engine
+	e    *Engine
+	wake func() // resumes the process; bound once at spawn
 	// name is the spawn name, or a ForkJoin child's fork name, which
 	// Name suffixes with "/" and idx.
 	name string
@@ -366,10 +361,11 @@ func (e *Engine) spawn(name string, idx int, fn func(*Proc)) {
 		defer p.exit()
 		fn(p)
 	})
+	p.wake = func() { p.next() }
 	e.live = append(e.live, p)
 	// The process starts via a queue event so that spawn order is
 	// preserved deterministically.
-	e.enqueue(e.now, p, nil)
+	e.enqueue(e.now, p.wake)
 }
 
 // exit runs when the body returns, panics or calls runtime.Goexit. It
@@ -423,80 +419,30 @@ func (p *Proc) park() {
 	}
 }
 
-// Sleep suspends the process for d of virtual time.
-//
-// Fast path (direct handoff): when no other work precedes the wake
-// instant — the same-instant queue is drained and every pending heap
-// event lies strictly after the wake time — the next event the engine
-// would dispatch is this process's own wake. Parking would be a pure
-// switch to the engine and straight back, so the process advances the
-// clock itself and keeps running. This is safe because the engine is
-// suspended in the dispatch that resumed this process for the entire
-// duration, and observes the new clock only after the process parks or
-// exits. Resources triggered at this instant settle first, so their
-// completion timers are in the heap when it is checked.
+// Sleep suspends the process for d of virtual time: its wake is an
+// After callback, so a chain of After callbacks steps exactly as a
+// sleeping process does.
 func (p *Proc) Sleep(d Duration) {
-	at := p.e.now.Add(max(d, 0))
-	if p.e.handoff(at) {
-		return
-	}
-	p.e.enqueue(at, p, nil)
+	p.e.After(d, p.wake)
 	p.park()
-}
-
-// Delay is Sleep for a chain of engine callbacks: when nothing precedes
-// the wake instant it advances the clock d in place, as Sleep's direct
-// handoff does, and reports true, and the caller goes on inline;
-// otherwise it schedules fn d from now, at the (time, seq) a sleeping
-// process's wake would take, and reports false. Call it only from an
-// engine callback.
-func (e *Engine) Delay(d Duration, fn func()) bool {
-	at := e.now.Add(max(d, 0))
-	if e.running && e.handoff(at) {
-		return true
-	}
-	e.enqueue(at, nil, fn)
-	return false
-}
-
-// handoff advances the clock to at in place when the next event the
-// engine would dispatch is the caller's own wake at at.
-func (e *Engine) handoff(at Time) bool {
-	if e.nowqHead != len(e.nowq) || at > e.horizon {
-		return false
-	}
-	e.settle()
-	e.purgeHead()
-	if len(e.queue) > 0 && e.queue[0].at <= at {
-		return false
-	}
-	e.now = at
-	e.nHandoffs++
-	return true
 }
 
 // Yield reschedules the process at the current instant, letting every
 // other event already queued for this instant run first.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// dispatch runs one event: a callback inline, a process wake by
-// resuming the process's coroutine until it parks or exits. The event
-// is recycled before control transfers, so neither the callback nor the
-// process may retain it. A process panic or Goexit re-raises here, on
-// the goroutine running the engine. Only one of the engine and its
-// processes runs at a time, by construction: a resumed process runs
-// inside this call, and the engine inside the process's park.
+// dispatch runs one event's callback. The event is recycled first, so
+// the callback may not retain it. A process wake resumes the process's
+// coroutine until it parks or exits, and a process panic or Goexit
+// re-raises here, on the goroutine running the engine. Only one of the
+// engine and its processes runs at a time, by construction: a resumed
+// process runs inside this call, and the engine inside the process's
+// park.
 func (e *Engine) dispatch(ev *event) {
 	e.nDispatched++
-	if ev.fn != nil {
-		fn := ev.fn
-		e.free(ev)
-		fn()
-		return
-	}
-	p := ev.proc
+	fn := ev.fn
 	e.free(ev)
-	p.next()
+	fn()
 }
 
 // Run executes events until the queue is empty or the optional horizon is
@@ -524,7 +470,6 @@ func (e *Engine) run(horizon Time, windowed bool) Time {
 		return e.now
 	}
 	e.running = true
-	e.horizon = horizon
 	clean := false
 	defer func() {
 		e.running = false
@@ -561,10 +506,8 @@ func (e *Engine) run(horizon Time, windowed bool) Time {
 		// Drain the remainder of this instant: first the heap's
 		// equal-time run (all scheduled before the clock got here,
 		// so their seqs precede every nowq entry), then the nowq
-		// FIFO, which may grow while draining. A dispatched process
-		// may fast-forward e.now via the Sleep direct handoff; that
-		// only happens when both queues have nothing at or before
-		// the new time, so the drain stays correct.
+		// FIFO, which may grow while draining. Only this loop moves
+		// the clock, so the instant's events all see e.now.
 		for len(e.queue) > 0 {
 			h := e.queue[0]
 			if h.cancelled {

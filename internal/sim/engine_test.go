@@ -155,8 +155,8 @@ func TestRunUntilBeforeNow(t *testing.T) {
 }
 
 func TestRunUntilHorizonWithProcSleeps(t *testing.T) {
-	// The Sleep direct-handoff fast path must not advance the clock past
-	// an active RunUntil horizon even when the heap is empty.
+	// A sleeping process must not advance the clock past an active
+	// RunUntil horizon, even when its wake is the only pending event.
 	e := NewEngine()
 	var hits []Time
 	e.Go("p", func(p *Proc) {
@@ -182,7 +182,7 @@ func TestCancelledHeapCompaction(t *testing.T) {
 	e := NewEngine()
 	var evs []*event
 	for i := 0; i < 200; i++ {
-		evs = append(evs, e.enqueue(Time(1000+i), nil, func() {}))
+		evs = append(evs, e.enqueue(Time(1000+i), func() {}))
 	}
 	// Cancel from the back so the heap head stays live and lazy purging
 	// never kicks in; only the threshold compaction can shrink the heap.
@@ -205,7 +205,7 @@ func TestCancelledHeapCompaction(t *testing.T) {
 	evs = evs[:0]
 	for i := 0; i < 100; i++ {
 		i := i
-		evs = append(evs, e.enqueue(Time(10+i), nil, func() { got++; _ = i }))
+		evs = append(evs, e.enqueue(Time(10+i), func() { got++; _ = i }))
 	}
 	for i := 99; i >= 40; i-- {
 		e.cancel(evs[i])
@@ -245,7 +245,7 @@ func TestEventHeapDispatchOrder(t *testing.T) {
 		keys = append(keys, key{at, e.seq})
 		pending = append(pending, true)
 		cancelled = append(cancelled, false)
-		evs = append(evs, e.enqueue(at, nil, func() {
+		evs = append(evs, e.enqueue(at, func() {
 			pending[i] = false
 			got = append(got, keys[i])
 			if len(evs) < 6000 && rng.intn(4) == 0 {
@@ -297,7 +297,7 @@ func TestCompactionBelowMinIsLazy(t *testing.T) {
 	e := NewEngine()
 	var evs []*event
 	for i := 0; i < compactMin; i++ {
-		evs = append(evs, e.enqueue(Time(1000+i), nil, func() {}))
+		evs = append(evs, e.enqueue(Time(1000+i), func() {}))
 	}
 	for _, ev := range evs {
 		e.cancel(ev)
@@ -453,10 +453,10 @@ func TestDurationString(t *testing.T) {
 	}
 }
 
-// delayScenario runs a chain of sleeps, as a process (Sleep) or as an
-// engine-callback chain (Delay), among other events, and returns the log
-// and the dispatched and direct-handoff counts.
-func delayScenario(callbacks bool) ([]string, Stats) {
+// afterChainScenario runs a chain of sleeps, as a process (Sleep) or as
+// an engine-callback chain (After), among other events, and returns the
+// log and the engine's counters.
+func afterChainScenario(callbacks bool) ([]string, Stats) {
 	e := NewEngine()
 	var log []string
 	logf := func(format string, args ...any) {
@@ -467,12 +467,11 @@ func delayScenario(callbacks bool) ([]string, Stats) {
 		i := 0
 		var step func()
 		step = func() {
-			for i < len(ds) {
+			if i < len(ds) {
 				logf("step %d", i)
 				i++
-				if !e.Delay(ds[i-1], step) {
-					return
-				}
+				e.After(ds[i-1], step)
+				return
 			}
 			logf("chain done")
 		}
@@ -498,21 +497,17 @@ func delayScenario(callbacks bool) ([]string, Stats) {
 	return log, e.Stats()
 }
 
-// TestDelayMatchesSleep: an engine-callback chain of Delays logs the
-// same sequence as a process's Sleeps, with the same dispatched-event
-// and direct-handoff counts: Delay hands off exactly when Sleep would.
-func TestDelayMatchesSleep(t *testing.T) {
-	procLog, ps := delayScenario(false)
-	cbLog, cs := delayScenario(true)
+// TestAfterChainMatchesSleep: an engine-callback chain of Afters logs
+// the same sequence as a process's Sleeps, with the same dispatched-event
+// count: a process's wake is an After callback.
+func TestAfterChainMatchesSleep(t *testing.T) {
+	procLog, ps := afterChainScenario(false)
+	cbLog, cs := afterChainScenario(true)
 	if fmt.Sprint(cbLog) != fmt.Sprint(procLog) {
-		t.Fatalf("Delay chain logged\n%v\nSleep chain logged\n%v", cbLog, procLog)
+		t.Fatalf("After chain logged\n%v\nSleep chain logged\n%v", cbLog, procLog)
 	}
-	if ps.DirectHandoffs == 0 || ps.DirectHandoffs == uint64(len(procLog)) {
-		t.Fatalf("scenario needs both handoffs and parks, got %d handoffs", ps.DirectHandoffs)
-	}
-	if cs.Dispatched != ps.Dispatched || cs.DirectHandoffs != ps.DirectHandoffs {
-		t.Errorf("Delay chain: %d events, %d handoffs; Sleep chain: %d events, %d handoffs",
-			cs.Dispatched, cs.DirectHandoffs, ps.Dispatched, ps.DirectHandoffs)
+	if cs.Dispatched != ps.Dispatched {
+		t.Errorf("After chain: %d events; Sleep chain: %d events", cs.Dispatched, ps.Dispatched)
 	}
 }
 

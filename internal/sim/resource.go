@@ -50,15 +50,12 @@ type Resource struct {
 }
 
 // flow is one transfer in a Resource. Flows are recycled through their
-// engine's free list: a blocking flow once its caller resumes, an async
-// one once its completion callback is scheduled.
+// engine's free list once their completion callback is scheduled.
 type flow struct {
 	remaining float64
 	cap       float64 // per-flow rate cap; 0 means uncapped
 	rate      float64
-	p         *Proc  // blocking caller, or nil
-	done      bool   // set when complete (for blocking callers)
-	onDone    func() // async completion callback, or nil
+	onDone    func() // completion callback, or nil
 }
 
 // newFlow takes a flow from the engine's free list, or allocates one.
@@ -141,14 +138,6 @@ func (r *Resource) BusyTime() Duration {
 	return r.busyTime
 }
 
-// Utilization reports busy time as a fraction of elapsed simulation time.
-func (r *Resource) Utilization() float64 {
-	if r.e.now == 0 {
-		return 0
-	}
-	return float64(r.BusyTime()) / float64(r.e.now)
-}
-
 // Transfer moves bytes through the resource, blocking the calling process
 // until completion. perFlowCap (bytes/sec) limits this flow's share; pass
 // 0 for uncapped.
@@ -156,13 +145,8 @@ func (r *Resource) Transfer(p *Proc, bytes, perFlowCap float64) {
 	if bytes <= 0 {
 		return
 	}
-	f := r.e.newFlow(bytes, perFlowCap)
-	f.p = p
-	r.admit(f)
-	for !f.done {
-		p.park()
-	}
-	r.e.freeFlow(f)
+	r.TransferAsync(bytes, perFlowCap, p.wake)
+	p.park()
 }
 
 // TransferAsync moves bytes through the resource and invokes onDone (via
@@ -178,17 +162,6 @@ func (r *Resource) TransferAsync(bytes, perFlowCap float64, onDone func()) {
 	f := r.e.newFlow(bytes, perFlowCap)
 	f.onDone = onDone
 	r.admit(f)
-}
-
-// EstimateRate returns the rate a new flow with the given cap would
-// receive right now. Useful for quasi-static cost estimates.
-func (r *Resource) EstimateRate(perFlowCap float64) float64 {
-	n := len(r.flows) + 1
-	share := r.usable(n) / float64(n)
-	if perFlowCap > 0 && perFlowCap < share {
-		return perFlowCap
-	}
-	return share
 }
 
 func (r *Resource) usable(n int) float64 {
@@ -240,19 +213,13 @@ func (r *Resource) advance() {
 		}
 		live = append(live, f)
 	}
-	clear(r.flows[len(live):]) // let completed flows and their procs be collected
+	clear(r.flows[len(live):]) // let completed flows be collected
 	r.flows = live
 }
 
-// complete finishes a flow advance has dropped from r.flows: it wakes a
-// blocking caller, which recycles the flow, or schedules an async
-// flow's callback and recycles the flow itself.
+// complete finishes a flow advance has dropped from r.flows: it
+// schedules the flow's callback and recycles the flow.
 func (r *Resource) complete(f *flow) {
-	f.done = true
-	if f.p != nil {
-		r.e.enqueue(r.e.now, f.p, nil)
-		return
-	}
 	if f.onDone != nil {
 		r.e.At(r.e.now, f.onDone)
 	}
@@ -320,7 +287,7 @@ func (r *Resource) settle() {
 		// blocked on them surfaces as the engine's deadlock.
 		return
 	}
-	r.timer = r.e.enqueueSeq(at, r.timerSeq, nil, r.onTimer)
+	r.timer = r.e.enqueueSeq(at, r.timerSeq, r.onTimer)
 }
 
 func (r *Resource) tick() {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -142,19 +141,6 @@ func TestResourceAsyncTransfer(t *testing.T) {
 	}
 }
 
-func TestResourceUtilization(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "link", 1*gb, nil)
-	e.Go("t", func(p *Proc) {
-		r.Transfer(p, 0.5*gb, 0)   // busy 0.5s
-		p.Sleep(500 * Millisecond) // idle 0.5s
-	})
-	e.Run()
-	if u := r.Utilization(); math.Abs(u-0.5) > 0.01 {
-		t.Errorf("utilization = %g, want ~0.5", u)
-	}
-}
-
 // Property: for any set of transfers sharing a resource, the makespan is at
 // least the serial lower bound (sum bytes / capacity) and at most the
 // fully-serialized upper bound plus rounding.
@@ -199,17 +185,6 @@ func TestResourceNeverFasterThanCapacity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEstimateRate(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "link", 1*gb, nil)
-	if got := r.EstimateRate(0); got != 1*gb {
-		t.Errorf("idle estimate = %g, want capacity", got)
-	}
-	if got := r.EstimateRate(0.25 * gb); got != 0.25*gb {
-		t.Errorf("capped estimate = %g, want cap", got)
 	}
 }
 

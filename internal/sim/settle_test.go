@@ -11,7 +11,7 @@ import (
 // goldenOrderDigest is the FNV-64a digest of goldenScenario's
 // (time, actor, event) lines. A change that moves any completion by a
 // nanosecond or reorders two same-instant events changes it.
-const goldenOrderDigest uint64 = 0x67141073d93bc211
+const goldenOrderDigest uint64 = 0x670d3073d935d9c3
 
 // xorshift is a tiny seeded generator for the golden scenario (detlint
 // forbids math/rand).
@@ -156,7 +156,7 @@ func TestGoldenEventOrder(t *testing.T) {
 
 // TestSleepSeesPendingCompletion: a TransferAsync admitted at an
 // instant whose settle is still pending must not be skipped by a Sleep
-// issued at that same instant through the direct-handoff fast path.
+// issued at that same instant that wakes after the completion.
 func TestSleepSeesPendingCompletion(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "dma", 1*gb, nil)

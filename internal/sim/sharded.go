@@ -171,7 +171,7 @@ func (w *Sharded) flush() {
 				panic(fmt.Sprintf("sim: causality violation: message for t=%v reached shard %d already at t=%v",
 					m.at, dst, eng.now))
 			}
-			eng.enqueue(m.at, nil, m.fn)
+			eng.enqueue(m.at, m.fn)
 		}
 	}
 }
@@ -302,7 +302,6 @@ func (w *Sharded) Stats() Stats {
 		es := sh.Stats()
 		s.Dispatched += es.Dispatched
 		s.PoolHits += es.PoolHits
-		s.DirectHandoffs += es.DirectHandoffs
 		if es.MaxHeapDepth > s.MaxHeapDepth {
 			s.MaxHeapDepth = es.MaxHeapDepth
 		}

@@ -13,8 +13,8 @@ type Stats struct {
 	Spawned uint64 `json:"procs_spawned"`
 	// PoolHits counts event allocations served from the free list.
 	PoolHits uint64 `json:"pool_reuse_hits"`
-	// DirectHandoffs counts Sleeps that advanced the clock in place
-	// instead of parking: no switch to the engine and back.
+	// DirectHandoffs is always 0: every wake is a dispatched event. The
+	// field stays because the benchmark module reads it.
 	DirectHandoffs uint64 `json:"direct_handoff_hits"`
 	// MaxHeapDepth is the high-water mark of a single engine's (shard's)
 	// pending-event heap.
@@ -31,7 +31,6 @@ var globalStats struct {
 	dispatched atomic.Uint64
 	spawned    atomic.Uint64
 	poolHits   atomic.Uint64
-	handoffs   atomic.Uint64
 	maxHeap    atomic.Uint64
 	windows    atomic.Uint64
 	stalls     atomic.Uint64
@@ -40,11 +39,10 @@ var globalStats struct {
 // Stats returns this engine's counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Dispatched:     e.nDispatched,
-		Spawned:        e.nSpawned,
-		PoolHits:       e.nPoolHits,
-		DirectHandoffs: e.nHandoffs,
-		MaxHeapDepth:   uint64(e.maxHeap),
+		Dispatched:   e.nDispatched,
+		Spawned:      e.nSpawned,
+		PoolHits:     e.nPoolHits,
+		MaxHeapDepth: uint64(e.maxHeap),
 	}
 }
 
@@ -56,7 +54,6 @@ func (e *Engine) flushStats() {
 	globalStats.dispatched.Add(s.Dispatched - e.reported.Dispatched)
 	globalStats.spawned.Add(s.Spawned - e.reported.Spawned)
 	globalStats.poolHits.Add(s.PoolHits - e.reported.PoolHits)
-	globalStats.handoffs.Add(s.DirectHandoffs - e.reported.DirectHandoffs)
 	atomicMax(&globalStats.maxHeap, s.MaxHeapDepth)
 	e.reported = s
 }
@@ -75,12 +72,11 @@ func atomicMax(a *atomic.Uint64, v uint64) {
 // counters from sharded runs. The -speedjson host header embeds this.
 func GlobalStats() Stats {
 	return Stats{
-		Dispatched:     globalStats.dispatched.Load(),
-		Spawned:        globalStats.spawned.Load(),
-		PoolHits:       globalStats.poolHits.Load(),
-		DirectHandoffs: globalStats.handoffs.Load(),
-		MaxHeapDepth:   globalStats.maxHeap.Load(),
-		Windows:        globalStats.windows.Load(),
-		BarrierStalls:  globalStats.stalls.Load(),
+		Dispatched:    globalStats.dispatched.Load(),
+		Spawned:       globalStats.spawned.Load(),
+		PoolHits:      globalStats.poolHits.Load(),
+		MaxHeapDepth:  globalStats.maxHeap.Load(),
+		Windows:       globalStats.windows.Load(),
+		BarrierStalls: globalStats.stalls.Load(),
 	}
 }

@@ -1,13 +1,16 @@
 // Package sim provides a deterministic, process-oriented discrete-event
 // simulation engine.
 //
-// The engine owns a virtual clock and an event queue ordered by
-// (time, sequence). Simulated activities are expressed as processes:
-// ordinary Go functions running as coroutines that park on the engine
-// whenever they wait for virtual time to pass or for a condition to
-// become true. Exactly one process runs at any instant (strict
-// engine<->process handoff), so simulations are fully deterministic and
-// need no locking.
+// The engine owns a virtual clock and a queue of events ordered by
+// (time, sequence); every event is a callback. Simulated activities are
+// chains of callbacks, or processes: ordinary Go functions running as
+// coroutines that park on the engine whenever they wait for virtual
+// time to pass or for a condition to become true. A process's wake is
+// one more callback, so each blocking call is its callback form (After,
+// Flag.WaitGEFunc, Semaphore.AcquireFunc, Resource.TransferAsync) with
+// the wake as the callback, and a chain and a process that wait alike
+// step alike. Exactly one callback or process runs at any moment, so
+// simulations are fully deterministic and need no locking.
 //
 // Shared capacities such as memory bandwidth and interconnect links are
 // modelled by Resource, a processor-sharing bandwidth server with optional
