@@ -260,14 +260,16 @@ func (s *Simulator) TrainIterationOpt(fused bool, shards int) Result {
 	}
 	pairBytes := s.a2aBytesPerPair()
 
-	// sendAll launches the A2A traffic from src to every peer: hop-by-hop
-	// chains that serialize on each link where it lives and propagate as
-	// posted messages, never blocking a process on a remote shard.
+	// sendAll launches the A2A traffic from src to every peer: one
+	// route tree whose edges serialize on each link where it lives and
+	// propagate as posted messages, never blocking a process on a
+	// remote shard.
 	sendAll := func(src int, recv []*sim.Flag) {
+		dsts := make([]int, 0, n-1)
 		for off := 1; off < n; off++ {
-			dst := (src + off) % n
-			netsim.SendAsync(world, tor, src, dst, pairBytes, func() { recv[dst].Add(1) })
+			dsts = append(dsts, (src+off)%n)
 		}
+		netsim.Scatter(world, tor, src, dsts, pairBytes, func(dst int) { recv[dst].Add(1) })
 	}
 
 	finish := make([]sim.Time, n)
@@ -279,10 +281,7 @@ func (s *Simulator) TrainIterationOpt(fused bool, shards int) Result {
 			// Bottom MLP is independent computation, overlapped with the
 			// embedding + A2A phase on a concurrent "stream".
 			botDone := sim.NewFlag(e)
-			e.Go(fmt.Sprintf("node%d.bottom", node), func(bp *sim.Proc) {
-				bp.Sleep(t.MLPBottomFwd)
-				botDone.Set(1)
-			})
+			e.After(t.MLPBottomFwd, func() { botDone.Set(1) })
 			if fused {
 				// Fused kernel: the first slices are communicated after
 				// 1/chunks of the pooling work; the rest of the compute
@@ -305,7 +304,7 @@ func (s *Simulator) TrainIterationOpt(fused bool, shards int) Result {
 			p.Sleep(t.MLPBwd)
 			// MLP gradient AllReduce starts as soon as MLP grads exist,
 			// overlapping the embedding path in both configurations.
-			s.ringAllReduce(e, node, arDone[node])
+			s.ringAllReduce(e, arDone[node])
 			// Embedding gradients return to table owners (backward A2A).
 			sendAll(node, bwdRecv)
 			applyStart := p.Now()
@@ -356,15 +355,12 @@ func (s *Simulator) TrainIterationOpt(fused bool, shards int) Result {
 // the X ring, then the Y ring on the X-reduced shard, at ring-bandwidth
 // cost plus hop latencies. Gradient sync needs no per-byte fidelity here
 // because it is identical in both configurations.
-func (s *Simulator) ringAllReduce(e *sim.Engine, node int, doneFlag *sim.Flag) {
+func (s *Simulator) ringAllReduce(e *sim.Engine, doneFlag *sim.Flag) {
 	w, h := s.Sys.TorusW, s.Sys.TorusH
 	bytes := s.mlpParamBytes()
 	bw := s.Sys.LinkBandwidth
 	dur := sim.TransferTime(2*float64(w-1)/float64(w)*bytes, bw) +
 		sim.TransferTime(2*float64(h-1)/float64(h)*bytes/float64(w), bw) +
 		sim.Duration(2*(w-1)+2*(h-1))*s.Sys.HopLatency
-	e.Go(fmt.Sprintf("ar.node%d", node), func(p *sim.Proc) {
-		p.Sleep(dur)
-		doneFlag.Set(1)
-	})
+	e.After(dur, func() { doneFlag.Set(1) })
 }

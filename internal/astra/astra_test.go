@@ -104,6 +104,40 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
+// TestQuickShapeTotals pins the replay's makespans on Fig 15's -quick
+// shape (a 4x4 torus, 24 tables per node, local batch 64, 12 MLP
+// layers) on one engine and on two shards, so a drift in the replay
+// fails here and not only in the full-size CI gate. Each iteration
+// spawns one proc per node; the bottom MLP and the gradient AllReduce
+// are timers.
+func TestQuickShapeTotals(t *testing.T) {
+	sys := DefaultSystem()
+	sys.TorusW, sys.TorusH = 4, 4
+	m := DefaultModel()
+	m.TablesPerNode = 24
+	m.LocalBatch = 64
+	m.MLPLayers = 12
+	s, err := New(sys, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		fused bool
+		want  sim.Duration
+	}{{true, 4_453_954}, {false, 4_795_904}} {
+		for _, shards := range []int{1, 2} {
+			spawned := sim.GlobalStats().Spawned
+			got := s.TrainIterationOpt(c.fused, shards)
+			if got.Total != c.want {
+				t.Errorf("fused=%v shards=%d: total %d ns, want %d", c.fused, shards, int64(got.Total), int64(c.want))
+			}
+			if n := sim.GlobalStats().Spawned - spawned; n != uint64(s.Nodes()) {
+				t.Errorf("fused=%v shards=%d: spawned %d procs, want one per node (%d)", c.fused, shards, n, s.Nodes())
+			}
+		}
+	}
+}
+
 func TestIterationDeterministic(t *testing.T) {
 	s, err := New(tinySystem(), tinyModel())
 	if err != nil {

@@ -12,6 +12,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"fusedcc/internal/sim"
 )
@@ -60,15 +61,16 @@ type Hop struct {
 // transfer path: each hop's serialization runs on the link owner's
 // shard and the hop latency is the cross-shard propagation delay.
 type Router interface {
-	// Route returns the hop sequence from src to dst (empty when
-	// src == dst).
-	Route(src, dst int) []Hop
+	// Route appends the hop sequence from src to dst to hops and
+	// returns the extended slice (nothing is appended when
+	// src == dst), so a caller routing many pairs reuses one buffer.
+	Route(hops []Hop, src, dst int) []Hop
 }
 
 // Send moves one message store-and-forward along the path from src to
 // dst, blocking the calling process. Each hop's serialization shares that
 // link fairly with competing traffic. The full path latency is charged
-// up front; SendAsync is the hop-accurate (and shard-safe) variant.
+// up front; Scatter is the hop-accurate (and shard-safe) variant.
 func Send(p *sim.Proc, n Network, src, dst int, bytes float64) {
 	links, lat := n.Path(src, dst)
 	p.Sleep(lat)
@@ -77,71 +79,132 @@ func Send(p *sim.Proc, n Network, src, dst int, bytes float64) {
 	}
 }
 
-// SendAsync routes bytes from src to dst hop by hop without blocking
-// the caller: each hop serializes through its link (fair-shared with
-// competing traffic, on the shard owning the link) and then pays the
-// hop latency as the propagation delay into the next node's shard —
-// which is exactly the cross-shard message delay the conservative
-// engine's lookahead bounds, so chains never violate causality.
-// onDelivered (optional) runs on dst's shard when the last byte
-// arrives. The caller must execute on src's shard.
+// Scatter sends bytes from src to every node in dsts, hop by hop and
+// without blocking the caller. The routes from src form a tree: hops
+// that cross the same link to the same node merge while the routes
+// agree. Each tree edge serializes through its link (fair-shared with
+// competing traffic, on the shard owning the link) as one flow weighted
+// by the messages routed through it, then pays the hop latency once as
+// the propagation delay into the next node's shard — exactly the
+// cross-shard message delay the conservative engine's lookahead bounds,
+// so the tree never violates causality. At an edge's far end the
+// messages that end there are delivered and the child edges start.
+// onDelivered (optional) runs once per dsts entry, with that entry, on
+// its node's shard when the last byte arrives; an entry equal to src is
+// delivered before Scatter returns. The caller must execute on src's
+// shard.
 //
+// Under processor sharing, messages from one source that enter a link
+// at the same instant with the same size cannot be told apart: they
+// complete, propagate and arrive together. So every delivery instant
+// equals that of one message per destination, each serializing and
+// propagating hop by hop on its own, while the events of a scatter grow
+// with the tree's edges instead of the routes' hops
+// (sim.Resource.TransferAsyncN keeps the link's arithmetic identical).
 // Total uncontended delivery time equals Send's (sum of hop latencies
-// plus per-hop serializations); under contention the two differ only in
-// when each hop's serialization overlaps competing flows.
+// plus per-hop serializations); under contention the two differ only
+// in when each hop's serialization overlaps competing flows.
 //
-// The route, hop latencies included, is fixed at send time, and the
-// message travels as one record whose two callbacks are bound once, so
-// its allocations do not grow with the hop count.
-func SendAsync(w sim.World, r Router, src, dst int, bytes float64, onDelivered func()) {
-	hops := r.Route(src, dst)
-	if len(hops) == 0 {
-		if onDelivered != nil {
-			w.EngineFor(src).After(0, onDelivered)
-		}
-		return
+// The routes, hop latencies included, are fixed at send time.
+func Scatter(w sim.World, r Router, src int, dsts []int, bytes float64, onDelivered func(dst int)) {
+	t := &routeTree{w: w, bytes: bytes, onDelivered: onDelivered,
+		edges: make([]treeEdge, 1, len(dsts)+1)}
+	t.edges[0] = treeEdge{t: t, hop: Hop{From: src, To: src}, child: -1, sibling: -1}
+	hops := make([]Hop, 0, 16) // every route's buffer; Route grows it if need be
+	for _, dst := range dsts {
+		hops = r.Route(hops[:0], src, dst)
+		t.insert(hops)
 	}
-	m := &transit{w: w, hops: hops, bytes: bytes, onDelivered: onDelivered}
-	m.serialized = m.propagate
-	m.arrived = m.arrive
-	m.send()
+	for i := 1; i < len(t.edges); i++ {
+		e := &t.edges[i]
+		e.serialized, e.arrived = e.propagate, e.arrive
+	}
+	t.edges[0].arrive()
 }
 
-// transit is one SendAsync message in flight: its route, the hop it is
-// on, and the callbacks that move it along. Only the shard running the
-// current hop touches it.
-type transit struct {
+// routeTree is one Scatter in flight: the union of its routes, an edge
+// per distinct route prefix, with children and siblings linked by index
+// (-1 ends a list). Edge 0 is the root: it crosses no link and ends at
+// the source, so arriving there delivers the entries equal to src and
+// starts the first hops. The edges are read-only once the tree is
+// built, so the shards that run its edges share it without
+// synchronization.
+type routeTree struct {
 	w           sim.World
-	hops        []Hop
-	i           int // the hop being traversed
 	bytes       float64
-	onDelivered func()
-	serialized  func() // m.propagate, bound once
-	arrived     func() // m.arrive, bound once
+	onDelivered func(dst int)
+	edges       []treeEdge
 }
 
-// send serializes the message through hop i's link.
-func (m *transit) send() {
-	m.hops[m.i].Link.TransferAsync(m.bytes, 0, m.serialized)
+// treeEdge is one hop of a route tree, carrying every message whose
+// route starts with the path to it.
+type treeEdge struct {
+	t          *routeTree
+	hop        Hop
+	n          int    // messages through the hop: the flow's weight
+	ends       int    // messages delivered at hop.To
+	child      int32  // first edge out of hop.To
+	sibling    int32  // next edge out of hop.From
+	serialized func() // e.propagate, bound once
+	arrived    func() // e.arrive, bound once
 }
 
-// propagate runs when hop i's link has serialized the message: it pays
-// the hop latency into the next node's shard.
-func (m *transit) propagate() {
-	h := &m.hops[m.i]
-	m.w.Post(h.From, h.To, h.Latency, m.arrived)
-}
-
-// arrive runs at hop i's far end: it starts the next hop, or delivers.
-func (m *transit) arrive() {
-	m.i++
-	if m.i < len(m.hops) {
-		m.send()
-		return
+// insert adds one message's route, merging its prefix with the routes
+// already in the tree.
+func (t *routeTree) insert(hops []Hop) {
+	at := int32(0)
+	for _, h := range hops {
+		at = t.childOn(at, h)
+		t.edges[at].n++
 	}
-	if m.onDelivered != nil {
-		m.onDelivered()
+	t.edges[at].ends++
+}
+
+// childOn returns the edge out of parent's far end that crosses h's
+// link to h.To, appending it as the last child when there is none yet.
+func (t *routeTree) childOn(parent int32, h Hop) int32 {
+	last := int32(-1)
+	for c := t.edges[parent].child; c >= 0; c = t.edges[c].sibling {
+		if e := &t.edges[c]; e.hop.Link == h.Link && e.hop.To == h.To {
+			return c
+		}
+		last = c
 	}
+	c := int32(len(t.edges))
+	t.edges = append(t.edges, treeEdge{t: t, hop: h, child: -1, sibling: -1})
+	if last >= 0 {
+		t.edges[last].sibling = c
+	} else {
+		t.edges[parent].child = c
+	}
+	return c
+}
+
+// start serializes edge first and its siblings, each through its link
+// as one flow per message it carries.
+func (t *routeTree) start(first int32) {
+	for c := first; c >= 0; c = t.edges[c].sibling {
+		e := &t.edges[c]
+		e.hop.Link.TransferAsyncN(t.bytes, e.n, e.serialized)
+	}
+}
+
+// propagate runs when the edge's link has serialized its messages: it
+// pays the hop latency into the far end's shard.
+func (e *treeEdge) propagate() {
+	e.t.w.Post(e.hop.From, e.hop.To, e.hop.Latency, e.arrived)
+}
+
+// arrive runs at the edge's far end: it delivers the messages that end
+// there and starts the child edges.
+func (e *treeEdge) arrive() {
+	t := e.t
+	if t.onDelivered != nil {
+		for range e.ends {
+			t.onDelivered(e.hop.To)
+		}
+	}
+	t.start(e.child)
 }
 
 // PointToPoint is a full mesh of NIC-to-NIC connections: each node has a
@@ -371,7 +434,7 @@ func (t *Torus2D) RingY(id int) []int {
 // Path implements Network with dimension-ordered routing and shortest
 // wraparound direction per dimension.
 func (t *Torus2D) Path(src, dst int) ([]*sim.Resource, sim.Duration) {
-	hops := t.Route(src, dst)
+	hops := t.Route(nil, src, dst)
 	if len(hops) == 0 {
 		return nil, 0
 	}
@@ -384,20 +447,19 @@ func (t *Torus2D) Path(src, dst int) ([]*sim.Resource, sim.Duration) {
 	return links, lat
 }
 
-// Route implements Router: the dimension-ordered hop sequence, X then Y
-// in each dimension's shorter direction, each hop on its directed
-// neighbor link.
-func (t *Torus2D) Route(src, dst int) []Hop {
+// Route implements Router: it appends the dimension-ordered hop
+// sequence, X then Y in each dimension's shorter direction, each hop on
+// its directed neighbor link.
+func (t *Torus2D) Route(hops []Hop, src, dst int) []Hop {
 	if src == dst {
-		return nil
+		return hops
 	}
 	sx, sy := t.Coord(src)
 	dx, dy := t.Coord(dst)
 	x, y := sx, sy
 	stepX := shortestStep(sx, dx, t.w)
 	stepY := shortestStep(sy, dy, t.h)
-	n := ringHops(sx, dx, t.w, stepX) + ringHops(sy, dy, t.h, stepY)
-	hops := make([]Hop, 0, n)
+	hops = slices.Grow(hops, ringHops(sx, dx, t.w, stepX)+ringHops(sy, dy, t.h, stepY))
 	dirX, dirY := xPlus, yPlus
 	if stepX < 0 {
 		dirX = xMinus

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -281,24 +283,186 @@ func TestTorusSharedLinkContention(t *testing.T) {
 	}
 }
 
-func TestSendAsyncAllocsIndependentOfHops(t *testing.T) {
-	e := sim.NewEngine()
-	tor := NewTorus2D(e, 16, 8, 25e9, 700)
-	near, far := tor.ID(1, 0), tor.ID(4, 4)
-	if n := len(tor.Route(0, near)); n != 1 {
-		t.Fatalf("route 0->%d has %d hops, want 1", near, n)
+// sendEach is the per-message reference for Scatter: one message per
+// destination, each serializing through every hop of its route with
+// TransferAsync and paying the hop latency with Post, as though no two
+// messages shared a flow.
+func sendEach(w sim.World, r Router, src int, dsts []int, bytes float64, onDelivered func(dst int)) {
+	for _, dst := range dsts {
+		hops := r.Route(nil, src, dst)
+		if len(hops) == 0 {
+			w.EngineFor(src).After(0, func() { onDelivered(dst) })
+			continue
+		}
+		var cross func(i int)
+		cross = func(i int) {
+			h := hops[i]
+			h.Link.TransferAsync(bytes, 0, func() {
+				w.Post(h.From, h.To, h.Latency, func() {
+					if i+1 < len(hops) {
+						cross(i + 1)
+						return
+					}
+					onDelivered(dst)
+				})
+			})
+		}
+		cross(0)
 	}
-	if n := len(tor.Route(0, far)); n != 8 {
-		t.Fatalf("route 0->%d has %d hops, want 8", far, n)
+}
+
+// allToAll runs an all-to-all from every node of a w x h torus with
+// send, on a bare engine (shards == 1) or on a sharded world. Sources
+// start staggered and send sizes that differ by source, so their flows
+// share links over shifting intervals. It returns the instant each
+// (src, dst) message was delivered (-1 if never) and the bytes each
+// link served.
+func allToAll(t *testing.T, w, h, shards int, send func(sim.World, Router, int, []int, float64, func(int))) ([][]sim.Time, []float64) {
+	t.Helper()
+	const hopLat = 700 * sim.Nanosecond
+	var ls []sim.Link
+	for _, l := range NewTorus2D(sim.NewEngine(), w, h, 1, hopLat).Links() {
+		ls = append(ls, sim.Link{A: l.From, B: l.To, Latency: hopLat})
 	}
-	send := func(dst int) float64 {
-		return testing.AllocsPerRun(20, func() {
-			SendAsync(e, tor, 0, dst, 1<<20, nil)
-			e.Run()
+	var world sim.World
+	var run func() sim.Time
+	if shards == 1 {
+		e := sim.NewEngine()
+		world, run = e, e.Run
+	} else {
+		sh := sim.NewSharded(sim.PartitionNodes(w*h, shards, ls))
+		if sh.Shards() != shards {
+			t.Fatalf("%dx%d torus realized %d shards, want %d", w, h, sh.Shards(), shards)
+		}
+		world, run = sh, sh.Run
+	}
+	tor := NewTorus2D(world, w, h, 25e9, hopLat)
+	n := tor.Nodes()
+	at := make([][]sim.Time, n)
+	for src := range at {
+		at[src] = make([]sim.Time, n)
+		for dst := range at[src] {
+			at[src][dst] = -1
+		}
+		dsts := make([]int, 0, n-1)
+		for off := 1; off < n; off++ {
+			dsts = append(dsts, (src+off)%n)
+		}
+		bytes := float64(4096 * (1 + src%3))
+		world.EngineFor(src).At(sim.Time(src)*150*sim.Time(sim.Nanosecond), func() {
+			send(world, tor, src, dsts, bytes, func(dst int) {
+				if at[src][dst] >= 0 {
+					t.Errorf("%d->%d delivered twice", src, dst)
+				}
+				at[src][dst] = world.EngineFor(dst).Now()
+			})
 		})
 	}
-	if one, eight := send(near), send(far); eight > one {
-		t.Errorf("SendAsync makes %v allocations over 8 hops, %v over 1; want no growth with the hop count", eight, one)
+	run()
+	links := tor.Links()
+	served := make([]float64, len(links))
+	for i, l := range links {
+		served[i] = l.Res.TotalBytes()
+		if l.Res.ActiveFlows() != 0 {
+			t.Errorf("%s still holds %d flows", l.Res.Name(), l.Res.ActiveFlows())
+		}
+	}
+	return at, served
+}
+
+// TestScatterMatchesPerMessageSends: a route tree delivers every message
+// of an all-to-all from every node at the instant one flow per message
+// would, and each link serves the same bytes, on tori whose rings are 4,
+// 5, 3 and 2 wide (a 2-wide ring's two directions share one link), on
+// one engine and on two shards.
+func TestScatterMatchesPerMessageSends(t *testing.T) {
+	for _, dims := range [][2]int{{4, 4}, {5, 3}, {3, 2}} {
+		w, h := dims[0], dims[1]
+		want, wantServed := allToAll(t, w, h, 1, sendEach)
+		for _, c := range []struct {
+			name   string
+			shards int
+			send   func(sim.World, Router, int, []int, float64, func(int))
+		}{
+			{"per-message sends", 2, sendEach},
+			{"scatter", 1, Scatter},
+			{"scatter", 2, Scatter},
+		} {
+			got, served := allToAll(t, w, h, c.shards, c.send)
+			for src := range want {
+				for dst := range want[src] {
+					if got[src][dst] != want[src][dst] {
+						t.Errorf("%dx%d, %s on %d shard(s): %d->%d delivered at %v, per-message sends on one engine at %v",
+							w, h, c.name, c.shards, src, dst, got[src][dst], want[src][dst])
+					}
+				}
+			}
+			for i := range wantServed {
+				if served[i] != wantServed[i] {
+					t.Errorf("%dx%d, %s on %d shard(s): link %d served %v bytes, per-message sends on one engine %v",
+						w, h, c.name, c.shards, i, served[i], wantServed[i])
+				}
+			}
+		}
+	}
+}
+
+// TestScatterDeliversSelfAndRepeats: a dsts entry equal to src is
+// delivered at the send instant, and an entry listed twice is delivered
+// twice, both at one message's delivery instant.
+func TestScatterDeliversSelfAndRepeats(t *testing.T) {
+	e := sim.NewEngine()
+	tor := NewTorus2D(e, 4, 4, 1e9, 700*sim.Nanosecond)
+	var got []string
+	e.At(sim.Time(sim.Microsecond), func() {
+		Scatter(e, tor, 0, []int{0, 2, 2}, 1000, func(dst int) {
+			got = append(got, fmt.Sprintf("%d@%v", dst, e.Now()))
+		})
+	})
+	e.Run()
+	// Two hops: each serializes 2 x 1000 bytes at 1 GB/s (2 µs), then
+	// pays 700 ns.
+	want := []string{"0@1000ns", "2@6400ns", "2@6400ns"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("deliveries %v, want %v", got, want)
+	}
+}
+
+// scatterSink keeps each scatter's destination list live across runs.
+var scatterSink []int
+
+// TestScatterAllocsPerTreeEdge: a scatter allocates its two callbacks
+// per tree edge, the edge slice's doublings and three objects more,
+// however many hops its routes hold: on a 16x8 torus, one message over 8
+// hops makes 8 edges and an all-to-all's 768 hops make 127.
+func TestScatterAllocsPerTreeEdge(t *testing.T) {
+	e := sim.NewEngine()
+	tor := NewTorus2D(e, 16, 8, 25e9, 700)
+	all := make([]int, 0, tor.Nodes()-1)
+	hops := 0
+	for dst := 1; dst < tor.Nodes(); dst++ {
+		all = append(all, dst)
+		hops += len(tor.Route(nil, 0, dst))
+	}
+	if hops != 768 {
+		t.Fatalf("routes from 0 hold %d hops, want 768", hops)
+	}
+	for _, c := range []struct {
+		dsts  []int
+		edges int
+	}{
+		{[]int{tor.ID(1, 0)}, 1},
+		{[]int{tor.ID(4, 4)}, 8},
+		{all, 127},
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			scatterSink = c.dsts
+			Scatter(e, tor, 0, scatterSink, 1<<20, nil)
+			e.Run()
+		})
+		if max := float64(2*c.edges + bits.Len(uint(c.edges)) + 3); allocs > max {
+			t.Errorf("scatter over %d tree edges makes %v allocations, want at most %v", c.edges, allocs, max)
+		}
 	}
 }
 
@@ -377,7 +541,7 @@ func TestTorusLinksByDirection(t *testing.T) {
 	}
 	for src := 0; src < tor.Nodes(); src++ {
 		for dst := 0; dst < tor.Nodes(); dst++ {
-			for _, h := range tor.Route(src, dst) {
+			for _, h := range tor.Route(nil, src, dst) {
 				if h.Link != tor.Link(h.From, h.To) {
 					t.Errorf("route %d->%d hop %d->%d rides %s", src, dst, h.From, h.To, h.Link.Name())
 				}

@@ -46,6 +46,25 @@ func TestTransferAsyncAllocatesNothingPerCall(t *testing.T) {
 	}
 }
 
+func TestTransferAsyncNAllocatesNothingPerCall(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "link", 1e12, nil)
+	per := allocsPerCall(func(n int) {
+		left := n
+		var next func()
+		next = func() {
+			if left--; left >= 0 {
+				r.TransferAsyncN(4096, 8, next)
+			}
+		}
+		e.At(e.Now(), next)
+		e.Run()
+	})
+	if per != 0 {
+		t.Errorf("TransferAsyncN allocates %v objects per call, want 0", per)
+	}
+}
+
 func TestFlagRoundTripAllocatesNothingPerCall(t *testing.T) {
 	e := NewEngine()
 	f := NewFlag(e)

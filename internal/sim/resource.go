@@ -10,7 +10,9 @@ import (
 // the capacity fairly, subject to an optional per-flow rate cap and an
 // efficiency curve eff(n) that scales usable capacity with the number of
 // active flows. The efficiency curve is how memory-contention knees (row
-// buffer thrash at high occupancy) are expressed.
+// buffer thrash at high occupancy) are expressed. A flow may stand for
+// several identical transfers admitted together (TransferAsyncN); it
+// counts as that many flows everywhere a flow count enters.
 //
 // Rates are piecewise constant between membership changes, so transfer
 // times are exact for the fluid model. Every change (an admission, a
@@ -26,6 +28,7 @@ type Resource struct {
 	eff      func(int) float64 // usable fraction of capacity given n flows
 
 	flows      []*flow
+	members    int // transfers the flows stand for: the sum of their n
 	lastUpdate Time
 	timer      *event
 	onTimer    func() // r.tick, bound once
@@ -49,17 +52,19 @@ type Resource struct {
 	busyTime   Duration // time with >=1 active flow
 }
 
-// flow is one transfer in a Resource. Flows are recycled through their
+// flow is n identical transfers in a Resource, admitted together:
+// remaining and rate are each member's. Flows are recycled through their
 // engine's free list once their completion callback is scheduled.
 type flow struct {
 	remaining float64
 	cap       float64 // per-flow rate cap; 0 means uncapped
 	rate      float64
+	n         int    // members, >= 1
 	onDone    func() // completion callback, or nil
 }
 
 // newFlow takes a flow from the engine's free list, or allocates one.
-func (e *Engine) newFlow(bytes, perFlowCap float64) *flow {
+func (e *Engine) newFlow(bytes, perFlowCap float64, n int) *flow {
 	var f *flow
 	if n := len(e.flows); n > 0 {
 		f = e.flows[n-1]
@@ -68,7 +73,7 @@ func (e *Engine) newFlow(bytes, perFlowCap float64) *flow {
 	} else {
 		f = &flow{}
 	}
-	f.remaining, f.cap = bytes, perFlowCap
+	f.remaining, f.cap, f.n = bytes, perFlowCap, n
 	return f
 }
 
@@ -97,8 +102,9 @@ func (r *Resource) Name() string { return r.name }
 // Capacity returns the configured peak bandwidth in bytes/sec.
 func (r *Resource) Capacity() float64 { return r.capacity }
 
-// ActiveFlows reports the number of in-flight transfers.
-func (r *Resource) ActiveFlows() int { return len(r.flows) }
+// ActiveFlows reports the number of in-flight transfers, counting each
+// member of a TransferAsyncN group.
+func (r *Resource) ActiveFlows() int { return r.members }
 
 // RateScale reports the current capacity multiplier (1 when nominal).
 func (r *Resource) RateScale() float64 {
@@ -159,7 +165,31 @@ func (r *Resource) TransferAsync(bytes, perFlowCap float64, onDone func()) {
 		}
 		return
 	}
-	f := r.e.newFlow(bytes, perFlowCap)
+	f := r.e.newFlow(bytes, perFlowCap, 1)
+	f.onDone = onDone
+	r.admit(f)
+}
+
+// TransferAsyncN admits n identical uncapped transfers of bytes each as
+// one flow, and invokes onDone once, when all n complete. The group
+// counts as n flows for the fair share and for eff, and keeps one
+// member's remaining bytes and rate. While the water-fill takes its
+// fast path (no flow capped below the fair share), every member gets
+// the same share, so the group's completion instant, ActiveFlows,
+// TotalBytes and every other flow's rate are bit-identical to n
+// TransferAsync calls made at the same instant. Once a cap binds, the
+// sorted water-fill hands out the surplus a flow at a time, and the
+// group then matches n separate flows only up to rounding (torus links
+// carry no capped flows). n < 1, like bytes <= 0, moves nothing: onDone
+// runs at the current instant.
+func (r *Resource) TransferAsyncN(bytes float64, n int, onDone func()) {
+	if bytes <= 0 || n < 1 {
+		if onDone != nil {
+			r.e.At(r.e.now, onDone)
+		}
+		return
+	}
+	f := r.e.newFlow(bytes, 0, n)
 	f.onDone = onDone
 	r.admit(f)
 }
@@ -184,8 +214,13 @@ func (r *Resource) usable(n int) float64 {
 
 func (r *Resource) admit(f *flow) {
 	r.advance()
-	r.totalBytes += f.remaining
+	// One add per member, as n admissions would make: a product could
+	// round differently.
+	for range f.n {
+		r.totalBytes += f.remaining
+	}
 	r.flows = append(r.flows, f)
+	r.members += f.n
 	r.reallocate()
 }
 
@@ -220,6 +255,7 @@ func (r *Resource) advance() {
 // complete finishes a flow advance has dropped from r.flows: it
 // schedules the flow's callback and recycles the flow.
 func (r *Resource) complete(f *flow) {
+	r.members -= f.n
 	if f.onDone != nil {
 		r.e.At(r.e.now, f.onDone)
 	}
@@ -240,12 +276,11 @@ func (r *Resource) reallocate() {
 		r.e.cancel(r.timer)
 		r.timer = nil
 	}
-	n := len(r.flows)
-	if n == 0 {
+	if len(r.flows) == 0 {
 		return
 	}
 	e := r.e
-	r.usableNow = r.usable(n)
+	r.usableNow = r.usable(r.members)
 	r.timerSeq = e.seq
 	e.seq++
 	if !r.dirty {
@@ -371,10 +406,11 @@ func (s *Server) BusyTime() Duration {
 	return s.busyTotal
 }
 
-// waterfill splits total among the flows: capped flows below the fair
-// share get their cap; the surplus is redistributed among the rest.
+// waterfill splits total among the flows' members: capped flows below
+// the fair share get their cap; the surplus is redistributed among the
+// rest.
 func (r *Resource) waterfill(total float64) {
-	n := len(r.flows)
+	n := r.members
 	// Fast path: uniform uncapped or generous caps.
 	share := total / float64(n)
 	allAbove := true
@@ -418,8 +454,8 @@ func (r *Resource) waterfill(total float64) {
 		} else {
 			f.rate = fair
 		}
-		remainingCap -= f.rate
-		remainingFlows--
+		remainingCap -= f.rate * float64(f.n)
+		remainingFlows -= f.n
 	}
 	clear(sorted) // let completed flows be collected
 	r.sorted = sorted[:0]

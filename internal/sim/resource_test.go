@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -138,6 +140,112 @@ func TestResourceAsyncTransfer(t *testing.T) {
 	}
 	if got, want := done, Time(500*Millisecond); absT(got-want) > 10 {
 		t.Errorf("async done at %v, want ~%v", got, want)
+	}
+}
+
+// groupScenario admits groups of identical uncapped transfers at
+// staggered instants, beside a lone flow with a cap above its share, on
+// a resource whose efficiency falls with the flow count, and scales the
+// rate mid-flight. Each group is one TransferAsyncN call when grouped,
+// else n TransferAsync calls. The log records every group's completion
+// instant and, at each completion and at probes between them,
+// ActiveFlows and TotalBytes.
+func groupScenario(t *testing.T, grouped bool) []string {
+	t.Helper()
+	e := NewEngine()
+	r := NewResource(e, "link", 1*gb, func(n int) float64 { return 1 / (1 + 0.07*float64(n-1)) })
+	var log []string
+	note := func(what string) {
+		log = append(log, fmt.Sprintf("%s@%v active=%d total=%v", what, e.Now(), r.ActiveFlows(), r.TotalBytes()))
+	}
+	group := func(name string, at Time, bytes float64, n int) {
+		e.At(at, func() {
+			if grouped {
+				r.TransferAsyncN(bytes, n, func() { note(name) })
+				return
+			}
+			var first Time
+			left := n
+			for i := 0; i < n; i++ {
+				r.TransferAsync(bytes, 0, func() {
+					if left == n {
+						first = e.Now()
+					}
+					if left--; left == 0 {
+						if e.Now() != first {
+							t.Errorf("%s: members completed at %v and %v", name, first, e.Now())
+						}
+						note(name)
+					}
+				})
+			}
+		})
+	}
+	group("a", 0, 3.3e4, 3)
+	e.At(0, func() { r.TransferAsync(1.1e4, 10*gb, func() { note("lone") }) })
+	// b's size is not whole: added five times to the running total it
+	// rounds apart from one product.
+	group("b", Time(47*Microsecond), 7700.1, 5)
+	e.At(Time(83*Microsecond), func() { r.SetRateScale(0.6) })
+	group("c", Time(121*Microsecond), 1.3e4, 2)
+	group("d", Time(121*Microsecond), 2.9e3, 1)
+	for at := Time(0); at < Time(500*Microsecond); at += Time(13 * Microsecond) {
+		e.At(at, func() { note("probe") })
+	}
+	e.Run()
+	return log
+}
+
+// TestTransferAsyncNMatchesSeparateFlows: a group admitted with
+// TransferAsyncN completes at the instant its n separate transfers
+// would, and ActiveFlows and TotalBytes read the same at every point,
+// under staggered admissions, an efficiency curve and a mid-flight
+// SetRateScale.
+func TestTransferAsyncNMatchesSeparateFlows(t *testing.T) {
+	want, got := groupScenario(t, false), groupScenario(t, true)
+	if len(got) != len(want) {
+		t.Fatalf("grouped log has %d entries, separate flows %d:\n%v\n%v", len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("entry %d: grouped %q, separate flows %q", i, got[i], want[i])
+		}
+	}
+	// Not vacuous: all four groups and the lone flow completed, with
+	// groups in flight at some probes.
+	done, busy := 0, false
+	for _, l := range got {
+		if !strings.HasPrefix(l, "probe") {
+			done++
+		} else if !strings.Contains(l, "active=0 ") {
+			busy = true
+		}
+	}
+	if done != 5 || !busy {
+		t.Errorf("log %v: want 5 completions and a busy probe", got)
+	}
+}
+
+// TestTransferAsyncNEmptyGroup: n < 1, like zero bytes, moves nothing
+// and completes at the current instant.
+func TestTransferAsyncNEmptyGroup(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "link", 1*gb, nil)
+	var at []Time
+	e.At(Time(Microsecond), func() {
+		r.TransferAsyncN(1e6, 0, func() { at = append(at, e.Now()) })
+		r.TransferAsyncN(1e6, -2, func() { at = append(at, e.Now()) })
+		r.TransferAsyncN(0, 4, func() { at = append(at, e.Now()) })
+		if r.ActiveFlows() != 0 {
+			t.Errorf("ActiveFlows = %d after empty groups, want 0", r.ActiveFlows())
+		}
+	})
+	e.Run()
+	if len(at) != 3 || at[0] != Time(Microsecond) || at[1] != at[0] || at[2] != at[0] {
+		t.Errorf("empty groups completed at %v, want 3 at 1µs", at)
+	}
+	if r.TotalBytes() != 0 {
+		t.Errorf("TotalBytes = %v, want 0", r.TotalBytes())
 	}
 }
 

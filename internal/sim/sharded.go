@@ -301,6 +301,7 @@ func (w *Sharded) Stats() Stats {
 	for _, sh := range w.shards {
 		es := sh.Stats()
 		s.Dispatched += es.Dispatched
+		s.Spawned += es.Spawned
 		s.PoolHits += es.PoolHits
 		if es.MaxHeapDepth > s.MaxHeapDepth {
 			s.MaxHeapDepth = es.MaxHeapDepth

@@ -346,6 +346,22 @@ func TestShardedStatsCounters(t *testing.T) {
 	}
 }
 
+// TestShardedStatsSumsSpawned: Stats sums the procs every shard spawned.
+func TestShardedStatsSumsSpawned(t *testing.T) {
+	const n = 8
+	w := NewSharded(PartitionNodes(n, 4, ringLinks(n, 100)))
+	if w.Shards() != 4 {
+		t.Fatalf("realized %d shards, want 4", w.Shards())
+	}
+	for i := 0; i < n; i++ {
+		w.EngineFor(i).Go(fmt.Sprintf("node%d", i), func(p *Proc) { p.Sleep(10) })
+	}
+	w.Run()
+	if got := w.Stats().Spawned; got != n {
+		t.Errorf("Stats().Spawned = %d, want %d", got, n)
+	}
+}
+
 func TestEngineStatsPoolAndHandoff(t *testing.T) {
 	e := NewEngine()
 	// Timer chain: every link is an event through the heap, so dispatch
