@@ -88,3 +88,38 @@ func TestFlagRoundTripAllocatesNothingPerCall(t *testing.T) {
 		t.Errorf("Flag Add/WaitGE round trip allocates %v objects per call, want 0", per)
 	}
 }
+
+// TestScheduleIntoPendingInstantAllocatesNothing: once an instant is
+// pending and the event pool is warm, scheduling into it is an append,
+// whether the instant is the one last scheduled into or found by its
+// time, and whether the seq is fresh or reserved earlier (as a
+// Resource timer's is) and sorts in ahead of queued events.
+func TestScheduleIntoPendingInstantAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 512; i++ {
+		e.At(100, fn)
+		e.At(150, fn)
+	}
+	// Fill the event pool and leave two spare instants.
+	e.Run()
+	// One reserved seq per round, below every queued event's.
+	reserved := e.seq
+	e.seq += 101
+	e.At(200, fn)
+	e.At(300, fn)
+	per := testing.AllocsPerRun(100, func() {
+		e.At(200, fn) // through the map
+		e.At(200, fn) // the cached instant
+		e.At(300, fn)
+		e.enqueueSeq(200, reserved, fn)
+		reserved++
+	})
+	if per != 0 {
+		t.Errorf("scheduling into a pending instant allocates %v objects per round, want 0", per)
+	}
+	if want := 2 + 4*101; e.pending != want || len(e.queue) != 2 {
+		t.Fatalf("%d events in %d instants, want %d in 2", e.pending, len(e.queue), want)
+	}
+	checkQueue(t, e)
+}

@@ -74,6 +74,32 @@ func BenchmarkCallbacksSameInstant(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkLockstepInstants measures the scheduling shape of fused
+// kernels' workgroups: 1,024 callback chains that each re-arm After
+// with a fixed delay, a third each at 100 ns, 250 ns and 1 µs, so the
+// chains of one delay stay in lockstep and each of the few pending
+// instants holds hundreds of events. One op is one dispatched callback.
+func BenchmarkLockstepInstants(b *testing.B) {
+	const chains = 1024
+	delays := [...]Duration{100 * Nanosecond, 250 * Nanosecond, Microsecond}
+	e := NewEngine()
+	left := b.N
+	for i := 0; i < chains; i++ {
+		d := delays[i%len(delays)]
+		var step func()
+		step = func() {
+			if left > 0 {
+				left--
+				e.After(d, step)
+			}
+		}
+		e.At(0, step)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
 // BenchmarkResourceFlows measures the bandwidth-server path: four
 // processes whose equal transfers complete together, each then admitting
 // its next one, so every instant holds four triggers and one settle. One

@@ -10,9 +10,10 @@ import (
 // event is a scheduled callback; waking a parked process is one too
 // (its Proc.wake). Events are pooled: the engine owns every event it
 // hands out and recycles it after dispatch, so holders (e.g. Resource
-// timers) must drop their reference no later than cancellation.
+// timers) must drop their reference no later than cancellation. An
+// event's time is its instant's (or, in the same-instant queue, the
+// clock's).
 type event struct {
-	at Time
 	// seq breaks ties: FIFO among equal times. It is taken from the
 	// engine's counter when the event is scheduled, except for a
 	// Resource timer, which carries the seq reserved at its resource's
@@ -21,89 +22,106 @@ type event struct {
 	fn  func() // run on the engine goroutine
 	// cancelled events stay queued but are skipped when reached.
 	cancelled bool
-	heaped    bool // in the heap, not the same-instant queue
+	heaped    bool // in an instant, not the same-instant queue
 }
 
-// before reports whether a is dispatched ahead of b: (time, seq) order.
-// No two events share a seq, so the order is total.
-func (a *event) before(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// instant is one pending time and the events scheduled for it, in seq
+// order from head on; the entries before head have been dispatched or
+// purged.
+type instant struct {
+	at   Time
+	evs  []*event
+	head int
+}
+
+// insert queues ev in seq order. A fresh seq is the highest yet, so it
+// appends; a Resource timer's reserved seq may precede events scheduled
+// into the instant since the reservation, and sorts in from the tail.
+func (in *instant) insert(ev *event) {
+	in.evs = append(in.evs, ev)
+	i := len(in.evs) - 1
+	for ; i > in.head && in.evs[i-1].seq > ev.seq; i-- {
+		in.evs[i] = in.evs[i-1]
 	}
-	return a.seq < b.seq
+	in.evs[i] = ev
 }
 
-// eventQueue is a binary min-heap of events in (time, seq) order. The
-// order is total, so the pop sequence depends only on the set of events
-// pushed, never on how the heap arranged them.
-type eventQueue []*event
+// instantQueue is a binary min-heap of pending instants by time. No two
+// instants share a time, so the pop sequence depends only on the set of
+// times pushed, never on how the heap arranged them.
+type instantQueue []*instant
 
-func (q *eventQueue) push(ev *event) {
-	*q = append(*q, ev)
+func (q *instantQueue) push(in *instant) {
+	*q = append(*q, in)
 	q.up(len(*q) - 1)
 }
 
-// pop removes and returns the earliest event; the queue is non-empty.
-func (q *eventQueue) pop() *event {
+// pop removes and returns the earliest instant; the queue is non-empty.
+func (q *instantQueue) pop() *instant {
 	old := *q
 	n := len(old) - 1
-	ev := old[0]
+	in := old[0]
 	old[0] = old[n]
 	old[n] = nil
 	*q = old[:n]
 	if n > 0 {
 		q.down(0)
 	}
-	return ev
+	return in
 }
 
 // init restores the heap order over arbitrary contents.
-func (q eventQueue) init() {
+func (q instantQueue) init() {
 	for i := len(q)/2 - 1; i >= 0; i-- {
 		q.down(i)
 	}
 }
 
-func (q eventQueue) up(j int) {
-	ev := q[j]
+func (q instantQueue) up(j int) {
+	in := q[j]
 	for j > 0 {
 		i := (j - 1) / 2
-		if !ev.before(q[i]) {
+		if in.at >= q[i].at {
 			break
 		}
 		q[j] = q[i]
 		j = i
 	}
-	q[j] = ev
+	q[j] = in
 }
 
-func (q eventQueue) down(i int) {
+func (q instantQueue) down(i int) {
 	n := len(q)
-	ev := q[i]
+	in := q[i]
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && q[r].before(q[c]) {
+		if r := c + 1; r < n && q[r].at < q[c].at {
 			c = r
 		}
-		if !q[c].before(ev) {
+		if q[c].at >= in.at {
 			break
 		}
 		q[i] = q[c]
 		i = c
 	}
-	q[i] = ev
+	q[i] = in
 }
 
 const (
 	// maxPool bounds the event and flow free lists so pathological
 	// bursts don't pin memory for the rest of a long sweep.
 	maxPool = 4096
-	// compactMin is the heap size below which lazy purging is always
-	// cheap enough; compaction only triggers above it.
+	// compactMin is the number of queued events below which lazy
+	// purging is always cheap enough; compaction only triggers above it.
 	compactMin = 64
+	// maxSpareInstants bounds the instant free list, and each spare
+	// keeps room for at most maxPool events, for the same reason.
+	// Pending instants stay few (a handful per engine in the
+	// benchmark's workloads), however many events each holds.
+	maxSpareInstants = 16
 )
 
 // Engine is a deterministic discrete-event simulator. The zero value is
@@ -112,18 +130,26 @@ const (
 // Scheduling maintains a strict (time, seq) order, where seq is a global
 // monotone counter assigned at schedule time (or, for a Resource timer,
 // reserved at the trigger that armed it), so equal-time events run in
-// FIFO order. Two structures hold pending events: a binary heap for
-// future instants and a flat FIFO (nowq) for events scheduled *at* the
-// instant currently being executed. Every nowq entry was necessarily
-// scheduled after every same-time heap entry (the clock had already
-// reached the instant), so draining the heap's equal-time run first and
-// the nowq second reproduces exact (time, seq) order without pushing
-// same-instant work through the heap.
+// FIFO order. Two structures hold pending events. An event scheduled
+// before the clock reaches its time joins that time's instant, which
+// keeps its events in seq order; a binary min-heap orders the pending
+// instants by time, and a map (with a one-entry cache of the instant
+// last scheduled into) finds an instant by its time. An event scheduled
+// *at* the instant currently being executed goes to a flat FIFO (nowq)
+// instead. Every nowq entry was necessarily scheduled after every event
+// of its instant (the clock had already reached it), so dispatching the
+// instant's events first and the nowq second reproduces exact
+// (time, seq) order. Lockstep workloads schedule hundreds of events into
+// each of a few pending instants, so scheduling is mostly an append and
+// the heap only orders the distinct times.
 type Engine struct {
-	now     Time
-	queue   eventQueue
-	seq     uint64
-	running bool
+	now      Time
+	queue    instantQueue
+	instants map[Time]*instant // the instants in queue, by time
+	last     *instant          // the instant last scheduled into, or nil
+	pending  int               // events in the instants, cancelled ones included
+	seq      uint64
+	running  bool
 
 	// live holds every process spawned and not yet exited, each at its
 	// Proc.slot, so an abnormal exit from Run can stop the parked ones.
@@ -133,9 +159,10 @@ type Engine struct {
 	nowq     []*event
 	nowqHead int
 
-	pool       []*event // event free list
-	flows      []*flow  // Resource flow free list
-	ncancelled int      // cancelled events still in the heap
+	pool       []*event   // event free list
+	spare      []*instant // instant free list
+	flows      []*flow    // Resource flow free list
+	ncancelled int        // cancelled events still in the instants
 
 	// dirty lists the resources triggered since the last settle; each
 	// water-fills and arms its completion timer once per instant.
@@ -160,7 +187,7 @@ type Engine struct {
 // one at a time and only while the engine waits for them, so engine
 // state needs no synchronization: the exclusive-runner invariant holds
 // by construction.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{instants: make(map[Time]*instant)} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -205,6 +232,61 @@ func (e *Engine) free(ev *event) {
 	}
 }
 
+// instantAt returns the pending instant for time t, adding one if there
+// is none.
+func (e *Engine) instantAt(t Time) *instant {
+	if in := e.last; in != nil && in.at == t {
+		return in
+	}
+	in := e.instants[t]
+	if in == nil {
+		if n := len(e.spare); n > 0 {
+			in = e.spare[n-1]
+			e.spare[n-1] = nil
+			e.spare = e.spare[:n-1]
+		} else {
+			in = &instant{}
+		}
+		in.at = t
+		e.instants[t] = in
+		e.queue.push(in)
+	}
+	e.last = in
+	return in
+}
+
+// forget removes in, which has left the heap and holds no event, from
+// the map, and recycles it.
+func (e *Engine) forget(in *instant) {
+	delete(e.instants, in.at)
+	if e.last == in {
+		e.last = nil
+	}
+	if len(e.spare) < maxSpareInstants {
+		if cap(in.evs) > maxPool {
+			in.evs = nil
+		}
+		in.evs, in.head = in.evs[:0], 0
+		e.spare = append(e.spare, in)
+	}
+}
+
+// next removes the first queued event of in, which holds one, and
+// returns it; a cancelled event is recycled instead, and next returns
+// nil.
+func (e *Engine) next(in *instant) *event {
+	ev := in.evs[in.head]
+	in.evs[in.head] = nil
+	in.head++
+	e.pending--
+	if ev.cancelled {
+		e.ncancelled--
+		e.free(ev)
+		return nil
+	}
+	return ev
+}
+
 // enqueue schedules fn at time t (clamped to now) under a fresh seq
 // and returns the pooled event, which stays valid until dispatched or
 // cancelled.
@@ -222,15 +304,16 @@ func (e *Engine) enqueueSeq(t Time, seq uint64, fn func()) *event {
 		t = e.now
 	}
 	ev := e.newEvent()
-	ev.at, ev.seq, ev.fn = t, seq, fn
+	ev.seq, ev.fn = seq, fn
 	if e.running && t == e.now {
 		e.nowq = append(e.nowq, ev)
-	} else {
-		ev.heaped = true
-		e.queue.push(ev)
-		if len(e.queue) > e.maxHeap {
-			e.maxHeap = len(e.queue)
-		}
+		return ev
+	}
+	ev.heaped = true
+	e.instantAt(t).insert(ev)
+	e.pending++
+	if e.pending > e.maxHeap {
+		e.maxHeap = e.pending
 	}
 	return ev
 }
@@ -245,30 +328,41 @@ func (e *Engine) cancel(ev *event) {
 	ev.cancelled = true
 	if ev.heaped {
 		e.ncancelled++
-		if len(e.queue) > compactMin && e.ncancelled*2 > len(e.queue) {
+		if e.pending > compactMin && e.ncancelled*2 > e.pending {
 			e.compact()
 		}
 	}
 }
 
-// compact rebuilds the heap without its cancelled events. Purging is
-// normally lazy (skipped at pop time), but condition-heavy runs can
-// cancel faster than they pop; compaction keeps the heap from growing
-// unboundedly once more than half of it is dead.
+// compact drops the cancelled events from every instant. Purging is
+// normally lazy (skipped when reached), but condition-heavy runs can
+// cancel faster than they dispatch; compaction keeps the instants from
+// growing unboundedly once more than half of their events are dead. It
+// also drops the instants it empties, except the earliest, which may be
+// the one being dispatched: purgeHead or the run loop drops that one.
 func (e *Engine) compact() {
-	live := e.queue[:0]
-	for _, ev := range e.queue {
-		if ev.cancelled {
-			e.free(ev)
+	kept := e.queue[:0]
+	for i, in := range e.queue {
+		evs := in.evs[:0]
+		for _, ev := range in.evs[in.head:] {
+			if ev.cancelled {
+				e.free(ev)
+				continue
+			}
+			evs = append(evs, ev)
+		}
+		clear(in.evs[len(evs):])
+		in.evs, in.head = evs, 0
+		if len(evs) == 0 && i > 0 {
+			e.forget(in)
 			continue
 		}
-		live = append(live, ev)
+		kept = append(kept, in)
 	}
-	for i := len(live); i < len(e.queue); i++ {
-		e.queue[i] = nil
-	}
-	e.queue = live
+	clear(e.queue[len(kept):])
+	e.queue = kept
 	e.queue.init()
+	e.pending -= e.ncancelled
 	e.ncancelled = 0
 }
 
@@ -284,11 +378,18 @@ func (e *Engine) settle() {
 	e.dirty = e.dirty[:0]
 }
 
-// purgeHead pops cancelled events off the heap top.
+// purgeHead frees the cancelled events at the front of the earliest
+// instant, and drops each earliest instant left with none.
 func (e *Engine) purgeHead() {
-	for len(e.queue) > 0 && e.queue[0].cancelled {
-		e.ncancelled--
-		e.free(e.queue.pop())
+	for len(e.queue) > 0 {
+		in := e.queue[0]
+		for in.head < len(in.evs) {
+			if !in.evs[in.head].cancelled {
+				return
+			}
+			e.next(in)
+		}
+		e.forget(e.queue.pop())
 	}
 }
 
@@ -491,37 +592,34 @@ func (e *Engine) run(horizon Time, windowed bool) Time {
 			clean = true
 			return e.now
 		}
-		if e.queue[0].at > horizon {
+		in := e.queue[0]
+		if in.at > horizon {
 			// Leave it queued for a later Run call; its sequence
-			// number is preserved, so FIFO tie-breaks among
+			// numbers are preserved, so FIFO tie-breaks among
 			// equal-time events survive the horizon boundary.
 			// Processes stay parked and resume in that call.
 			clean = true
 			return e.now
 		}
-		ev := e.queue.pop()
-		e.now = ev.at
-		e.dispatch(ev)
 
-		// Drain the remainder of this instant: first the heap's
-		// equal-time run (all scheduled before the clock got here,
-		// so their seqs precede every nowq entry), then the nowq
-		// FIFO, which may grow while draining. Only this loop moves
-		// the clock, so the instant's events all see e.now.
-		for len(e.queue) > 0 {
-			h := e.queue[0]
-			if h.cancelled {
-				e.queue.pop()
-				e.ncancelled--
-				e.free(h)
-				continue
+		// Run the instant: first its queued events (all scheduled
+		// before the clock got here, so their seqs precede every
+		// nowq entry), then the nowq FIFO, which may grow while
+		// draining. The instant stays at the heap top until its
+		// events are done, so compaction and the queued-event count
+		// treat its undispatched rest like any other instant's. Only
+		// this loop moves the clock, so the instant's events all see
+		// e.now.
+		e.now = in.at
+		for in.head < len(in.evs) {
+			if ev := e.next(in); ev != nil {
+				e.dispatch(ev)
 			}
-			if h.at != e.now {
-				break
-			}
-			e.queue.pop()
-			e.dispatch(h)
 		}
+		e.forget(e.queue.pop())
+		// Free the cancelled events now at the front before the nowq
+		// runs, so that its schedules can reuse them.
+		e.purgeHead()
 		for e.nowqHead < len(e.nowq) {
 			// Dispatches may keep appending to the current instant
 			// (callback chains, broadcast cascades); shift the

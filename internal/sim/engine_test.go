@@ -178,98 +178,197 @@ func TestRunUntilHorizonWithProcSleeps(t *testing.T) {
 	}
 }
 
+// checkQueue verifies the instant heap's invariants: the heap orders
+// the instants by time, the map holds exactly the heap's instants, each
+// instant keeps its events in seq order, every instant but the earliest
+// holds one, and pending and ncancelled count the queued events.
+func checkQueue(tb testing.TB, e *Engine) {
+	tb.Helper()
+	if len(e.instants) != len(e.queue) {
+		tb.Fatalf("map holds %d instants, heap %d", len(e.instants), len(e.queue))
+	}
+	pending, cancelled := 0, 0
+	for i, in := range e.queue {
+		if i > 0 && in.at < e.queue[(i-1)/2].at {
+			tb.Fatalf("heap slot %d at %v precedes its parent at %v", i, in.at, e.queue[(i-1)/2].at)
+		}
+		if e.instants[in.at] != in {
+			tb.Fatalf("map does not hold the instant at %v", in.at)
+		}
+		if i > 0 && in.head == len(in.evs) {
+			tb.Fatalf("empty instant at %v left in heap slot %d", in.at, i)
+		}
+		for j, ev := range in.evs[in.head:] {
+			if !ev.heaped {
+				tb.Fatalf("instant at %v holds an event not marked heaped", in.at)
+			}
+			if j > 0 && in.evs[in.head+j-1].seq >= ev.seq {
+				tb.Fatalf("instant at %v out of seq order at %d", in.at, j)
+			}
+			if ev.cancelled {
+				cancelled++
+			}
+		}
+		pending += len(in.evs) - in.head
+	}
+	if pending != e.pending || cancelled != e.ncancelled {
+		tb.Fatalf("instants hold %d events (%d cancelled), engine counts %d (%d)",
+			pending, cancelled, e.pending, e.ncancelled)
+	}
+}
+
+// queuedEvents lists the events queued in the instants, heap order.
+func queuedEvents(e *Engine) []*event {
+	var evs []*event
+	for _, in := range e.queue {
+		evs = append(evs, in.evs[in.head:]...)
+	}
+	return evs
+}
+
 func TestCancelledHeapCompaction(t *testing.T) {
+	// Four events per instant, so compaction both thins instants and
+	// drops the ones it empties.
 	e := NewEngine()
 	var evs []*event
 	for i := 0; i < 200; i++ {
-		evs = append(evs, e.enqueue(Time(1000+i), func() {}))
+		evs = append(evs, e.enqueue(Time(1000+i/4), func() {}))
 	}
-	// Cancel from the back so the heap head stays live and lazy purging
-	// never kicks in; only the threshold compaction can shrink the heap.
+	// Cancel from the back so the earliest instant stays live and lazy
+	// purging never kicks in; only the threshold compaction can shrink
+	// the queue. At no point may more than half of it be dead.
 	for i := 199; i >= 60; i-- {
 		e.cancel(evs[i])
+		if e.pending > compactMin && e.ncancelled*2 > e.pending {
+			t.Fatalf("%d queued events with %d cancelled: >50%% dead despite threshold", e.pending, e.ncancelled)
+		}
 	}
-	// Compaction keeps the cancelled fraction bounded: at no point may
-	// more than half the heap be dead, so 140 cancellations against 60
-	// survivors must have shrunk the heap at least once.
-	if len(e.queue) >= 200 {
-		t.Fatalf("heap len = %d after cancelling 140/200, compaction never fired", len(e.queue))
+	// 140 cancellations against 60 survivors must have compacted.
+	if e.pending >= 200 {
+		t.Fatalf("%d events queued after cancelling 140/200, compaction never fired", e.pending)
 	}
-	if e.ncancelled*2 > len(e.queue) {
-		t.Fatalf("heap %d events with %d cancelled: >50%% dead despite threshold", len(e.queue), e.ncancelled)
-	}
+	checkQueue(t, e)
 	// The survivors must still run, in order.
-	var got int
-	e.queue = e.queue[:0]
+	var got []int
 	e = NewEngine()
 	evs = evs[:0]
 	for i := 0; i < 100; i++ {
-		i := i
-		evs = append(evs, e.enqueue(Time(10+i), func() { got++; _ = i }))
+		evs = append(evs, e.enqueue(Time(10+i/4), func() { got = append(got, i) }))
 	}
 	for i := 99; i >= 40; i-- {
 		e.cancel(evs[i])
 	}
 	e.Run()
-	if got != 40 {
-		t.Fatalf("ran %d events after cancellation, want 40", got)
+	if len(got) != 40 {
+		t.Fatalf("ran %d events after cancellation, want 40", len(got))
 	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("dispatch %d ran event %d", i, v)
+		}
+	}
+	checkQueue(t, e)
 }
 
-// TestEventHeapDispatchOrder: thousands of callbacks at seeded random
-// times, some scheduling more, with enough of them cancelled to force
-// compaction before the run and more cancelled during it. Whatever
-// arrangement the heap takes, every event not cancelled must be
-// dispatched, in sorted (time, seq) order.
-func TestEventHeapDispatchOrder(t *testing.T) {
+// eventOrderScenario: thousands of callbacks at seeded random times
+// drawn from the given number of distinct times, some scheduling more,
+// some of them (as Resource.settle does) under a seq reserved earlier
+// and into a future instant already holding higher seqs, with enough of
+// them cancelled to force compaction before the run and more cancelled
+// during it, including events still queued in the instant being run.
+// Whatever arrangement the queue takes, every event not cancelled must
+// be dispatched, in sorted (time, seq) order.
+func eventOrderScenario(tb testing.TB, seed uint64, times int) {
 	type key struct {
 		at  Time
 		seq uint64
 	}
+	const (
+		initial = 4000
+		span    = 2000 // initial times fall in [0, span)
+	)
+	stride := max(span/times, 1)
 	e := NewEngine()
-	rng := xorshift(0x2545f4914f6cdd1d)
+	rng := xorshift(seed | 1)
 	var (
 		evs       []*event // by schedule index
 		keys      []key
 		pending   []bool // neither dispatched nor cancelled
 		cancelled []bool
+		byTime    = map[Time][]int{} // schedule indices
+		reserved  []uint64           // seqs reserved and not yet used
 		got       []key
 	)
 	cancel := func(i int) {
 		pending[i], cancelled[i] = false, true
 		e.cancel(evs[i])
 	}
-	var schedule func(at Time)
-	schedule = func(at Time) {
+	// later draws a time on the stride grid up to 300 ns ahead.
+	later := func(min int) Time {
+		return e.Now().Add(Duration((min + rng.intn(300/stride+1)) * stride))
+	}
+	var schedule func(at Time, seq uint64)
+	schedule = func(at Time, seq uint64) {
 		i := len(evs)
-		keys = append(keys, key{at, e.seq})
+		keys = append(keys, key{at, seq})
 		pending = append(pending, true)
 		cancelled = append(cancelled, false)
-		evs = append(evs, e.enqueue(at, func() {
+		byTime[at] = append(byTime[at], i)
+		evs = append(evs, e.enqueueSeq(at, seq, func() {
 			pending[i] = false
 			got = append(got, keys[i])
-			if len(evs) < 6000 && rng.intn(4) == 0 {
-				schedule(e.Now().Add(Duration(rng.intn(300))))
+			if len(got)%257 == 0 {
+				checkQueue(tb, e)
+			}
+			if len(evs) < 6000 {
+				switch rng.intn(8) {
+				case 0, 1:
+					// Fresh seq; 0 delay goes to the same-instant queue.
+					schedule(later(0), e.takeSeq())
+				case 2:
+					// Reserve a seq now, schedule under it later.
+					reserved = append(reserved, e.takeSeq())
+				case 3:
+					if n := len(reserved); n > 0 {
+						// A future instant that already holds a
+						// seq above the reserved one.
+						at := later(1)
+						schedule(at, e.takeSeq())
+						schedule(at, reserved[n-1])
+						reserved = reserved[:n-1]
+					}
+				}
 			}
 			if j := rng.intn(len(evs)); pending[j] && rng.intn(3) == 0 {
 				cancel(j)
 			}
+			// An event still queued in this instant.
+			if now := byTime[e.Now()]; rng.intn(4) == 0 {
+				if j := now[rng.intn(len(now))]; pending[j] {
+					cancel(j)
+				}
+			}
 		}))
 	}
-	const initial = 4000
 	for i := 0; i < initial; i++ {
-		schedule(Time(rng.intn(2000)))
+		schedule(Time(rng.intn(span/stride)*stride), e.takeSeq())
 	}
 	for i := range evs {
 		if rng.intn(10) < 6 {
 			cancel(i)
 		}
 	}
-	// Nothing is purged before Run, so a shorter heap means compaction ran.
-	if len(e.queue) >= initial {
-		t.Fatalf("heap holds all %d events after cancelling most: compaction never ran", initial)
+	// Nothing is purged before Run, so fewer queued events means
+	// compaction ran.
+	if e.pending >= initial {
+		tb.Fatalf("all %d events queued after cancelling most: compaction never ran", initial)
 	}
+	checkQueue(tb, e)
 	e.Run()
+	checkQueue(tb, e)
+	if len(e.queue) != 0 || e.pending != 0 {
+		tb.Fatalf("after Run: %d instants, %d events queued", len(e.queue), e.pending)
+	}
 
 	var want []key
 	for i, k := range keys {
@@ -284,28 +383,66 @@ func TestEventHeapDispatchOrder(t *testing.T) {
 		return cmp.Compare(a.seq, b.seq)
 	})
 	if len(got) != len(want) {
-		t.Fatalf("dispatched %d events, want %d", len(got), len(want))
+		tb.Fatalf("dispatched %d events, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("dispatch %d = %+v, want %+v", i, got[i], want[i])
+			tb.Fatalf("dispatch %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// takeSeq reserves the engine's next seq, as Resource.reallocate does.
+func (e *Engine) takeSeq() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+// TestEventHeapDispatchOrder runs the scenario spread thin (about two
+// events per instant) and in lockstep (a few dozen instants of 100 or
+// more events each, as fused kernels' workgroups schedule).
+func TestEventHeapDispatchOrder(t *testing.T) {
+	for _, c := range []struct {
+		seed  uint64
+		times int
+	}{
+		{0x2545f4914f6cdd1d, 2000},
+		{0x2545f4914f6cdd1d, 32},
+		{0x9e3779b97f4a7c15, 24},
+	} {
+		t.Run(fmt.Sprintf("times=%d/seed=%x", c.times, c.seed), func(t *testing.T) {
+			eventOrderScenario(t, c.seed, c.times)
+		})
+	}
+}
+
+// FuzzEventOrder runs the dispatch-order scenario at any seed and any
+// number of distinct initial times.
+func FuzzEventOrder(f *testing.F) {
+	f.Add(uint64(0x2545f4914f6cdd1d), uint16(2000))
+	f.Add(uint64(0x2545f4914f6cdd1d), uint16(32))
+	f.Add(uint64(1), uint16(1))
+	f.Fuzz(func(t *testing.T, seed uint64, times uint16) {
+		eventOrderScenario(t, seed, max(int(times)%2001, 1))
+	})
 }
 
 func TestCompactionBelowMinIsLazy(t *testing.T) {
 	e := NewEngine()
 	var evs []*event
 	for i := 0; i < compactMin; i++ {
-		evs = append(evs, e.enqueue(Time(1000+i), func() {}))
+		evs = append(evs, e.enqueue(Time(1000+i/4), func() {}))
 	}
 	for _, ev := range evs {
 		e.cancel(ev)
 	}
-	if len(e.queue) != compactMin {
-		t.Fatalf("small heap compacted eagerly: len = %d, want %d", len(e.queue), compactMin)
+	if e.pending != compactMin || len(e.queue) != compactMin/4 {
+		t.Fatalf("small queue compacted eagerly: %d events in %d instants, want %d in %d",
+			e.pending, len(e.queue), compactMin, compactMin/4)
 	}
 	e.Run() // purges lazily, must not run anything
+	checkQueue(t, e)
 }
 
 func TestEventPoolRecycles(t *testing.T) {

@@ -174,7 +174,7 @@ func TestSleepSeesPendingCompletion(t *testing.T) {
 
 // TestSameInstantAdmitsArmOneTimer: 256 admissions at one instant
 // water-fill once and leave exactly one live event for the resource,
-// with no cancelled timers left behind in the heap.
+// with no cancelled timers left behind in the instants.
 func TestSameInstantAdmitsArmOneTimer(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "hbm", 1*gb, nil)
@@ -191,9 +191,10 @@ func TestSameInstantAdmitsArmOneTimer(t *testing.T) {
 	probed := false
 	e.At(11, func() {
 		probed = true
-		if len(e.queue) != 1 || e.queue[0] != r.timer || e.ncancelled != 0 {
-			t.Errorf("after %d same-instant admits: heap %d events, resource timer at slot 0: %v, %d cancelled; want exactly the one timer",
-				n, len(e.queue), len(e.queue) > 0 && e.queue[0] == r.timer, e.ncancelled)
+		q := queuedEvents(e)
+		if len(q) != 1 || q[0] != r.timer || e.pending != 1 || e.ncancelled != 0 {
+			t.Errorf("after %d same-instant admits: %d events queued (pending %d), the resource timer first: %v, %d cancelled; want exactly the one timer",
+				n, len(q), e.pending, len(q) > 0 && q[0] == r.timer, e.ncancelled)
 		}
 	})
 	e.Run()

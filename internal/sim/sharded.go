@@ -37,10 +37,10 @@ var errGoexit = errors.New("sim: process called runtime.Goexit")
 
 // Sharded is a conservative parallel discrete-event engine in the
 // Chandy-Misra tradition: the simulation is split into logical
-// processes (shards), each a full serial Engine owning the event heap,
-// free-list pool, same-instant FIFO, processes and resources of the
-// simulated nodes mapped to it. Shards advance concurrently inside a
-// safe window
+// processes (shards), each a full serial Engine owning the heap of
+// instants, free-list pool, same-instant FIFO, processes and resources
+// of the simulated nodes mapped to it. Shards advance concurrently
+// inside a safe window
 //
 //	[T, min(next event over all shards) + lookahead)
 //
@@ -48,7 +48,7 @@ var errGoexit = errors.New("sim: process called runtime.Goexit")
 // shard can be affected by another's work sooner than that, so events
 // below the bound are causally independent across shards. Cross-shard
 // effects travel as timestamped messages (Post) collected in per-source
-// outboxes during the window and merged into destination heaps at the
+// outboxes during the window and merged into destination queues at the
 // window barrier in deterministic (time, source shard, source seq)
 // order.
 //
@@ -140,7 +140,7 @@ func (w *Sharded) Post(from, to int, d Duration, fn func()) {
 	w.outbox[sf][st] = append(w.outbox[sf][st], xmsg{at: src.now.Add(d), src: sf, seq: src.postSeq, fn: fn})
 }
 
-// flush merges every outbox into its destination shard's heap. Messages
+// flush merges every outbox into its destination shard's queue. Messages
 // for one destination are ordered by (time, source shard, source seq):
 // deterministic regardless of which order the window's workers ran, and
 // FIFO-preserving per source (mirroring the serial engine's seq
@@ -294,7 +294,7 @@ func (w *Sharded) Run() Time {
 }
 
 // Stats aggregates counters across shards: sums for event counters, the
-// max over per-shard heap high-water marks, plus this run's window and
+// max over per-shard queue high-water marks, plus this run's window and
 // barrier-stall counts.
 func (w *Sharded) Stats() Stats {
 	var s Stats

@@ -17,7 +17,11 @@ type Stats struct {
 	// field stays because the benchmark module reads it.
 	DirectHandoffs uint64 `json:"direct_handoff_hits"`
 	// MaxHeapDepth is the high-water mark of a single engine's (shard's)
-	// pending-event heap.
+	// events queued in its heap of instants: events scheduled before
+	// the clock reached their time and not yet dispatched, cancelled
+	// ones included until purged. Events scheduled for the instant
+	// being executed (the same-instant queue) do not count, and
+	// neither does the number of distinct instants.
 	MaxHeapDepth uint64 `json:"max_heap_depth"`
 	// Windows counts conservative windows executed by sharded runs.
 	Windows uint64 `json:"windows"`
