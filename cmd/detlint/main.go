@@ -1,7 +1,7 @@
 // Command detlint runs the determinism-linter suite (internal/analysis)
 // over Go packages. It is the fourth leg of the repo's correctness
 // stack, beside -race, the byte-identity diff gates, and the -compare
-// perf gates: wallclock, rawrand, mapiter, postdelay, and rawgo catch
+// perf gates: wallclock, rawrand, mapiter and rawgo catch
 // nondeterminism at the line that introduces it.
 //
 // Two modes share the analyzers:

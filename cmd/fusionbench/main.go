@@ -47,14 +47,10 @@
 //	                            # results are identical at any count)
 //	fusionbench -cpuprofile cpu.out -memprofile mem.out ...
 //	                            # host-side pprof profiles of the run
-//	fusionbench -mode astra -simshards 8
-//	                            # 128-node DLRM replay, serial vs
-//	                            # conservative sharded engine: in-process
-//	                            # identity gate plus both wall clocks
-//	                            # (the only sharded run: -simshards
-//	                            # applies to it alone, default 8)
-//	fusionbench -pipeline -quick -speedjson BENCH_speed.json
-//	                            # also record host wall-clock speeds
+//	fusionbench -fig 15 -parallel 1 -speedjson BENCH_speed.json
+//	                            # also record host wall-clock speeds and
+//	                            # engine counters (here of the 128-node
+//	                            # DLRM training replay)
 package main
 
 import (
@@ -134,11 +130,10 @@ type jsonHost struct {
 // runs produce byte-identical results arrays (CI diffs them with the
 // header stripped).
 type jsonHeader struct {
-	Schema    int      `json:"schema"`
-	Quick     bool     `json:"quick"`
-	Parallel  int      `json:"parallel"`
-	SimShards int      `json:"sim_shards,omitempty"`
-	Host      jsonHost `json:"host"`
+	Schema   int      `json:"schema"`
+	Quick    bool     `json:"quick"`
+	Parallel int      `json:"parallel"`
+	Host     jsonHost `json:"host"`
 }
 
 type jsonFile struct {
@@ -257,20 +252,6 @@ func compareBaseline(path string, tol float64, results []*fusedcc.ExperimentResu
 	return nil
 }
 
-// checkSimShards rejects a -simshards the run would not honour. It is
-// the astra replay's shard count, so only a run that includes the
-// replay takes it, and the replay compares the serial engine against
-// at least two shards.
-func checkSimShards(shards int, astraRun bool) error {
-	if !astraRun {
-		return fmt.Errorf("-simshards applies only to the astra replay (-mode astra or -all)")
-	}
-	if shards < 2 {
-		return fmt.Errorf("-simshards %d: the astra replay compares the serial engine against >= 2 shards", shards)
-	}
-	return nil
-}
-
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
@@ -290,7 +271,6 @@ type speedFile struct {
 	Schema      int                 `json:"schema"`
 	Quick       bool                `json:"quick"`
 	Parallel    int                 `json:"parallel"`
-	SimShards   int                 `json:"sim_shards,omitempty"`
 	GoMaxProcs  int                 `json:"go_maxprocs"`
 	NumCPU      int                 `json:"num_cpu"`
 	WallMs      int64               `json:"wall_ms"`
@@ -327,21 +307,12 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 		speedPath  = flag.String("speedjson", "", "also write host wall-clock speeds as JSON (e.g. BENCH_speed.json)")
-		simShards  = flag.Int("simshards", 0, "engine shard count of the astra replay (-mode astra, or -all, which includes it): the replay runs serially and on this many conservative shards, >= 2 (default 8); no other run shards")
 	)
 	flag.Parse()
-	astraRun := *mode == "astra" || (*mode == "" && *shape == "" && *all)
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "simshards" {
-			if err := checkSimShards(*simShards, astraRun); err != nil {
-				fail(err)
-			}
-		}
-	})
 	if *parallel < 1 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
-	sopt := fusedcc.SweepOptions{Quick: *quick, Parallel: *parallel, SimShards: *simShards}
+	sopt := fusedcc.SweepOptions{Quick: *quick, Parallel: *parallel}
 	start := time.Now()
 
 	if *cpuprofile != "" {
@@ -364,8 +335,7 @@ func main() {
 		results = append(results, res)
 	}
 	// runExp regenerates one registry experiment, timing it for the
-	// speed file; wall points measured inside the experiment (e.g. the
-	// astra replay's serial and sharded passes) ride along.
+	// speed file.
 	runExp := func(id string) *fusedcc.ExperimentResult {
 		t0 := time.Now()
 		res, err := fusedcc.RunExperimentOpt(id, sopt)
@@ -373,20 +343,16 @@ func main() {
 			fail(err)
 		}
 		speeds = append(speeds, speedEntry{ID: id, WallMs: time.Since(t0).Milliseconds()})
-		for _, wp := range res.Walls {
-			speeds = append(speeds, speedEntry{ID: id + ":" + wp.Name, WallMs: wp.Ms})
-		}
 		return res
 	}
 	finish := func() {
 		wall := time.Since(start).Milliseconds()
 		if *jsonPath != "" {
 			header := jsonHeader{
-				Schema:    2,
-				Quick:     *quick,
-				Parallel:  *parallel,
-				SimShards: *simShards,
-				Host:      jsonHost{WallMs: wall, GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()},
+				Schema:   2,
+				Quick:    *quick,
+				Parallel: *parallel,
+				Host:     jsonHost{WallMs: wall, GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()},
 			}
 			if err := writeJSON(*jsonPath, header, results); err != nil {
 				fail(err)
@@ -395,7 +361,7 @@ func main() {
 		}
 		if *speedPath != "" {
 			sf := speedFile{
-				Schema: 2, Quick: *quick, Parallel: *parallel, SimShards: *simShards,
+				Schema: 2, Quick: *quick, Parallel: *parallel,
 				GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 				WallMs: wall, Engine: fusedcc.GlobalEngineStats(),
 				Experiments: speeds,
@@ -428,16 +394,6 @@ func main() {
 	}
 
 	switch {
-	case *mode == "astra":
-		// -mode astra runs the scale-out DLRM replay serially and on the
-		// conservative sharded engine in one process (8 shards unless
-		// -simshards says otherwise): the experiment gates that
-		// simulated timestamps are identical, and both passes'
-		// wall-clock points land in -speedjson.
-		emit(runExp("astra"))
-		finish()
-		return
-
 	case *mode == "serve":
 		if *shape == "" && *qps == 0 && *trace == "" {
 			// Bare -mode serve runs the full serving sweep (every case

@@ -100,26 +100,3 @@ func TestCompareBaselineGate(t *testing.T) {
 		t.Error("gate passed with zero matched rows")
 	}
 }
-
-// TestCheckSimShards pins -simshards to the astra replay: it needs at
-// least two shards there and is an error on every other run.
-func TestCheckSimShards(t *testing.T) {
-	cases := []struct {
-		shards   int
-		astraRun bool
-		ok       bool
-	}{
-		{8, true, true},
-		{2, true, true},
-		{1, true, false},
-		{0, true, false},
-		{-4, true, false},
-		{8, false, false},
-		{1, false, false},
-	}
-	for _, tc := range cases {
-		if err := checkSimShards(tc.shards, tc.astraRun); (err == nil) != tc.ok {
-			t.Errorf("checkSimShards(%d, astra=%v) = %v, want ok=%v", tc.shards, tc.astraRun, err, tc.ok)
-		}
-	}
-}

@@ -475,7 +475,6 @@ var experimentTable = []experiment{
 	{id: "wavefront", run: experiments.Wavefront},
 	{id: "serving", run: experiments.Serving},
 	{id: "chaos", run: experiments.Chaos},
-	{id: "astra", aliases: []string{"astra-replay"}, run: experiments.AstraReplay},
 	{id: "ablation:zerocopy", run: experiments.AblationZeroCopy},
 	{id: "ablation:slicesize", run: experiments.AblationSliceSize},
 	{id: "ablation:occupancy", run: experiments.AblationOccupancyPenalty},
@@ -491,22 +490,16 @@ type SweepOptions struct {
 	// in deterministic point order — results are identical at any
 	// count. One runs serial; values below one mean GOMAXPROCS.
 	Parallel int
-	// SimShards is the astra replay's engine shard count: the replay
-	// ("astra") runs serially and on this many conservative shards, and
-	// zero means eight. Every other experiment runs each simulation on
-	// one serial engine and ignores it.
-	SimShards int
 }
 
 func (o SweepOptions) internal() experiments.Options {
-	return experiments.Options{Quick: o.Quick, Parallel: o.Parallel, SimShards: o.SimShards}
+	return experiments.Options{Quick: o.Quick, Parallel: o.Parallel}
 }
 
 // EngineStats are process-wide simulation-engine runtime counters
-// (events dispatched, procs spawned, event-pool reuse, heap high-water,
-// conservative windows and barrier stalls), aggregated over every
-// engine and shard the process ran. DirectHandoffs is always 0: every
-// wake is a dispatched event.
+// (events dispatched, procs spawned, event-pool reuse, heap high-water),
+// aggregated over every engine the process ran. DirectHandoffs,
+// Windows and BarrierStalls are always 0.
 type EngineStats = sim.Stats
 
 // GlobalEngineStats snapshots the process-wide engine counters — the

@@ -326,7 +326,7 @@ func TestExperimentRegistryAliases(t *testing.T) {
 		found := false
 		for _, want := range []string{"table1", "table2", "fig8", "fig9", "fig10", "fig11", "fig12",
 			"fig13", "fig14", "fig15", "fig16", "pipeline", "auto", "wavefront", "serving", "chaos",
-			"astra", "ablation:zerocopy", "ablation:slicesize", "ablation:occupancy", "ablation:kernelsplit"} {
+			"ablation:zerocopy", "ablation:slicesize", "ablation:occupancy", "ablation:kernelsplit"} {
 			if id == want {
 				found = true
 			}
@@ -335,7 +335,7 @@ func TestExperimentRegistryAliases(t *testing.T) {
 			t.Errorf("unexpected experiment id %q", id)
 		}
 	}
-	if len(Experiments()) != 21 {
-		t.Errorf("experiment catalogue has %d entries, want 21", len(Experiments()))
+	if len(Experiments()) != 20 {
+		t.Errorf("experiment catalogue has %d entries, want 20", len(Experiments()))
 	}
 }

@@ -18,7 +18,7 @@ func TestParseAllow(t *testing.T) {
 		{"//detlint:allow wallclock, rawgo", []string{"wallclock", "rawgo"}, true},
 		{"//detlint:allow wallclock rawgo", []string{"wallclock", "rawgo"}, true},
 		{"//detlint:allow wallclock -- host timing", []string{"wallclock"}, true},
-		{"//detlint:allow postdelay // want `x`", []string{"postdelay"}, true},
+		{"//detlint:allow rawgo // want `x`", []string{"rawgo"}, true},
 		{"//detlint:allow", nil, true},
 		{"//detlint:allowance x", nil, false},
 		{"//detlint:deny wallclock", nil, false},
@@ -57,7 +57,7 @@ func decl() {
 
 func line() {
 	alpha() //detlint:allow mapiter
-	//detlint:allow postdelay
+	//detlint:allow rawgo
 	beta()
 	gamma()
 }
@@ -129,10 +129,10 @@ func TestAllowIndexScopes(t *testing.T) {
 	if !ix.Allowed("mapiter", at("alpha()", 1)) {
 		t.Error("trailing line-scope mapiter does not cover its own line")
 	}
-	if !ix.Allowed("postdelay", at("beta()", 1)) {
-		t.Error("standalone line-scope postdelay does not cover the next line")
+	if !ix.Allowed("rawgo", at("beta()", 1)) {
+		t.Error("standalone line-scope rawgo does not cover the next line")
 	}
-	if ix.Allowed("mapiter", at("beta()", 1)) || ix.Allowed("postdelay", at("gamma()", 0)) {
+	if ix.Allowed("mapiter", at("beta()", 1)) || ix.Allowed("rawgo", at("gamma()", 0)) {
 		t.Error("line-scope annotation leaked past its line")
 	}
 

@@ -1,8 +1,8 @@
-// Package analysis is the repo's determinism-linter suite: five static
-// checks (wallclock, rawrand, mapiter, postdelay, rawgo) that enforce
-// the simulator's byte-identity invariants at the line that would break
-// them, instead of waiting for the CI shard/worker diff gates to catch
-// the corruption downstream.
+// Package analysis is the repo's determinism-linter suite: four static
+// checks (wallclock, rawrand, mapiter, rawgo) that enforce the
+// simulator's byte-identity invariants at the line that would break
+// them, instead of waiting for the CI worker diff gates to catch the
+// corruption downstream.
 //
 // The vocabulary (Analyzer, Pass, Diagnostic, an analysistest-style
 // golden harness, a `go vet -vettool` driver) deliberately mirrors
@@ -67,7 +67,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full determinism suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Wallclock, Rawrand, Mapiter, Postdelay, Rawgo}
+	return []*Analyzer{Wallclock, Rawrand, Mapiter, Rawgo}
 }
 
 // Check runs the given analyzers over one typechecked package and

@@ -27,7 +27,7 @@ var Mapiter = &Analyzer{
 // byte-identity rests on. Pure accessors (Now, Sub, Engine) are not
 // sinks.
 var simSinks = map[string]bool{
-	"Go": true, "Post": true, "At": true, "After": true,
+	"Go": true, "At": true, "After": true,
 	"Broadcast": true, "Signal": true, "Add": true, "Set": true,
 }
 

@@ -23,12 +23,10 @@ func TestMapiter(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Mapiter, "mapiter")
 }
 
-func TestPostdelay(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Postdelay, "postdelay")
-}
-
 func TestRawgo(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Rawgo, "rawgo", "rawgo/pure")
+	// rawgo/sim is a package named sim: the engine itself is checked
+	// too, not only its consumers.
+	analysistest.Run(t, "testdata", analysis.Rawgo, "rawgo", "rawgo/pure", "rawgo/sim")
 }
 
 // TestAllowScopes drives the annotation parser end to end through the

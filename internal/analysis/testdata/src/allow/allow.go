@@ -3,7 +3,7 @@ package allow
 import "time"
 
 func unknownCheck() {
-	//detlint:allow frobnicate // want `detlint: unknown check "frobnicate" in //detlint:allow \(valid: wallclock, rawrand, mapiter, postdelay, rawgo\)`
+	//detlint:allow frobnicate // want `detlint: unknown check "frobnicate" in //detlint:allow \(valid: wallclock, rawrand, mapiter, rawgo\)`
 	_ = time.Now() // want `wallclock: time\.Now`
 }
 

@@ -3,7 +3,7 @@ package rawgo
 import "sim"
 
 func bad(e *sim.Engine) {
-	go func() {}() // want `rawgo: bare go statement in a sim-consuming package`
+	go func() {}() // want `rawgo: bare go statement in a sim package or consumer`
 	e.Go("proc", func(p *sim.Proc) {})
 }
 

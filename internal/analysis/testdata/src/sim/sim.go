@@ -12,12 +12,6 @@ type Duration int64
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// World places state on per-node engines and posts cross-node effects.
-type World interface {
-	EngineFor(node int) *Engine
-	Post(from, to int, d Duration, fn func())
-}
-
 // Engine is the serial event loop.
 type Engine struct{}
 
@@ -35,9 +29,6 @@ func (e *Engine) At(t Time, fn func()) {}
 
 // After schedules fn d from now.
 func (e *Engine) After(d Duration, fn func()) {}
-
-// Post implements World on the serial engine.
-func (e *Engine) Post(from, to int, d Duration, fn func()) {}
 
 // Run drains the event queue.
 func (e *Engine) Run() Time { return 0 }

@@ -204,48 +204,22 @@ func (s *Simulator) mlpParamBytes() float64 {
 type Result struct {
 	Total  sim.Duration
 	Phases map[string]sim.Duration
-	// Shards is the engine shard count the replay actually ran on, and
-	// Note the partition's degradation note when it differs from the
-	// request (see sim.Partition).
+	// Shards is always 1 and Note always "": the replay runs on one
+	// serial engine. Both stay because the benchmark module reads them.
 	Shards int
 	Note   string
 }
 
-// torusLinks enumerates the torus's neighbor couplings at the hop
-// latency: the partition input, built from the system config because
-// the torus itself is built on the sharded world this partitions.
-func (s *Simulator) torusLinks() []sim.Link {
-	w, h := s.Sys.TorusW, s.Sys.TorusH
-	ls := make([]sim.Link, 0, 2*w*h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			a := y*w + x
-			for _, b := range []int{y*w + (x+1)%w, (y+1)%h*w + x} {
-				if a != b {
-					ls = append(ls, sim.Link{A: a, B: b, Latency: s.Sys.HopLatency})
-				}
-			}
-		}
-	}
-	return ls
-}
+// TrainIterationOpt is TrainIteration; shards is ignored. It stays
+// because the benchmark module calls it.
+func (s *Simulator) TrainIterationOpt(fused bool, shards int) Result { return s.TrainIteration(fused) }
 
 // TrainIteration replays one forward + backward pass across the torus
-// on the serial engine and returns the makespan.
-func (s *Simulator) TrainIteration(fused bool) Result { return s.TrainIterationOpt(fused, 1) }
-
-// TrainIterationOpt replays one iteration on a conservative sharded
-// engine: nodes are partitioned into up to shards logical processes with
-// the hop latency as lookahead. Serial (shards=1) and sharded runs share
-// this one code path — all cross-node effects travel as posted messages
-// whose delay is at least one hop — and produce identical simulated
-// timestamps (the cross-shard interactions, flag increments and
-// link-bandwidth admissions, are commutative within an instant).
-func (s *Simulator) TrainIterationOpt(fused bool, shards int) Result {
+// and returns the makespan.
+func (s *Simulator) TrainIteration(fused bool) Result {
 	n := s.Nodes()
-	part := sim.PartitionNodes(n, shards, s.torusLinks())
-	world := sim.NewSharded(part)
-	tor := netsim.NewTorus2D(world, s.Sys.TorusW, s.Sys.TorusH, s.Sys.LinkBandwidth, s.Sys.HopLatency)
+	e := sim.NewEngine()
+	tor := netsim.NewTorus2D(e, s.Sys.TorusW, s.Sys.TorusH, s.Sys.LinkBandwidth, s.Sys.HopLatency)
 	t := s.Times
 	chunks := sim.Duration(s.Model.Chunks)
 
@@ -253,29 +227,25 @@ func (s *Simulator) TrainIterationOpt(fused bool, shards int) Result {
 	bwdRecv := make([]*sim.Flag, n)
 	arDone := make([]*sim.Flag, n)
 	for i := 0; i < n; i++ {
-		e := world.EngineFor(i)
 		fwdRecv[i] = sim.NewFlag(e)
 		bwdRecv[i] = sim.NewFlag(e)
 		arDone[i] = sim.NewFlag(e)
 	}
 	pairBytes := s.a2aBytesPerPair()
 
-	// sendAll launches the A2A traffic from src to every peer: one
-	// route tree whose edges serialize on each link where it lives and
-	// propagate as posted messages, never blocking a process on a
-	// remote shard.
+	// sendAll launches the A2A traffic from src to every peer as one
+	// route tree, without blocking the sending process.
 	sendAll := func(src int, recv []*sim.Flag) {
 		dsts := make([]int, 0, n-1)
 		for off := 1; off < n; off++ {
 			dsts = append(dsts, (src+off)%n)
 		}
-		netsim.Scatter(world, tor, src, dsts, pairBytes, func(dst int) { recv[dst].Add(1) })
+		netsim.Scatter(e, tor, src, dsts, pairBytes, func(dst int) { recv[dst].Add(1) })
 	}
 
 	finish := make([]sim.Time, n)
 	for node := 0; node < n; node++ {
 		node := node
-		e := world.EngineFor(node)
 		e.Go(fmt.Sprintf("node%d", node), func(p *sim.Proc) {
 			// --- Forward ---
 			// Bottom MLP is independent computation, overlapped with the
@@ -323,13 +293,10 @@ func (s *Simulator) TrainIterationOpt(fused bool, shards int) Result {
 				p.Sleep(t.EmbeddingBwd)
 			}
 			arDone[node].WaitGE(p, 1)
-			// Per-node finish instants replace a cross-shard WaitGroup:
-			// each shard writes only its own nodes' slots, and the
-			// makespan is their max after the world drains.
 			finish[node] = p.Now()
 		})
 	}
-	world.Run()
+	e.Run()
 	var total sim.Duration
 	for _, ft := range finish {
 		if sim.Duration(ft) > total {
@@ -345,8 +312,7 @@ func (s *Simulator) TrainIterationOpt(fused bool, shards int) Result {
 			"mlp_bwd":     t.MLPBwd,
 			"interaction": t.Interaction,
 		},
-		Shards: world.Shards(),
-		Note:   world.Note(),
+		Shards: 1,
 	}
 }
 

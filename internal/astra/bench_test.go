@@ -2,22 +2,18 @@ package astra
 
 import "testing"
 
-// benchReplay runs the full 128-node Table II replay at the given shard
-// count. The serial/sharded pair is the BENCH_speed.json trajectory for
-// the conservative engine (fusionbench -mode astra regenerates it).
-func benchReplay(b *testing.B, shards int) {
+// BenchmarkTrainIteration replays one fused iteration of the full
+// 128-node Table II torus per op (fusionbench -fig 15 runs the same
+// replay, baseline and fused).
+func BenchmarkTrainIteration(b *testing.B) {
 	s, err := New(DefaultSystem(), DefaultModel())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := s.TrainIterationOpt(true, shards)
-		if r.Total <= 0 {
+		if r := s.TrainIteration(true); r.Total <= 0 {
 			b.Fatal("empty replay")
 		}
 	}
 }
-
-func BenchmarkAstraReplay_Serial(b *testing.B)  { benchReplay(b, 1) }
-func BenchmarkAstraReplay_Shards8(b *testing.B) { benchReplay(b, 8) }

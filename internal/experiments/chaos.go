@@ -319,6 +319,9 @@ func ChaosPoint(nodes, gpus, layers int, spec string, qps float64, requests int,
 	if layers < 1 {
 		return nil, fmt.Errorf("experiments: need layers >= 1, got %d", layers)
 	}
+	if math.IsNaN(qps) || math.IsInf(qps, 0) {
+		return nil, fmt.Errorf("experiments: chaos needs a finite -qps (0 for the saturation rate), got %g", qps)
+	}
 	plan, err := chaos.Parse(spec)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -121,15 +122,18 @@ func TestChaosPointValidation(t *testing.T) {
 		name                string
 		nodes, gpus, layers int
 		spec                string
+		qps                 float64
 	}{
-		{"bad shape", 0, 1, 2, "none"},
-		{"bad layers", 4, 1, 0, "none"},
-		{"unparsable spec", 4, 1, 2, "meltdown@0"},
-		{"target out of range", 4, 1, 2, "droprank@99"},
-		{"slowlink on one node", 1, 4, 2, "slowlink@0,x4"},
+		{"bad shape", 0, 1, 2, "none", 0},
+		{"bad layers", 4, 1, 0, "none", 0},
+		{"unparsable spec", 4, 1, 2, "meltdown@0", 0},
+		{"target out of range", 4, 1, 2, "droprank@99", 0},
+		{"slowlink on one node", 1, 4, 2, "slowlink@0,x4", 0},
+		{"NaN rate", 4, 1, 2, "none", math.NaN()},
+		{"infinite rate", 4, 1, 2, "none", math.Inf(1)},
 	}
 	for _, tc := range cases {
-		if _, err := ChaosPoint(tc.nodes, tc.gpus, tc.layers, tc.spec, 0, 8, 1, Options{Quick: true}); err == nil {
+		if _, err := ChaosPoint(tc.nodes, tc.gpus, tc.layers, tc.spec, tc.qps, 8, 1, Options{Quick: true}); err == nil {
 			t.Errorf("%s: expected an error", tc.name)
 		}
 	}

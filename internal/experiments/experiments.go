@@ -33,13 +33,6 @@ func (r Row) Normalized() float64 {
 	return float64(r.Fused) / float64(r.Baseline)
 }
 
-// WallPoint is one named host wall-clock measurement taken inside an
-// experiment (e.g. the serial and sharded passes of the astra replay).
-type WallPoint struct {
-	Name string
-	Ms   int64
-}
-
 // Result is a regenerated figure or table.
 type Result struct {
 	ID    string
@@ -49,10 +42,6 @@ type Result struct {
 	Notes []string
 	// Extra carries non-tabular renderings (the Fig 11 Gantt chart).
 	Extra string
-	// Walls carries host wall-clock points measured inside the
-	// experiment. Host-dependent: excluded from the simulated-result
-	// JSON encodings, surfaced only through the speed file.
-	Walls []WallPoint
 }
 
 // MeanReduction returns the average of (1 - normalized) over rows, the
@@ -114,11 +103,6 @@ type Options struct {
 	// replay cached plans instead of re-pricing identical cost
 	// surfaces. Nil makes each sweep build its own cache.
 	Cache *graph.PassCache
-	// SimShards is the astra replay's engine shard count: AstraReplay
-	// runs the replay serially and on this many conservative shards,
-	// and zero means eight. Every other experiment builds its cluster
-	// on one serial engine and ignores it.
-	SimShards int
 }
 
 // withCache returns opt with a pass cache installed, so a sweep shares

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"fusedcc/internal/astra"
 	"fusedcc/internal/core"
@@ -306,64 +305,6 @@ func Fig15(opt Options) *Result {
 		fmt.Sprintf("iteration time reduction %.1f%% (paper: ~21%%)", 100*res.MeanReduction()),
 		fmt.Sprintf("calibrated kernel times: emb fwd %v, emb bwd %v, mlp fwd %v, mlp bwd %v, interaction %v",
 			s.Times.EmbeddingFwd, s.Times.EmbeddingBwd, s.Times.MLPBottomFwd+s.Times.MLPTopFwd, s.Times.MLPBwd, s.Times.Interaction))
-	return res
-}
-
-// AstraReplay validates the conservative sharded engine on the DLRM
-// replay: each configuration (baseline and fused) runs serially and on
-// opt.SimShards engine shards (zero means 8), and the experiment fails
-// loudly if any simulated makespan diverges — the byte-identity
-// contract of the sharded engine, enforced in-process. Rows report the
-// serial makespan as "baseline" and the sharded one as "fused", so a
-// correct run always shows normalized 1.000; host wall-clock points for
-// both passes land in Walls (and from there in BENCH_speed.json).
-//
-//detlint:allow wallclock -- measures host speedup of the sharded engine
-func AstraReplay(opt Options) *Result {
-	sys := astra.DefaultSystem()
-	model := astra.DefaultModel()
-	if opt.Quick {
-		// The Fig15 quick shape: a 16-node torus with the embedding +
-		// All-to-All path keeping its share of the iteration.
-		sys.TorusW, sys.TorusH = 4, 4
-		model.TablesPerNode = 24
-		model.LocalBatch = 64
-		model.MLPLayers = 12
-	}
-	shards := opt.SimShards
-	if shards == 0 {
-		shards = 8
-	}
-	s, err := astra.New(sys, model)
-	if err != nil {
-		panic(err)
-	}
-	res := &Result{ID: "AstraReplay",
-		Title: fmt.Sprintf("%d-node DLRM replay on the conservative sharded engine (serial vs %d shards)", s.Nodes(), shards)}
-	for _, c := range []struct {
-		name  string
-		fused bool
-	}{{"baseline", false}, {"fused", true}} {
-		t0 := time.Now()
-		serial := s.TrainIterationOpt(c.fused, 1)
-		serialMs := time.Since(t0).Milliseconds()
-		t0 = time.Now()
-		sharded := s.TrainIterationOpt(c.fused, shards)
-		shardedMs := time.Since(t0).Milliseconds()
-		if serial.Total != sharded.Total {
-			panic(fmt.Sprintf("astra replay (%s): sharded timestamps diverge: serial %v vs %d-shard %v",
-				c.name, serial.Total, sharded.Shards, sharded.Total))
-		}
-		res.Rows = append(res.Rows, Row{Label: c.name, Baseline: serial.Total, Fused: sharded.Total})
-		res.Walls = append(res.Walls,
-			WallPoint{Name: c.name + ":serial", Ms: serialMs},
-			WallPoint{Name: fmt.Sprintf("%s:shards%d", c.name, sharded.Shards), Ms: shardedMs})
-		if sharded.Note != "" {
-			res.Notes = append(res.Notes, fmt.Sprintf("%s: partition note: %s", c.name, sharded.Note))
-		}
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("simulated makespans identical at 1 and %d shards (lookahead %v)", shards, sys.HopLatency))
 	return res
 }
 

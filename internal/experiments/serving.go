@@ -15,6 +15,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fusedcc/internal/chaos"
 	"fusedcc/internal/gpu"
@@ -473,8 +474,8 @@ func ServingPoint(nodes, gpus, layers int, qps float64, requests int,
 			return nil, err
 		}
 		d = servingDemand{trace: tr}
-	case qps <= 0:
-		return nil, fmt.Errorf("experiments: serving needs -qps > 0 or a -trace file")
+	case !(qps > 0) || math.IsInf(qps, 1):
+		return nil, fmt.Errorf("experiments: serving needs a finite -qps > 0 or a -trace file, got -qps %g", qps)
 	case requests <= 0 && horizon <= 0:
 		return nil, fmt.Errorf("experiments: serving needs a -requests or -duration bound")
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -82,6 +83,14 @@ func TestServingPointValidation(t *testing.T) {
 		}},
 		{"no rate or trace", func() error {
 			_, err := ServingPoint(1, 8, 2, 0, 8, 0, "", 1, Options{Quick: true})
+			return err
+		}},
+		{"NaN rate", func() error {
+			_, err := ServingPoint(1, 8, 2, math.NaN(), 8, 0, "", 1, Options{Quick: true})
+			return err
+		}},
+		{"infinite rate", func() error {
+			_, err := ServingPoint(1, 8, 2, math.Inf(1), 8, 0, "", 1, Options{Quick: true})
 			return err
 		}},
 		{"no bound", func() error {

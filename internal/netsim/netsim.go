@@ -43,34 +43,23 @@ type LinkEnumerator interface {
 
 // LatencyScaler is implemented by topologies whose per-node propagation
 // latency can be degraded at runtime (fault injection). Scales must be
-// >= 1: faults only ever slow a link, so a hop latency never drops
-// below the nominal one a sharded world's lookahead was computed from.
+// >= 1: faults only ever slow a link.
 type LatencyScaler interface {
 	SetLatencyScale(node int, f float64)
 }
 
-// Hop is one link traversal of a routed path: serialize on Link (owned
-// by node From's shard), then pay Latency to propagate to node To.
+// Hop is one link traversal of a routed path: serialize on Link, then
+// pay Latency to propagate from node From to node To.
 type Hop struct {
 	From, To int
 	Link     *sim.Resource
 	Latency  sim.Duration
 }
 
-// Router is a topology that exposes per-hop routes, the shard-aware
-// transfer path: each hop's serialization runs on the link owner's
-// shard and the hop latency is the cross-shard propagation delay.
-type Router interface {
-	// Route appends the hop sequence from src to dst to hops and
-	// returns the extended slice (nothing is appended when
-	// src == dst), so a caller routing many pairs reuses one buffer.
-	Route(hops []Hop, src, dst int) []Hop
-}
-
 // Send moves one message store-and-forward along the path from src to
 // dst, blocking the calling process. Each hop's serialization shares that
 // link fairly with competing traffic. The full path latency is charged
-// up front; Scatter is the hop-accurate (and shard-safe) variant.
+// up front; Scatter is the hop-accurate variant.
 func Send(p *sim.Proc, n Network, src, dst int, bytes float64) {
 	links, lat := n.Path(src, dst)
 	p.Sleep(lat)
@@ -83,16 +72,12 @@ func Send(p *sim.Proc, n Network, src, dst int, bytes float64) {
 // without blocking the caller. The routes from src form a tree: hops
 // that cross the same link to the same node merge while the routes
 // agree. Each tree edge serializes through its link (fair-shared with
-// competing traffic, on the shard owning the link) as one flow weighted
-// by the messages routed through it, then pays the hop latency once as
-// the propagation delay into the next node's shard — exactly the
-// cross-shard message delay the conservative engine's lookahead bounds,
-// so the tree never violates causality. At an edge's far end the
-// messages that end there are delivered and the child edges start.
-// onDelivered (optional) runs once per dsts entry, with that entry, on
-// its node's shard when the last byte arrives; an entry equal to src is
-// delivered before Scatter returns. The caller must execute on src's
-// shard.
+// competing traffic) as one flow weighted by the messages routed
+// through it, then pays the hop latency once as the propagation delay
+// to the next node. At an edge's far end the messages that end there
+// are delivered and the child edges start. onDelivered (optional) runs
+// once per dsts entry, with that entry, when the last byte arrives; an
+// entry equal to src is delivered before Scatter returns.
 //
 // Under processor sharing, messages from one source that enter a link
 // at the same instant with the same size cannot be told apart: they
@@ -106,18 +91,18 @@ func Send(p *sim.Proc, n Network, src, dst int, bytes float64) {
 // in when each hop's serialization overlaps competing flows.
 //
 // The routes, hop latencies included, are fixed at send time.
-func Scatter(w sim.World, r Router, src int, dsts []int, bytes float64, onDelivered func(dst int)) {
-	t := &routeTree{w: w, bytes: bytes, onDelivered: onDelivered,
+func Scatter(e *sim.Engine, tor *Torus2D, src int, dsts []int, bytes float64, onDelivered func(dst int)) {
+	t := &routeTree{eng: e, bytes: bytes, onDelivered: onDelivered,
 		edges: make([]treeEdge, 1, len(dsts)+1)}
 	t.edges[0] = treeEdge{t: t, hop: Hop{From: src, To: src}, child: -1, sibling: -1}
 	hops := make([]Hop, 0, 16) // every route's buffer; Route grows it if need be
 	for _, dst := range dsts {
-		hops = r.Route(hops[:0], src, dst)
+		hops = tor.Route(hops[:0], src, dst)
 		t.insert(hops)
 	}
 	for i := 1; i < len(t.edges); i++ {
-		e := &t.edges[i]
-		e.serialized, e.arrived = e.propagate, e.arrive
+		edge := &t.edges[i]
+		edge.serialized, edge.arrived = edge.propagate, edge.arrive
 	}
 	t.edges[0].arrive()
 }
@@ -126,11 +111,9 @@ func Scatter(w sim.World, r Router, src int, dsts []int, bytes float64, onDelive
 // per distinct route prefix, with children and siblings linked by index
 // (-1 ends a list). Edge 0 is the root: it crosses no link and ends at
 // the source, so arriving there delivers the entries equal to src and
-// starts the first hops. The edges are read-only once the tree is
-// built, so the shards that run its edges share it without
-// synchronization.
+// starts the first hops.
 type routeTree struct {
-	w           sim.World
+	eng         *sim.Engine
 	bytes       float64
 	onDelivered func(dst int)
 	edges       []treeEdge
@@ -190,9 +173,9 @@ func (t *routeTree) start(first int32) {
 }
 
 // propagate runs when the edge's link has serialized its messages: it
-// pays the hop latency into the far end's shard.
+// pays the hop latency to the far end.
 func (e *treeEdge) propagate() {
-	e.t.w.Post(e.hop.From, e.hop.To, e.hop.Latency, e.arrived)
+	e.t.eng.After(e.hop.Latency, e.arrived)
 }
 
 // arrive runs at the edge's far end: it delivers the messages that end
@@ -304,11 +287,10 @@ const (
 	yMinus
 )
 
-// NewTorus2D builds the torus. bytesPerSec is per directed link
-// (Table II: 200 Gb/s = 25 GB/s), hopLat per traversed hop (700 ns).
-// Each directed link a->b lives on node a's shard engine, so hop
-// serialization always runs where the sending side executes.
-func NewTorus2D(wld sim.World, w, h int, bytesPerSec float64, hopLat sim.Duration) *Torus2D {
+// NewTorus2D builds the torus on engine e. bytesPerSec is per directed
+// link (Table II: 200 Gb/s = 25 GB/s), hopLat per traversed hop
+// (700 ns).
+func NewTorus2D(e *sim.Engine, w, h int, bytesPerSec float64, hopLat sim.Duration) *Torus2D {
 	if w < 2 || h < 2 {
 		panic("netsim: torus needs w,h >= 2")
 	}
@@ -322,7 +304,7 @@ func NewTorus2D(wld sim.World, w, h int, bytesPerSec float64, hopLat sim.Duratio
 				t.links[n][dir] = t.links[n][alias]
 				continue
 			}
-			t.links[n][dir] = sim.NewResource(wld.EngineFor(n), fmt.Sprintf("torus.%d->%d", n, m), bytesPerSec, nil)
+			t.links[n][dir] = sim.NewResource(e, fmt.Sprintf("torus.%d->%d", n, m), bytesPerSec, nil)
 		}
 	}
 	return t
@@ -447,9 +429,11 @@ func (t *Torus2D) Path(src, dst int) ([]*sim.Resource, sim.Duration) {
 	return links, lat
 }
 
-// Route implements Router: it appends the dimension-ordered hop
-// sequence, X then Y in each dimension's shorter direction, each hop on
-// its directed neighbor link.
+// Route appends the dimension-ordered hop sequence from src to dst to
+// hops and returns the extended slice (nothing is appended when
+// src == dst), so a caller routing many pairs reuses one buffer. It
+// routes X then Y, each in its dimension's shorter direction, and each
+// hop crosses its directed neighbor link.
 func (t *Torus2D) Route(hops []Hop, src, dst int) []Hop {
 	if src == dst {
 		return hops

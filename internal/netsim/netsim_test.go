@@ -285,20 +285,20 @@ func TestTorusSharedLinkContention(t *testing.T) {
 
 // sendEach is the per-message reference for Scatter: one message per
 // destination, each serializing through every hop of its route with
-// TransferAsync and paying the hop latency with Post, as though no two
+// TransferAsync and paying the hop latency with After, as though no two
 // messages shared a flow.
-func sendEach(w sim.World, r Router, src int, dsts []int, bytes float64, onDelivered func(dst int)) {
+func sendEach(e *sim.Engine, tor *Torus2D, src int, dsts []int, bytes float64, onDelivered func(dst int)) {
 	for _, dst := range dsts {
-		hops := r.Route(nil, src, dst)
+		hops := tor.Route(nil, src, dst)
 		if len(hops) == 0 {
-			w.EngineFor(src).After(0, func() { onDelivered(dst) })
+			e.After(0, func() { onDelivered(dst) })
 			continue
 		}
 		var cross func(i int)
 		cross = func(i int) {
 			h := hops[i]
 			h.Link.TransferAsync(bytes, 0, func() {
-				w.Post(h.From, h.To, h.Latency, func() {
+				e.After(h.Latency, func() {
 					if i+1 < len(hops) {
 						cross(i + 1)
 						return
@@ -312,31 +312,14 @@ func sendEach(w sim.World, r Router, src int, dsts []int, bytes float64, onDeliv
 }
 
 // allToAll runs an all-to-all from every node of a w x h torus with
-// send, on a bare engine (shards == 1) or on a sharded world. Sources
-// start staggered and send sizes that differ by source, so their flows
-// share links over shifting intervals. It returns the instant each
-// (src, dst) message was delivered (-1 if never) and the bytes each
-// link served.
-func allToAll(t *testing.T, w, h, shards int, send func(sim.World, Router, int, []int, float64, func(int))) ([][]sim.Time, []float64) {
+// send. Sources start staggered and send sizes that differ by source,
+// so their flows share links over shifting intervals. It returns the
+// instant each (src, dst) message was delivered (-1 if never) and the
+// bytes each link served.
+func allToAll(t *testing.T, w, h int, send func(*sim.Engine, *Torus2D, int, []int, float64, func(int))) ([][]sim.Time, []float64) {
 	t.Helper()
-	const hopLat = 700 * sim.Nanosecond
-	var ls []sim.Link
-	for _, l := range NewTorus2D(sim.NewEngine(), w, h, 1, hopLat).Links() {
-		ls = append(ls, sim.Link{A: l.From, B: l.To, Latency: hopLat})
-	}
-	var world sim.World
-	var run func() sim.Time
-	if shards == 1 {
-		e := sim.NewEngine()
-		world, run = e, e.Run
-	} else {
-		sh := sim.NewSharded(sim.PartitionNodes(w*h, shards, ls))
-		if sh.Shards() != shards {
-			t.Fatalf("%dx%d torus realized %d shards, want %d", w, h, sh.Shards(), shards)
-		}
-		world, run = sh, sh.Run
-	}
-	tor := NewTorus2D(world, w, h, 25e9, hopLat)
+	e := sim.NewEngine()
+	tor := NewTorus2D(e, w, h, 25e9, 700*sim.Nanosecond)
 	n := tor.Nodes()
 	at := make([][]sim.Time, n)
 	for src := range at {
@@ -349,16 +332,16 @@ func allToAll(t *testing.T, w, h, shards int, send func(sim.World, Router, int, 
 			dsts = append(dsts, (src+off)%n)
 		}
 		bytes := float64(4096 * (1 + src%3))
-		world.EngineFor(src).At(sim.Time(src)*150*sim.Time(sim.Nanosecond), func() {
-			send(world, tor, src, dsts, bytes, func(dst int) {
+		e.At(sim.Time(src)*150*sim.Time(sim.Nanosecond), func() {
+			send(e, tor, src, dsts, bytes, func(dst int) {
 				if at[src][dst] >= 0 {
 					t.Errorf("%d->%d delivered twice", src, dst)
 				}
-				at[src][dst] = world.EngineFor(dst).Now()
+				at[src][dst] = e.Now()
 			})
 		})
 	}
-	run()
+	e.Run()
 	links := tor.Links()
 	served := make([]float64, len(links))
 	for i, l := range links {
@@ -373,35 +356,24 @@ func allToAll(t *testing.T, w, h, shards int, send func(sim.World, Router, int, 
 // TestScatterMatchesPerMessageSends: a route tree delivers every message
 // of an all-to-all from every node at the instant one flow per message
 // would, and each link serves the same bytes, on tori whose rings are 4,
-// 5, 3 and 2 wide (a 2-wide ring's two directions share one link), on
-// one engine and on two shards.
+// 5, 3 and 2 wide (a 2-wide ring's two directions share one link).
 func TestScatterMatchesPerMessageSends(t *testing.T) {
 	for _, dims := range [][2]int{{4, 4}, {5, 3}, {3, 2}} {
 		w, h := dims[0], dims[1]
-		want, wantServed := allToAll(t, w, h, 1, sendEach)
-		for _, c := range []struct {
-			name   string
-			shards int
-			send   func(sim.World, Router, int, []int, float64, func(int))
-		}{
-			{"per-message sends", 2, sendEach},
-			{"scatter", 1, Scatter},
-			{"scatter", 2, Scatter},
-		} {
-			got, served := allToAll(t, w, h, c.shards, c.send)
-			for src := range want {
-				for dst := range want[src] {
-					if got[src][dst] != want[src][dst] {
-						t.Errorf("%dx%d, %s on %d shard(s): %d->%d delivered at %v, per-message sends on one engine at %v",
-							w, h, c.name, c.shards, src, dst, got[src][dst], want[src][dst])
-					}
+		want, wantServed := allToAll(t, w, h, sendEach)
+		got, served := allToAll(t, w, h, Scatter)
+		for src := range want {
+			for dst := range want[src] {
+				if got[src][dst] != want[src][dst] {
+					t.Errorf("%dx%d: %d->%d delivered at %v by scatter, at %v by per-message sends",
+						w, h, src, dst, got[src][dst], want[src][dst])
 				}
 			}
-			for i := range wantServed {
-				if served[i] != wantServed[i] {
-					t.Errorf("%dx%d, %s on %d shard(s): link %d served %v bytes, per-message sends on one engine %v",
-						w, h, c.name, c.shards, i, served[i], wantServed[i])
-				}
+		}
+		for i := range wantServed {
+			if served[i] != wantServed[i] {
+				t.Errorf("%dx%d: link %d served %v bytes by scatter, %v by per-message sends",
+					w, h, i, served[i], wantServed[i])
 			}
 		}
 	}

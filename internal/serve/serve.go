@@ -67,10 +67,10 @@ type poisson struct {
 }
 
 // Poisson returns a deterministic seeded Poisson arrival process at the
-// given rate (requests per second).
+// given rate (requests per second), which must be positive and finite.
 func Poisson(qps float64, seed int64, kind string) Arrivals {
-	if qps <= 0 {
-		panic(fmt.Sprintf("serve: Poisson rate must be positive, got %g", qps))
+	if !(qps > 0) || math.IsInf(qps, 1) {
+		panic(fmt.Sprintf("serve: Poisson rate must be positive and finite, got %g", qps))
 	}
 	return &poisson{rng: workload.Rand(seed), mean: 1 / qps, kind: kind}
 }

@@ -174,12 +174,6 @@ type Engine struct {
 	nPoolHits   uint64
 	maxHeap     int
 	reported    Stats // portion already flushed to the global accumulator
-
-	// Sharded-engine hookup: when this engine is one shard of a Sharded
-	// world, shard is its index and postSeq orders its outgoing
-	// inter-shard messages (FIFO per source at the merge barrier).
-	shard   int
-	postSeq uint64
 }
 
 // NewEngine returns an empty engine with the clock at zero. Its
@@ -191,25 +185,6 @@ func NewEngine() *Engine { return &Engine{instants: make(map[Time]*instant)} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// EngineFor implements World: a bare engine places every node's state on
-// itself — the single-shard degenerate case of the sharded engine.
-func (e *Engine) EngineFor(node int) *Engine { return e }
-
-// Post implements World: on a bare engine a cross-node message is an
-// ordinary delayed callback (node ids only matter across shards).
-func (e *Engine) Post(from, to int, d Duration, fn func()) { e.After(d, fn) }
-
-// NextEventTime reports the timestamp of the earliest pending event, or
-// ok=false when the queue is empty. Used by the sharded engine's window
-// computation.
-func (e *Engine) NextEventTime() (Time, bool) {
-	e.purgeHead()
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
-}
 
 // newEvent takes an event from the free list, or allocates one.
 func (e *Engine) newEvent() *event {
@@ -555,15 +530,7 @@ func (e *Engine) dispatch(ev *event) {
 func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 
 // RunUntil executes events with timestamps <= horizon.
-func (e *Engine) RunUntil(horizon Time) Time { return e.run(horizon, false) }
-
-// runWindow executes events with timestamps <= horizon inside one
-// conservative window: unlike RunUntil, draining the local queue while
-// processes stay blocked is not a deadlock — their wakeups may arrive
-// as inter-shard messages at the next window barrier.
-func (e *Engine) runWindow(horizon Time) Time { return e.run(horizon, true) }
-
-func (e *Engine) run(horizon Time, windowed bool) Time {
+func (e *Engine) RunUntil(horizon Time) Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
@@ -586,7 +553,7 @@ func (e *Engine) run(horizon Time, windowed bool) Time {
 		e.settle()
 		e.purgeHead()
 		if len(e.queue) == 0 {
-			if len(e.live) > 0 && !windowed {
+			if len(e.live) > 0 {
 				panic(fmt.Sprintf("sim: deadlock at %v: %d process(es) blocked with empty event queue", e.now, len(e.live)))
 			}
 			clean = true

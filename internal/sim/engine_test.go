@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 )
@@ -565,6 +566,9 @@ func TestTimeArithmetic(t *testing.T) {
 	if DurationOf(-1) != 0 {
 		t.Error("negative seconds must clamp to 0")
 	}
+	if DurationOf(math.NaN()) != 0 {
+		t.Error("NaN seconds must clamp to 0")
+	}
 	if TransferTime(0, 100) != 0 {
 		t.Error("zero bytes must take zero time")
 	}
@@ -661,5 +665,32 @@ func TestSpawnedCountsProcesses(t *testing.T) {
 	}
 	if got := GlobalStats().Spawned - before; got < 5 {
 		t.Errorf("global spawn count grew by %d, want at least 5", got)
+	}
+}
+
+func TestEngineStatsPoolAndHandoff(t *testing.T) {
+	e := NewEngine()
+	// Timer chain: every link is an event through the heap, so dispatch
+	// counts grow and freed events come back from the pool.
+	var tick func(k int)
+	tick = func(k int) {
+		if k < 100 {
+			e.After(10, func() { tick(k + 1) })
+		}
+	}
+	// The chain starts after the sleeper is done.
+	e.After(2000, func() { tick(0) })
+	e.Go("p", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Sleep(10)
+		}
+	})
+	e.Run()
+	s := e.Stats()
+	if s.Dispatched < 100 {
+		t.Errorf("dispatched %d, want >= 100", s.Dispatched)
+	}
+	if s.PoolHits == 0 {
+		t.Error("event pool never reused")
 	}
 }

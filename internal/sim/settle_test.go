@@ -232,6 +232,8 @@ func TestHostTransferAsyncBeforeRun(t *testing.T) {
 // TestResourceAtForeverDeadlocks: a flow whose completion saturates at
 // Forever cannot be scheduled; the engine must report the blocked
 // process as a deadlock instead of spinning at Forever.
+//
+//detlint:allow rawgo -- host-side harness: Run goes on its own goroutine so a spin fails the test instead of hanging it
 func TestResourceAtForeverDeadlocks(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "trickle", 1, nil)

@@ -16,17 +16,17 @@ type Stats struct {
 	// DirectHandoffs is always 0: every wake is a dispatched event. The
 	// field stays because the benchmark module reads it.
 	DirectHandoffs uint64 `json:"direct_handoff_hits"`
-	// MaxHeapDepth is the high-water mark of a single engine's (shard's)
-	// events queued in its heap of instants: events scheduled before
-	// the clock reached their time and not yet dispatched, cancelled
-	// ones included until purged. Events scheduled for the instant
+	// MaxHeapDepth is the high-water mark of a single engine's events
+	// queued in its heap of instants: events scheduled before the clock
+	// reached their time and not yet dispatched, cancelled ones
+	// included until purged. Events scheduled for the instant
 	// being executed (the same-instant queue) do not count, and
 	// neither does the number of distinct instants.
 	MaxHeapDepth uint64 `json:"max_heap_depth"`
-	// Windows counts conservative windows executed by sharded runs.
-	Windows uint64 `json:"windows"`
-	// BarrierStalls counts (shard, window) slots where a shard had no
-	// event inside the safe window and sat out the round.
+	// Windows and BarrierStalls are always 0: every simulation runs on
+	// one serial engine. The fields stay because the benchmark module
+	// reads them.
+	Windows       uint64 `json:"windows"`
 	BarrierStalls uint64 `json:"window_barrier_stalls"`
 }
 
@@ -36,8 +36,6 @@ var globalStats struct {
 	spawned    atomic.Uint64
 	poolHits   atomic.Uint64
 	maxHeap    atomic.Uint64
-	windows    atomic.Uint64
-	stalls     atomic.Uint64
 }
 
 // Stats returns this engine's counters.
@@ -72,15 +70,13 @@ func atomicMax(a *atomic.Uint64, v uint64) {
 }
 
 // GlobalStats snapshots the process-wide engine counters: the sum over
-// every engine run so far (max for MaxHeapDepth), plus window-barrier
-// counters from sharded runs. The -speedjson host header embeds this.
+// every engine run so far (max for MaxHeapDepth). The -speedjson host
+// header embeds this.
 func GlobalStats() Stats {
 	return Stats{
-		Dispatched:    globalStats.dispatched.Load(),
-		Spawned:       globalStats.spawned.Load(),
-		PoolHits:      globalStats.poolHits.Load(),
-		MaxHeapDepth:  globalStats.maxHeap.Load(),
-		Windows:       globalStats.windows.Load(),
-		BarrierStalls: globalStats.stalls.Load(),
+		Dispatched:   globalStats.dispatched.Load(),
+		Spawned:      globalStats.spawned.Load(),
+		PoolHits:     globalStats.poolHits.Load(),
+		MaxHeapDepth: globalStats.maxHeap.Load(),
 	}
 }

@@ -84,9 +84,9 @@ func (d Duration) String() string {
 }
 
 // DurationOf converts floating-point seconds into a Duration, rounding to
-// the nearest nanosecond and clamping negatives to zero.
+// the nearest nanosecond and clamping negatives and NaN to zero.
 func DurationOf(seconds float64) Duration {
-	if seconds <= 0 {
+	if !(seconds > 0) {
 		return 0
 	}
 	ns := math.Round(seconds * float64(Second))
