@@ -19,12 +19,12 @@ import (
 	"fusedcc/internal/analysis"
 )
 
-// Standalone mode loads every requested package — in-package and
-// external test files included, exactly the set `go test` would build —
-// through `go list -e -test -deps -json` and typechecks the whole
-// dependency closure from source. The module has a zero-dependency
-// go.mod, so the closure is this repo plus the standard library; no
-// export data or network is needed.
+// The loader lists every requested package — in-package and external
+// test files included, exactly the set `go test` would build — through
+// `go list -e -test -deps -json` and typechecks the whole dependency
+// closure from source. The module has a zero-dependency go.mod, so the
+// closure is this repo plus the standard library; no export data or
+// network is needed.
 
 // goPkg is the subset of `go list -json` output the loader consumes.
 type goPkg struct {
@@ -39,20 +39,17 @@ type goPkg struct {
 	Error      *struct{ Err string }
 }
 
-func standaloneMain(patterns []string, jsonOut bool) {
-	diags, err := runStandalone(patterns, os.Stdout, jsonOut)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "detlint:", err)
-		os.Exit(1)
-	}
-	if diags > 0 {
-		os.Exit(1)
-	}
+// finding is one reported diagnostic, and the dedupe key across the
+// plain and test-augmented variants of a package.
+type finding struct {
+	Pos     string
+	Check   string
+	Message string
 }
 
 // runStandalone lints the packages matching patterns and returns how
 // many findings it printed to w.
-func runStandalone(patterns []string, w io.Writer, jsonOut bool) (int, error) {
+func runStandalone(patterns []string, w io.Writer) (int, error) {
 	pkgs, err := listPackages(patterns)
 	if err != nil {
 		return 0, err
@@ -72,7 +69,7 @@ func runStandalone(patterns []string, w io.Writer, jsonOut bool) (int, error) {
 		}
 	}
 
-	var all []jsonDiag
+	var all []finding
 	for _, p := range pkgs {
 		if p.Standard || p.DepOnly || strings.HasSuffix(p.ImportPath, ".test") {
 			continue
@@ -92,7 +89,7 @@ func runStandalone(patterns []string, w io.Writer, jsonOut bool) (int, error) {
 			return 0, fmt.Errorf("%s: %w", p.ImportPath, err)
 		}
 		for _, d := range diags {
-			all = append(all, jsonDiag{
+			all = append(all, finding{
 				Pos:     l.fset.Position(d.Pos).String(),
 				Check:   d.Check,
 				Message: d.Message,
@@ -102,7 +99,7 @@ func runStandalone(patterns []string, w io.Writer, jsonOut bool) (int, error) {
 
 	// Variant and plain packages can still overlap through xtest files;
 	// dedupe on position+message and keep a stable order.
-	seen := make(map[jsonDiag]bool)
+	seen := make(map[finding]bool)
 	uniq := all[:0]
 	for _, d := range all {
 		if !seen[d] {
@@ -117,12 +114,8 @@ func runStandalone(patterns []string, w io.Writer, jsonOut bool) (int, error) {
 		return uniq[i].Message < uniq[j].Message
 	})
 
-	if jsonOut {
-		emitJSON(w, uniq)
-	} else {
-		for _, d := range uniq {
-			fmt.Fprintf(w, "%s: [%s] %s\n", d.Pos, d.Check, d.Message)
-		}
+	for _, d := range uniq {
+		fmt.Fprintf(w, "%s: [%s] %s\n", d.Pos, d.Check, d.Message)
 	}
 	return len(uniq), nil
 }

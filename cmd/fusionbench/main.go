@@ -57,6 +57,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"regexp"
 	"runtime"
@@ -75,8 +76,12 @@ func parseShape(s string) (nodes, gpus int, err error) {
 	if m == nil {
 		return 0, 0, fmt.Errorf("bad -shape %q: want NODESxGPUS, e.g. 4x4", s)
 	}
-	nodes, _ = strconv.Atoi(m[1])
-	gpus, _ = strconv.Atoi(m[2])
+	if nodes, err = strconv.Atoi(m[1]); err == nil {
+		gpus, err = strconv.Atoi(m[2])
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("bad -shape %q: %w", s, err)
+	}
 	return nodes, gpus, nil
 }
 
@@ -182,6 +187,16 @@ func parseBaseline(data []byte) ([]jsonResult, error) {
 		return nil, fmt.Errorf("baseline schema %d, want 2", file.Header.Schema)
 	}
 	return file.Results, nil
+}
+
+// checkTolerance rejects a -compare tolerance the gate cannot apply: a
+// NaN one fails no row, so the gate would pass anything, and an infinite
+// or negative one is no gate either.
+func checkTolerance(tol float64) error {
+	if math.IsNaN(tol) || math.IsInf(tol, 0) || tol < 0 {
+		return fmt.Errorf("bad -tolerance %g: want a finite value >= 0", tol)
+	}
+	return nil
 }
 
 // compareBaseline is the CI perf-regression gate: it checks the
@@ -309,6 +324,11 @@ func main() {
 		speedPath  = flag.String("speedjson", "", "also write host wall-clock speeds as JSON (e.g. BENCH_speed.json)")
 	)
 	flag.Parse()
+	if *compare != "" {
+		if err := checkTolerance(*tolerance); err != nil {
+			fail(err)
+		}
+	}
 	if *parallel < 1 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,5 +99,34 @@ func TestCompareBaselineGate(t *testing.T) {
 	drifted[0].ID = "Renamed"
 	if err := compareBaseline(path, 0.10, drifted); err == nil {
 		t.Error("gate passed with zero matched rows")
+	}
+}
+
+func TestParseShape(t *testing.T) {
+	nodes, gpus, err := parseShape("4x8")
+	if err != nil || nodes != 4 || gpus != 8 {
+		t.Errorf("parseShape(4x8) = %d, %d, %v", nodes, gpus, err)
+	}
+	// A count past the int range must fail, not saturate: a saturated
+	// node count overflows the device count downstream.
+	for _, s := range []string{"4x4x2", "x4", "4x", "-1x4", "99999999999999999999x4", "4x99999999999999999999"} {
+		if nodes, gpus, err := parseShape(s); err == nil {
+			t.Errorf("parseShape(%q) = %d, %d, want an error", s, nodes, gpus)
+		}
+	}
+}
+
+func TestCheckTolerance(t *testing.T) {
+	for _, tol := range []float64{0, 0.10, 2} {
+		if err := checkTolerance(tol); err != nil {
+			t.Errorf("checkTolerance(%g) = %v", tol, err)
+		}
+	}
+	// NaN fails no row, so it would turn the gate off.
+	for _, tol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1} {
+		err := checkTolerance(tol)
+		if err == nil || !strings.Contains(err.Error(), "-tolerance") {
+			t.Errorf("checkTolerance(%g) = %v, want an error naming -tolerance", tol, err)
+		}
 	}
 }

@@ -5,11 +5,11 @@
 // corruption downstream.
 //
 // The vocabulary (Analyzer, Pass, Diagnostic, an analysistest-style
-// golden harness, a `go vet -vettool` driver) deliberately mirrors
-// golang.org/x/tools/go/analysis, but is reimplemented here on the
-// standard library alone: the module builds offline with a
-// zero-dependency go.mod, and the subset these checkers need — no
-// facts, no SSA — is small.
+// golden harness) deliberately mirrors golang.org/x/tools/go/analysis,
+// but is reimplemented here on the standard library alone: the module
+// builds offline with a zero-dependency go.mod, and the subset these
+// checkers need — no facts, no SSA — is small. cmd/detlint is the
+// driver.
 //
 // Findings are suppressed by `//detlint:allow <check>` annotations at
 // line, declaration, or file scope; see allow.go.

@@ -7,8 +7,8 @@
 // package also supplies the observation side of graceful degradation: a
 // Sampler that derives per-link/per-device slowdown factors from
 // resource byte counters (no oracle reads of the injected fault state)
-// and feeds them to serving-layer health monitors for online
-// re-selection.
+// and smooths them into the degradation context the serving layer
+// re-selects plans with.
 package chaos
 
 import (

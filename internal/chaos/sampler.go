@@ -7,7 +7,6 @@ import (
 	"fusedcc/internal/graph"
 	"fusedcc/internal/netsim"
 	"fusedcc/internal/platform"
-	"fusedcc/internal/serve"
 	"fusedcc/internal/sim"
 )
 
@@ -16,10 +15,11 @@ import (
 // probe watches one resource (a device ALU, a NIC or torus link) and,
 // per sampling window, computes delivered-rate = Δbytes / Δbusy-time;
 // the ratio of nominal capacity to delivered rate is the observed
-// slowdown, smoothed by a serve.Monitor. Nothing reads the injected
-// fault state: a degraded link looks slow because its transfers
-// actually drained slower, which is exactly what a production health
-// monitor would see.
+// slowdown (1 is healthy, 8 an eight-fold slowdown), smoothed per
+// probe by an exponentially weighted moving average. Nothing reads the
+// injected fault state: a degraded link looks slow because its
+// transfers actually drained slower, which is exactly what a production
+// health monitor would see.
 //
 // Network probes normalize against configured capacity — exact, since
 // link flows are uncapped, so busy-time delivered rate equals current
@@ -40,50 +40,50 @@ import (
 // engine on the device, so its ALU delivered rate drops by the same
 // factor even when the kernel is memory-bound.
 type Sampler struct {
-	mon       *serve.Monitor
+	alpha     float64
 	threshold float64
 	probes    []*samplerProbe
 }
 
 type samplerProbe struct {
-	name    string
 	res     *sim.Resource
 	compute bool    // peak-normalized (see above) instead of capacity-normalized
 	peak    float64 // fastest delivered rate seen (compute probes)
 	bytes   float64
 	busy    sim.Duration
+	// ewma is the smoothed slowdown, 0 until the first busy window
+	// seeds it (an observed slowdown is never below 1).
+	ewma float64
 }
 
-// NewSampler attaches a probe to every device's ALU ("dev:<rank>" —
-// see above for why HBM is not probed) and every scale-out link
-// ("net:<from>" for shared NICs, "net:<from>-<to>" for per-hop links)
-// of pl. alpha is the EWMA weight; slowdowns below threshold are
-// treated as noise by Degrade.
+// NewSampler attaches a probe to every device's ALU (see above for why
+// HBM is not probed) and every scale-out link (shared NICs or per-hop
+// links) of pl. alpha is the EWMA weight in (0, 1]: 1 tracks the latest
+// window exactly, smaller values damp transients harder. Slowdowns
+// below threshold are treated as noise by Degrade.
 func NewSampler(pl *platform.Platform, alpha, threshold float64) *Sampler {
+	if alpha <= 0 || alpha > 1 {
+		panic(fmt.Sprintf("chaos: sampler alpha must be in (0, 1], got %g", alpha))
+	}
 	if threshold < 1 {
 		panic(fmt.Sprintf("chaos: sampler threshold must be >= 1, got %g", threshold))
 	}
-	s := &Sampler{mon: serve.NewMonitor(alpha), threshold: threshold}
+	s := &Sampler{alpha: alpha, threshold: threshold}
 	for _, d := range pl.Devices() {
-		s.probes = append(s.probes,
-			&samplerProbe{name: fmt.Sprintf("dev:%d", d.ID()), res: d.ALU(), compute: true})
+		s.probes = append(s.probes, &samplerProbe{res: d.ALU(), compute: true})
 	}
 	if enum, ok := pl.Network().(netsim.LinkEnumerator); ok {
 		for _, l := range enum.Links() {
-			name := fmt.Sprintf("net:%d-%d", l.From, l.To)
-			if l.To < 0 {
-				name = fmt.Sprintf("net:%d", l.From)
-			}
-			s.probes = append(s.probes, &samplerProbe{name: name, res: l.Res})
+			s.probes = append(s.probes, &samplerProbe{res: l.Res})
 		}
 	}
 	return s
 }
 
 // Sample closes the current observation window: every probe that was
-// busy since the last call folds its observed slowdown into the
-// monitor. Call it at deterministic points (step boundaries), not on a
-// timer — it costs no simulated time.
+// busy since the last call folds its observed slowdown into its EWMA.
+// Call it at deterministic points (step boundaries), not on a timer —
+// it costs no simulated time.
 func (s *Sampler) Sample() {
 	for _, p := range s.probes {
 		bytes, busy := p.res.TotalBytes(), p.res.BusyTime()
@@ -105,26 +105,35 @@ func (s *Sampler) Sample() {
 		if slow < 1 {
 			slow = 1
 		}
-		s.mon.Observe(p.name, slow)
+		if p.ewma == 0 {
+			p.ewma = slow
+		} else {
+			p.ewma += s.alpha * (slow - p.ewma)
+		}
 	}
 }
 
-// Monitor exposes the smoothed per-resource slowdowns.
-func (s *Sampler) Monitor() *serve.Monitor { return s.mon }
-
-// Degrade folds the monitor's worst compute and network slowdowns into
-// a re-pricing context for plan selection. Slowdowns under the
-// detection threshold read as healthy, and factors are quantized to
-// quarter steps so successive steps under a steady fault produce the
-// same context (and therefore hit the selection cache) instead of
-// re-selecting on every noise wiggle.
+// Degrade folds the worst smoothed compute (ALU) and network (link)
+// slowdowns, each floored at 1, into a re-pricing context for plan
+// selection. Slowdowns under the detection threshold read as healthy,
+// and factors are quantized to quarter steps so successive steps under
+// a steady fault produce the same context (and therefore hit the
+// selection cache) instead of re-selecting on every noise wiggle.
 func (s *Sampler) Degrade() graph.DegradeContext {
-	var dc graph.DegradeContext
-	if _, w := s.mon.Worst("dev:"); w >= s.threshold {
-		dc.Compute = quantize(w)
+	worstDev, worstNet := 1.0, 1.0
+	for _, p := range s.probes {
+		if p.compute {
+			worstDev = max(worstDev, p.ewma)
+		} else {
+			worstNet = max(worstNet, p.ewma)
+		}
 	}
-	if _, w := s.mon.Worst("net:"); w >= s.threshold {
-		dc.Comm = quantize(w)
+	var dc graph.DegradeContext
+	if worstDev >= s.threshold {
+		dc.Compute = quantize(worstDev)
+	}
+	if worstNet >= s.threshold {
+		dc.Comm = quantize(worstNet)
 	}
 	return dc
 }

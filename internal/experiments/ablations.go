@@ -16,16 +16,9 @@ func AblationZeroCopy(opt Options) *Result {
 		c = embConfig{512, 64}
 	}
 	run := func(disable bool) sim.Duration {
-		pl, w := scaleUpWorld(4)
-		pes := allPEs(pl)
-		sets := timingEmbeddingSets(pl, pes, c.tables, embDim, c.batch, embPooling)
 		cfg := core.DefaultConfig()
 		cfg.DisableZeroCopy = disable
-		op, err := core.NewEmbeddingAllToAll(w, pes, sets, c.batch, embSlice, cfg)
-		if err != nil {
-			panic(err)
-		}
-		op.RowsPerWG = embSlice
+		pl, op := embeddingOp(1, 4, c, embPooling, embSlice, cfg)
 		return runReport(pl, op.RunFused).Duration()
 	}
 	staged := run(true)
@@ -49,13 +42,7 @@ func AblationSliceSize(opt Options) *Result {
 	res := &Result{ID: "AblSliceSize", Title: "fused embedding + All-to-All slice-size sweep (inter-node)"}
 	var base sim.Duration
 	for i, sl := range slices {
-		pl, w := scaleOutWorld(2)
-		pes := allPEs(pl)
-		sets := timingEmbeddingSets(pl, pes, c.tables, embDim, c.batch, embPooling)
-		op, err := core.NewEmbeddingAllToAll(w, pes, sets, c.batch, sl, core.DefaultConfig())
-		if err != nil {
-			panic(err)
-		}
+		pl, op := embeddingOp(2, 1, c, embPooling, sl, core.DefaultConfig())
 		op.RowsPerWG = min(sl, 8)
 		d := runReport(pl, op.RunFused).Duration()
 		if i == 0 {
@@ -75,16 +62,9 @@ func AblationOccupancyPenalty(opt Options) *Result {
 		c = embConfig{512, 64}
 	}
 	run := func(wgsPerCU int) sim.Duration {
-		pl, w := scaleOutWorld(2)
-		pes := allPEs(pl)
-		sets := timingEmbeddingSets(pl, pes, c.tables, embDim, c.batch, embPooling)
 		cfg := core.DefaultConfig()
 		cfg.WGsPerCU = wgsPerCU
-		op, err := core.NewEmbeddingAllToAll(w, pes, sets, c.batch, embSlice, cfg)
-		if err != nil {
-			panic(err)
-		}
-		op.RowsPerWG = embSlice
+		pl, op := embeddingOp(2, 1, c, embPooling, embSlice, cfg)
 		return runReport(pl, op.RunFused).Duration()
 	}
 	full := run(8)
@@ -109,28 +89,10 @@ func AblationKernelSplit(opt Options) *Result {
 		c = embConfig{512, 64}
 		shardCounts = []int{2, 8}
 	}
-	fusedTime := func() sim.Duration {
-		pl, w := scaleOutWorld(2)
-		pes := allPEs(pl)
-		sets := timingEmbeddingSets(pl, pes, c.tables, embDim, c.batch, embPooling)
-		op, err := core.NewEmbeddingAllToAll(w, pes, sets, c.batch, embSlice, core.DefaultConfig())
-		if err != nil {
-			panic(err)
-		}
-		op.RowsPerWG = embSlice
-		return runReport(pl, op.RunFused).Duration()
-	}()
+	fusedTime := embeddingRun(2, 1, c, core.DefaultConfig(), true)
 	res := &Result{ID: "AblKernelSplit", Title: "intra-kernel fusion vs kernel decomposition [58] (inter-node)"}
 	for _, shards := range shardCounts {
-		shards := shards
-		pl, w := scaleOutWorld(2)
-		pes := allPEs(pl)
-		sets := timingEmbeddingSets(pl, pes, c.tables, embDim, c.batch, embPooling)
-		op, err := core.NewEmbeddingAllToAll(w, pes, sets, c.batch, embSlice, core.DefaultConfig())
-		if err != nil {
-			panic(err)
-		}
-		op.RowsPerWG = embSlice
+		pl, op := embeddingOp(2, 1, c, embPooling, embSlice, core.DefaultConfig())
 		d := runReport(pl, func(p *sim.Proc) core.Report { return op.RunKernelSplit(p, shards) }).Duration()
 		res.Rows = append(res.Rows, Row{Label: fmt.Sprintf("%d shards", shards), Baseline: d, Fused: fusedTime})
 	}

@@ -25,10 +25,10 @@ const (
 	// chaosSeed is the base seed: each sweep point offsets it by its
 	// index for arrival streams and fault-target draws.
 	chaosSeed = 7001
-	// chaosAlpha is the EWMA weight of the health monitor and the
+	// chaosAlpha is the EWMA weight of the degradation sampler and the
 	// queue-depth tracker.
 	chaosAlpha = 0.4
-	// chaosThreshold is the smoothed slowdown below which the monitor
+	// chaosThreshold is the smoothed slowdown below which the sampler
 	// reads healthy. Compute probes self-normalize against their fastest
 	// observed window, so ordinary step-to-step rate wiggle reads as a
 	// small slowdown on every healthy device; the injected faults are

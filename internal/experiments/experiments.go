@@ -126,18 +126,6 @@ func clusterWorld(nodes, gpusPerNode int) (*platform.Platform, *shmem.World) {
 	return pl, shmem.NewWorld(pl, shmem.DefaultConfig())
 }
 
-// scaleUpWorld builds the Table I scale-up system: one node, four
-// MI210-class GPUs on an 80 GB/s fully-connected fabric (timing mode).
-func scaleUpWorld(gpus int) (*platform.Platform, *shmem.World) {
-	return clusterWorld(1, gpus)
-}
-
-// scaleOutWorld builds the Table I scale-out system: nodes with one GPU
-// each over a 20 GB/s network (timing mode).
-func scaleOutWorld(nodes int) (*platform.Platform, *shmem.World) {
-	return clusterWorld(nodes, 1)
-}
-
 func allPEs(pl *platform.Platform) []int {
 	pes := make([]int, pl.NDevices())
 	for i := range pes {
@@ -179,17 +167,27 @@ type embConfig struct {
 
 func (c embConfig) label() string { return fmt.Sprintf("{%d|%d}", c.batch, c.tables) }
 
-// embeddingRun times one embedding + All-to-All execution (fused or
-// baseline) for one configuration on a freshly built world.
-func embeddingRun(nodes, gpusPerNode int, c embConfig, dim, pooling, slice int, cfg core.Config, fused bool) sim.Duration {
+// embeddingOp builds a timing-only embedding + All-to-All operator for
+// one configuration (embDim-wide tables) on a freshly built nodes x
+// gpusPerNode world. Each workgroup is coarsened to a whole slice of
+// rows: timing is linear in rows.
+func embeddingOp(nodes, gpusPerNode int, c embConfig, pooling, slice int, cfg core.Config) (*platform.Platform, *core.EmbeddingAllToAll) {
 	pl, w := clusterWorld(nodes, gpusPerNode)
 	pes := allPEs(pl)
-	sets := timingEmbeddingSets(pl, pes, c.tables, dim, c.batch, pooling)
+	sets := timingEmbeddingSets(pl, pes, c.tables, embDim, c.batch, pooling)
 	op, err := core.NewEmbeddingAllToAll(w, pes, sets, c.batch, slice, cfg)
 	if err != nil {
 		panic(err)
 	}
-	op.RowsPerWG = slice // coarsened: timing is linear in rows
+	op.RowsPerWG = slice
+	return pl, op
+}
+
+// embeddingRun times one embedding + All-to-All execution (fused or
+// baseline) at the paper's pooling and slice for one configuration on a
+// freshly built world.
+func embeddingRun(nodes, gpusPerNode int, c embConfig, cfg core.Config, fused bool) sim.Duration {
+	pl, op := embeddingOp(nodes, gpusPerNode, c, embPooling, embSlice, cfg)
 	if fused {
 		return runReport(pl, op.RunFused).Duration()
 	}
@@ -198,10 +196,10 @@ func embeddingRun(nodes, gpusPerNode int, c embConfig, dim, pooling, slice int, 
 
 // embeddingPoint runs fused and baseline embedding + All-to-All for one
 // configuration on freshly built worlds and returns the row.
-func embeddingPoint(nodes, gpusPerNode int, c embConfig, dim, pooling, slice int, cfg core.Config) Row {
+func embeddingPoint(nodes, gpusPerNode int, c embConfig, cfg core.Config) Row {
 	return Row{
 		Label:    c.label(),
-		Baseline: embeddingRun(nodes, gpusPerNode, c, dim, pooling, slice, cfg, false),
-		Fused:    embeddingRun(nodes, gpusPerNode, c, dim, pooling, slice, cfg, true),
+		Baseline: embeddingRun(nodes, gpusPerNode, c, cfg, false),
+		Fused:    embeddingRun(nodes, gpusPerNode, c, cfg, true),
 	}
 }

@@ -35,7 +35,7 @@ func Fig8(opt Options) *Result {
 	}
 	res := &Result{ID: "Fig8", Title: "fused embedding + All-to-All, intra-node (zero-copy), normalized time"}
 	for _, c := range configs {
-		res.Rows = append(res.Rows, embeddingPoint(1, 4, c, embDim, embPooling, embSlice, core.DefaultConfig()))
+		res.Rows = append(res.Rows, embeddingPoint(1, 4, c, core.DefaultConfig()))
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("mean reduction %.1f%% (paper: 20%%), max %.1f%% (paper: 32%%)",
@@ -57,7 +57,7 @@ func Fig9(opt Options) *Result {
 	res := &Result{ID: "Fig9", Title: "fused GEMV + AllReduce, scale-up, normalized time"}
 	for _, m := range ms {
 		run := func(fused bool) sim.Duration {
-			pl, w := scaleUpWorld(4)
+			pl, w := clusterWorld(1, 4)
 			pes := allPEs(pl)
 			gemvs := make([]*kernels.GEMV, len(pes))
 			for s := range pes {
@@ -94,7 +94,7 @@ func Fig10(opt Options) *Result {
 	res := &Result{ID: "Fig10", Title: "fused GEMM + All-to-All (Triton), scale-up, normalized time"}
 	for _, sh := range shapes {
 		run := func(fused bool) sim.Duration {
-			pl, w := scaleUpWorld(4)
+			pl, w := clusterWorld(1, 4)
 			pes := allPEs(pl)
 			gemms := make([]*kernels.GEMM, len(pes))
 			for s := range pes {
@@ -124,13 +124,6 @@ func Fig10(opt Options) *Result {
 // waits. A reduced device (32 persistent WGs) keeps the chart readable,
 // mirroring the paper's "first 32 WGs" view.
 func Fig11(opt Options) *Result {
-	res, _ := Fig11WithTimeline(opt)
-	return res
-}
-
-// Fig11WithTimeline is Fig11 exposing the raw recorded timeline for CSV
-// export (cmd/wgprof).
-func Fig11WithTimeline(opt Options) (*Result, *trace.Timeline) {
 	e := sim.NewEngine()
 	cfg := platform.ScaleOut(2)
 	cfg.GPU.CUs = 8
@@ -177,7 +170,7 @@ func Fig11WithTimeline(opt Options) (*Result, *trace.Timeline) {
 		}
 		res.Notes = append(res.Notes, fmt.Sprintf("%d/%d puts issued while computation was still in flight", overlapped, len(puts)))
 	}
-	return res, &tl
+	return res
 }
 
 // Fig12 regenerates the inter-node fused embedding + All-to-All sweep
@@ -194,7 +187,7 @@ func Fig12(opt Options) *Result {
 	}
 	res := &Result{ID: "Fig12", Title: "fused embedding + All-to-All, inter-node, normalized time"}
 	for _, c := range configs {
-		res.Rows = append(res.Rows, embeddingPoint(2, 1, c, embDim, embPooling, embSlice, core.DefaultConfig()))
+		res.Rows = append(res.Rows, embeddingPoint(2, 1, c, core.DefaultConfig()))
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("mean reduction %.1f%% (paper: 31%%), max %.1f%% (paper: 58%%)",
@@ -206,9 +199,9 @@ func Fig12(opt Options) *Result {
 // All-to-All at 25/50/75/87.5%% occupancy. Paper: -46%% from 25→75%%,
 // then +25%% at 87.5%% (memory contention).
 func Fig13(opt Options) *Result {
-	batch, tables := 1024, 256
+	c := embConfig{1024, 256}
 	if opt.Quick {
-		batch, tables = 512, 64
+		c = embConfig{512, 64}
 	}
 	res := &Result{ID: "Fig13", Title: "impact of WG occupancy on fused kernel execution time"}
 	occs := []struct {
@@ -217,16 +210,9 @@ func Fig13(opt Options) *Result {
 	}{{2, "25%"}, {4, "50%"}, {6, "75%"}, {7, "87.5%"}}
 	var times []sim.Duration
 	for _, o := range occs {
-		pl, w := scaleOutWorld(2)
-		pes := allPEs(pl)
-		sets := timingEmbeddingSets(pl, pes, tables, embDim, batch, embPooling)
 		cfg := core.DefaultConfig()
 		cfg.WGsPerCU = o.wgsPerCU
-		op, err := core.NewEmbeddingAllToAll(w, pes, sets, batch, embSlice, cfg)
-		if err != nil {
-			panic(err)
-		}
-		op.RowsPerWG = embSlice
+		pl, op := embeddingOp(2, 1, c, embPooling, embSlice, cfg)
 		d := runReport(pl, op.RunFused).Duration()
 		times = append(times, d)
 		res.Rows = append(res.Rows, Row{Label: "occupancy " + o.label, Baseline: times[0], Fused: d})
@@ -244,25 +230,18 @@ func Fig13(opt Options) *Result {
 // per-node execution-time skew of the fused inter-node kernel under
 // comm-aware vs oblivious logical-WG order. Paper: ~1%% vs ~7%%.
 func Fig14(opt Options) *Result {
-	batch, tables := 1024, 256
+	c := embConfig{1024, 256}
 	// Pooling sized so the All-to-All takes roughly half the kernel
 	// time — the regime where back-loaded communication under oblivious
 	// scheduling surfaces as node skew.
 	const pooling = 44
 	if opt.Quick {
-		batch, tables = 512, 64
+		c = embConfig{512, 64}
 	}
 	run := func(sched core.Schedule) core.Report {
-		pl, w := scaleOutWorld(2)
-		pes := allPEs(pl)
-		sets := timingEmbeddingSets(pl, pes, tables, embDim, batch, pooling)
 		cfg := core.DefaultConfig()
 		cfg.Schedule = sched
-		op, err := core.NewEmbeddingAllToAll(w, pes, sets, batch, embSlice, cfg)
-		if err != nil {
-			panic(err)
-		}
-		op.RowsPerWG = embSlice
+		pl, op := embeddingOp(2, 1, c, pooling, embSlice, cfg)
 		return runReport(pl, op.RunFused)
 	}
 	aware := run(core.CommAware)

@@ -76,9 +76,9 @@ func HybridShape(nodes, gpusPerNode int, opt Options) (*Result, error) {
 	flatCfg.Collective = collectives.Flat
 	hierCfg := core.DefaultConfig()
 	hierCfg.Collective = collectives.Hierarchical
-	flat := embeddingPoint(nodes, gpusPerNode, c, embDim, embPooling, embSlice, flatCfg)
+	flat := embeddingPoint(nodes, gpusPerNode, c, flatCfg)
 	// Collective only affects the baseline, so the fused run is shared.
-	hierBase := embeddingRun(nodes, gpusPerNode, c, embDim, embPooling, embSlice, hierCfg, false)
+	hierBase := embeddingRun(nodes, gpusPerNode, c, hierCfg, false)
 	res.Rows = append(res.Rows, Row{
 		Label:    fmt.Sprintf("%s emb %s", label, c.label()),
 		Baseline: flat.Baseline, Fused: flat.Fused,

@@ -431,3 +431,110 @@ func TestStreamAcquireSerializesAcrossProcs(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamSerializesFIFO checks that holders are admitted in arrival
+// order, each runs after the one before it, and the stream's busy time
+// is the sum of the holds.
+func TestStreamSerializesFIFO(t *testing.T) {
+	e := sim.NewEngine()
+	s := NewDevice(e, 0, small()).Stream(StreamCompute)
+	var order []int
+	var ends []sim.Time
+	for i := 0; i < 3; i++ {
+		e.Go("w", func(p *sim.Proc) {
+			s.Acquire(p)
+			order = append(order, i)
+			p.Sleep(100)
+			ends = append(ends, p.Now())
+			s.Release()
+		})
+	}
+	e.Run()
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("admission order %v, want FIFO", order)
+		}
+	}
+	for i, at := range ends {
+		if want := sim.Time(100 * (i + 1)); at != want {
+			t.Errorf("holder %d released at %v, want %v (serialized)", i, at, want)
+		}
+	}
+	if s.BusyTime() != 300 {
+		t.Errorf("busy time %v, want 300", s.BusyTime())
+	}
+}
+
+func TestStreamBusyTimeExcludesIdleGaps(t *testing.T) {
+	e := sim.NewEngine()
+	s := NewDevice(e, 0, small()).Stream(StreamComm)
+	e.Go("w", func(p *sim.Proc) {
+		s.Acquire(p)
+		p.Sleep(100)
+		if s.BusyTime() != 100 {
+			t.Errorf("in-progress busy time %v, want 100", s.BusyTime())
+		}
+		s.Release()
+		p.Sleep(400) // idle gap
+		s.Acquire(p)
+		p.Sleep(100)
+		s.Release()
+	})
+	e.Run()
+	if s.BusyTime() != 200 {
+		t.Errorf("busy time %v, want 200", s.BusyTime())
+	}
+}
+
+// TestStreamQueueWait pins the wait-time statistic the benchmark reads:
+// three holders of 100ns arriving together wait 0, 100, and 200ns.
+func TestStreamQueueWait(t *testing.T) {
+	e := sim.NewEngine()
+	s := NewDevice(e, 0, small()).Stream(StreamCompute)
+	for i := 0; i < 3; i++ {
+		e.Go("w", func(p *sim.Proc) {
+			s.Acquire(p)
+			p.Sleep(100)
+			s.Release()
+		})
+	}
+	e.Run()
+	if s.QueueWait() != 300 {
+		t.Errorf("queue wait = %v, want 0+100+200 = 300", s.QueueWait())
+	}
+}
+
+// TestStreamBusyTransitions checks that every hold reports its busy and
+// idle edges to the device's overlap accounting, and that releasing an
+// idle stream panics.
+func TestStreamBusyTransitions(t *testing.T) {
+	e := sim.NewEngine()
+	d := NewDevice(e, 0, small())
+	s := d.Stream(StreamComm)
+	var transitions []bool
+	for i := 0; i < 2; i++ {
+		e.Go("w", func(p *sim.Proc) {
+			s.Acquire(p)
+			transitions = append(transitions, d.streamBusy[StreamComm])
+			p.Sleep(50)
+			s.Release()
+			transitions = append(transitions, d.streamBusy[StreamComm])
+		})
+	}
+	e.Run()
+	want := []bool{true, false, true, false}
+	if len(transitions) != len(want) {
+		t.Fatalf("transitions %v, want %v", transitions, want)
+	}
+	for i := range want {
+		if transitions[i] != want[i] {
+			t.Fatalf("transitions %v, want %v", transitions, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("release of an idle stream did not panic")
+		}
+	}()
+	s.Release()
+}

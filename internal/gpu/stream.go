@@ -29,26 +29,33 @@ func (k StreamKind) String() string {
 }
 
 // Stream is an in-order host command queue for a device, the analogue of
-// a HIP/CUDA stream. Work items on one stream run sequentially; separate
-// streams run concurrently and contend for device resources (WG slots,
-// HBM, links). Backed by a sim.Server, a stream records its busy time,
-// which the graph executor turns into per-stream occupancy statistics.
+// a HIP/CUDA stream. Work items on one stream run sequentially, admitted
+// one at a time in arrival order; separate streams run concurrently and
+// contend for device resources (WG slots, HBM, links). A stream records
+// its busy time and queue wait, which the graph executor turns into
+// per-stream occupancy statistics, and reports its busy/idle edges to
+// the device's compute/comm overlap accounting.
 type Stream struct {
-	name string
-	srv  *sim.Server
+	d    *Device
+	kind StreamKind
+	sem  *sim.Semaphore // one permit: the hold
+
+	held      bool
+	busySince sim.Time
+	busyTotal sim.Duration
+	// queueWait is how long admitted items sat queued behind earlier
+	// ones: where queueing builds under load.
+	queueWait sim.Duration
 }
 
 // Stream returns the device's standing stream of the given kind,
-// creating it on first use. Per-kind streams participate in the device's
-// compute/comm overlap accounting.
+// creating it on first use.
 func (d *Device) Stream(kind StreamKind) *Stream {
 	if kind < 0 || kind >= numStreamKinds {
 		panic(fmt.Sprintf("gpu: invalid stream kind %d", int(kind)))
 	}
 	if d.streams[kind] == nil {
-		s := &Stream{name: kind.String(), srv: sim.NewServer(d.e, fmt.Sprintf("gpu%d.%s", d.id, kind))}
-		s.srv.OnBusy(func(busy bool) { d.streamTransition(kind, busy) })
-		d.streams[kind] = s
+		d.streams[kind] = &Stream{d: d, kind: kind, sem: sim.NewSemaphore(d.e, 1)}
 	}
 	return d.streams[kind]
 }
@@ -90,20 +97,40 @@ func (d *Device) StreamOverlap() sim.Duration {
 	return d.overlapTotal
 }
 
-// Name returns the stream's diagnostic name.
-func (s *Stream) Name() string { return s.name }
-
-// BusyTime reports the cumulative time the stream held work.
-func (s *Stream) BusyTime() sim.Duration { return s.srv.BusyTime() }
+// BusyTime reports the cumulative time the stream held work, including
+// the in-progress hold.
+func (s *Stream) BusyTime() sim.Duration {
+	if s.held {
+		return s.busyTotal + s.d.e.Now().Sub(s.busySince)
+	}
+	return s.busyTotal
+}
 
 // QueueWait reports the cumulative time admitted items spent queued on
 // the stream — the per-device contention signal of a loaded run.
-func (s *Stream) QueueWait() sim.Duration { return s.srv.TotalWait() }
+func (s *Stream) QueueWait() sim.Duration { return s.queueWait }
 
-// Acquire blocks p until the stream is free, then holds it. Paired with
-// Release, this is how the graph scheduler serializes whole nodes on a
-// stream while the node's own kernels run on their rank processes.
-func (s *Stream) Acquire(p *sim.Proc) { s.srv.Acquire(p) }
+// Acquire blocks p until the stream is free, then holds it, in FIFO
+// order behind earlier acquirers. Paired with Release, this is how the
+// graph scheduler serializes whole nodes on a stream while the node's
+// own kernels run on their rank processes.
+func (s *Stream) Acquire(p *sim.Proc) {
+	enqueued := s.d.e.Now()
+	s.sem.Acquire(p, 1)
+	now := s.d.e.Now()
+	s.queueWait += now.Sub(enqueued)
+	s.held = true
+	s.busySince = now
+	s.d.streamTransition(s.kind, true)
+}
 
 // Release frees the stream for the next queued item.
-func (s *Stream) Release() { s.srv.Release() }
+func (s *Stream) Release() {
+	if !s.held {
+		panic(fmt.Sprintf("gpu: release of idle stream gpu%d.%s", s.d.id, s.kind))
+	}
+	s.busyTotal += s.d.e.Now().Sub(s.busySince)
+	s.held = false
+	s.d.streamTransition(s.kind, false)
+	s.sem.Release(1)
+}

@@ -44,14 +44,14 @@ type LoadContext struct {
 	// under different loads never alias.
 	ArrivalRate float64
 	// Degrade carries observed per-stream slowdown factors from a
-	// health monitor, re-pricing every form for a degraded machine. The
-	// zero value means nominal hardware.
+	// degradation sampler, re-pricing every form for a degraded machine.
+	// The zero value means nominal hardware.
 	Degrade DegradeContext
 }
 
 // DegradeContext is the observed-degradation half of a LoadContext:
-// multiplicative slowdown factors per stream class, fed by a health
-// monitor (EWMA over observed link and kernel service rates). Factors
+// multiplicative slowdown factors per stream class, fed by a
+// degradation sampler (EWMA over observed link and kernel service rates). Factors
 // below 1 (including the zero value) mean nominal. The fused form is
 // charged the worse of the two factors on its whole duration — its
 // persistent kernel couples compute with fine-grained communication,

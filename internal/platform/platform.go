@@ -97,6 +97,9 @@ func (cfg Config) Validate() error {
 	if cfg.Nodes < 1 || cfg.GPUsPerNode < 1 {
 		return fmt.Errorf("platform: need at least one node and one GPU per node (got %dx%d)", cfg.Nodes, cfg.GPUsPerNode)
 	}
+	if cfg.Nodes > math.MaxInt/cfg.GPUsPerNode {
+		return fmt.Errorf("platform: %dx%d devices overflow int", cfg.Nodes, cfg.GPUsPerNode)
+	}
 	if cfg.GPUsPerNode > 1 && cfg.Fabric.LinkBandwidth <= 0 {
 		return fmt.Errorf("platform: multi-GPU nodes need Fabric.LinkBandwidth > 0")
 	}

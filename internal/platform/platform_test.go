@@ -153,13 +153,18 @@ func TestValidationErrors(t *testing.T) {
 			c.GPUOverrides = map[int]gpu.Config{99: c.GPU}
 			return c
 		}()},
+		// 2^62 x 4 devices wrap to 0 in int.
+		{"device count overflows int", Cluster(1<<62, 4)},
 	}
 	for _, tc := range cases {
-		if _, err := New(sim.NewEngine(), tc.cfg); err == nil {
-			t.Errorf("%s: New must return an error", tc.name)
-		}
+		// Validate first: New on a shape Validate wrongly accepts could
+		// allocate devices until the process runs out of memory.
 		if err := tc.cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate must return an error", tc.name)
+			continue
+		}
+		if _, err := New(sim.NewEngine(), tc.cfg); err == nil {
+			t.Errorf("%s: New must return an error", tc.name)
 		}
 	}
 }

@@ -331,81 +331,6 @@ func (r *Resource) tick() {
 	r.reallocate()
 }
 
-// Server is an exclusive FIFO service queue with busy-time accounting —
-// the contention model for in-order command processors (GPU streams,
-// DMA queues): one holder at a time, waiters admitted in arrival order.
-// Unlike Resource, which divides bandwidth among concurrent flows, a
-// Server serializes its work items outright; the busy-time statistics
-// feed per-stream occupancy and overlap reports.
-type Server struct {
-	e    *Engine
-	name string
-	sem  *Semaphore
-
-	held      bool
-	busySince Time
-	busyTotal Duration
-	// onBusy, when non-nil, observes busy/idle transitions (the hook
-	// overlap accounting attaches to).
-	onBusy func(busy bool)
-
-	// totalWait is how long admitted holders sat queued behind earlier
-	// acquirers: where queueing builds under load.
-	totalWait Duration
-}
-
-// NewServer returns an idle server bound to e.
-func NewServer(e *Engine, name string) *Server {
-	return &Server{e: e, name: name, sem: NewSemaphore(e, 1)}
-}
-
-// Name returns the server's diagnostic name.
-func (s *Server) Name() string { return s.name }
-
-// OnBusy registers fn to observe busy/idle transitions. fn runs at the
-// instant of the transition, before the acquiring (or next queued)
-// process resumes.
-func (s *Server) OnBusy(fn func(busy bool)) { s.onBusy = fn }
-
-// Acquire takes exclusive hold of the server, blocking in FIFO order
-// behind earlier acquirers.
-func (s *Server) Acquire(p *Proc) {
-	enqueued := s.e.now
-	s.sem.Acquire(p, 1)
-	s.totalWait += s.e.now.Sub(enqueued)
-	s.held = true
-	s.busySince = s.e.now
-	if s.onBusy != nil {
-		s.onBusy(true)
-	}
-}
-
-// TotalWait reports the cumulative time admitted acquirers spent queued
-// before taking the server.
-func (s *Server) TotalWait() Duration { return s.totalWait }
-
-// Release ends the current hold and admits the next waiter.
-func (s *Server) Release() {
-	if !s.held {
-		panic("sim: release of idle server " + s.name)
-	}
-	s.busyTotal += s.e.now.Sub(s.busySince)
-	s.held = false
-	if s.onBusy != nil {
-		s.onBusy(false)
-	}
-	s.sem.Release(1)
-}
-
-// BusyTime reports the cumulative held time, including the in-progress
-// hold.
-func (s *Server) BusyTime() Duration {
-	if s.held {
-		return s.busyTotal + s.e.now.Sub(s.busySince)
-	}
-	return s.busyTotal
-}
-
 // waterfill splits total among the flows' members: capped flows below
 // the fair share get their cap; the surplus is redistributed among the
 // rest.

@@ -302,95 +302,3 @@ func absT(d Time) Time {
 	}
 	return d
 }
-
-func TestServerSerializesFIFO(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, "stream")
-	var order []int
-	var ends []Time
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Go("w", func(p *Proc) {
-			s.Acquire(p)
-			order = append(order, i)
-			p.Sleep(Duration(100))
-			ends = append(ends, p.Now())
-			s.Release()
-		})
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("admission order %v, want FIFO", order)
-		}
-	}
-	for i, at := range ends {
-		if want := Time(100 * (i + 1)); at != want {
-			t.Errorf("holder %d released at %v, want %v (serialized)", i, at, want)
-		}
-	}
-	if s.BusyTime() != 300 {
-		t.Errorf("busy time %v, want 300", s.BusyTime())
-	}
-}
-
-func TestServerBusyTimeExcludesIdleGaps(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, "stream")
-	e.Go("w", func(p *Proc) {
-		s.Acquire(p)
-		p.Sleep(100)
-		s.Release()
-		p.Sleep(400) // idle gap
-		s.Acquire(p)
-		p.Sleep(100)
-		s.Release()
-	})
-	e.Run()
-	if s.BusyTime() != 200 {
-		t.Errorf("busy time %v, want 200", s.BusyTime())
-	}
-}
-
-// TestServerQueueAccounting pins the wait-time statistic the benchmark
-// reads: three holders of 100ns arriving together wait 0, 100, and
-// 200ns.
-func TestServerQueueAccounting(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, "stream")
-	for i := 0; i < 3; i++ {
-		e.Go("w", func(p *Proc) {
-			s.Acquire(p)
-			p.Sleep(Duration(100))
-			s.Release()
-		})
-	}
-	e.Run()
-	if s.TotalWait() != 300 {
-		t.Errorf("total wait = %v, want 0+100+200 = 300", s.TotalWait())
-	}
-}
-
-func TestServerWaitIdleAndTransitions(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, "stream")
-	var transitions []bool
-	s.OnBusy(func(b bool) { transitions = append(transitions, b) })
-	for i := 0; i < 2; i++ {
-		e.Go("w", func(p *Proc) {
-			s.Acquire(p)
-			p.Sleep(50)
-			s.Release()
-		})
-	}
-	e.Run()
-	want := []bool{true, false, true, false}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions %v, want %v", transitions, want)
-	}
-	for i := range want {
-		if transitions[i] != want[i] {
-			t.Fatalf("transitions %v, want %v", transitions, want)
-		}
-	}
-}

@@ -1,6 +1,6 @@
 // Package trace records per-workgroup timelines from simulated kernels —
 // the substitute for ROC-profiler in the paper's Fig 11 — and renders
-// them as ASCII Gantt charts or CSV for offline plotting.
+// them as ASCII Gantt charts.
 package trace
 
 import (
@@ -170,16 +170,6 @@ func (t *Timeline) Gantt(width, maxWGs int) string {
 		lo, hi, glyphs[Compute], glyphs[PutIssue], glyphs[StoreSpan], glyphs[LocalDone], glyphs[WaitSpan], glyphs[Reduce])
 	for i, wg := range wgs {
 		fmt.Fprintf(&b, "WG%-4d |%s|\n", wg, rows[i])
-	}
-	return b.String()
-}
-
-// CSV emits "wg,kind,start_ns,end_ns,info" lines for offline plotting.
-func (t *Timeline) CSV() string {
-	var b strings.Builder
-	b.WriteString("wg,kind,start_ns,end_ns,info\n")
-	for _, ev := range t.events {
-		fmt.Fprintf(&b, "%d,%s,%d,%d,%s\n", ev.WG, ev.Kind, int64(ev.Start), int64(ev.End), ev.Info)
 	}
 	return b.String()
 }

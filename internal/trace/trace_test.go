@@ -76,16 +76,3 @@ func TestGanttEmptyAndLimits(t *testing.T) {
 		t.Errorf("maxWGs not applied:\n%s", g)
 	}
 }
-
-func TestCSV(t *testing.T) {
-	var tl Timeline
-	tl.Enable()
-	tl.Add(2, Compute, 5, 9, "slice1")
-	csv := tl.CSV()
-	if !strings.Contains(csv, "wg,kind,start_ns,end_ns,info") {
-		t.Error("missing header")
-	}
-	if !strings.Contains(csv, "2,compute,5,9,slice1") {
-		t.Errorf("missing row:\n%s", csv)
-	}
-}
